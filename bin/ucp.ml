@@ -135,7 +135,8 @@ let analyze_cmd =
     Printf.printf "classification     : AH=%d AM=%d NC=%d (expanded slots)\n" ah am nc;
     Printf.printf "expanded nodes     : %d\n"
       (Ucp_cfg.Vivu.node_count (Analysis.vivu w.Wcet.analysis));
-    Printf.printf "fixpoint passes    : %d\n" (Analysis.fixpoint_passes w.Wcet.analysis)
+    Printf.printf "fixpoint passes    : %d\n" (Analysis.fixpoint_passes w.Wcet.analysis);
+    Printf.printf "node transfers     : %d\n" (Analysis.node_transfers w.Wcet.analysis)
   in
   Cmd.v
     (Cmd.info "analyze" ~doc:"Cache-aware WCET analysis of one use case.")

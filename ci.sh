@@ -7,6 +7,16 @@ set -eu
 dune build
 dune runtest
 
+# Lint: no lazy values under lib/.  Metric instruments are registered
+# where they are used (registration is mutex-guarded and idempotent);
+# a lazy value that two domains force at once raises
+# CamlinternalLazy.Undefined in one of them.
+if grep -rnwE 'lazy|Lazy' lib --include='*.ml' --include='*.mli'; then
+  echo "ci: lint: lazy value under lib/; register metrics where they are used" >&2
+  exit 1
+fi
+echo "ci: no-lazy lint passed"
+
 # Robustness smoke: run a tiny sweep (2 programs x 12 quick configs x
 # 2 techs = 48 use cases) with two injected faults -- one case raises,
 # one stalls past the 1s per-case deadline -- and check the engine
@@ -673,3 +683,17 @@ grep -q 'signature mismatch' "$fuzz_dir/tamper.err" || {
   exit 1
 }
 echo "ci: fuzz smoke passed"
+
+# Behaviour preservation: a short run of each batch benchmark workload.
+# Every run checks each record against check_invariants and the whole
+# record stream against the digest pinned in ucpbench/baseline.json,
+# and exits non-zero on any mismatch.
+for workload in lru-small lru-large policies-audit; do
+  bash ucpbench/run.sh --workload "$workload" --seed 1 --seconds 1 --trace 0 \
+    >"$smoke_err" 2>&1 || {
+    echo "ci: benchmark check: $workload failed" >&2
+    cat "$smoke_err" >&2
+    exit 1
+  }
+done
+echo "ci: benchmark record-digest check passed"

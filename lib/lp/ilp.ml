@@ -27,8 +27,6 @@ let bound_row num_vars j q op =
   coeffs.(j) <- Q.one;
   (coeffs, op, q)
 
-let nodes_total = lazy (Ucp_obs.Metrics.counter "ilp_nodes_total")
-
 let maximize ?deadline ?(max_nodes = 100_000) (problem : Simplex.problem) =
   Ucp_obs.Trace.with_span ~name:"ilp" (fun () ->
   let nodes = ref 0 in
@@ -68,7 +66,7 @@ let maximize ?deadline ?(max_nodes = 100_000) (problem : Simplex.problem) =
   Fun.protect
     ~finally:(fun () ->
       Ucp_obs.Trace.set_arg "nodes" (Ucp_obs.Trace.Int !nodes);
-      Ucp_obs.Metrics.add (Lazy.force nodes_total) !nodes)
+      Ucp_obs.Metrics.add (Ucp_obs.Metrics.counter "ilp_nodes_total") !nodes)
     (fun () ->
       match explore [] with
       | `Unbounded -> Unbounded

@@ -162,8 +162,6 @@ let make_z t c =
     t.basis;
   z
 
-let pivots_total = lazy (Ucp_obs.Metrics.counter "simplex_pivots_total")
-
 let maximize ?deadline problem =
   Ucp_obs.Trace.with_span ~name:"simplex" (fun () ->
       let pivots = ref 0 in
@@ -172,7 +170,7 @@ let maximize ?deadline problem =
       Fun.protect
         ~finally:(fun () ->
           Ucp_obs.Trace.set_arg "pivots" (Ucp_obs.Trace.Int !pivots);
-          Ucp_obs.Metrics.add (Lazy.force pivots_total) !pivots)
+          Ucp_obs.Metrics.add (Ucp_obs.Metrics.counter "simplex_pivots_total") !pivots)
         (fun () ->
           let t, art_start, dual_cols = build problem in
           let m = Array.length t.rows in

@@ -7,8 +7,6 @@ module Wcet = Ucp_wcet.Wcet
 module Classification = Ucp_wcet.Classification
 module Cacti = Ucp_energy.Cacti
 
-let optimizer_rounds_total = lazy (Ucp_obs.Metrics.counter "optimizer_rounds_total")
-
 type insertion = {
   target_uid : int;
   prefetch_uid : int;
@@ -334,13 +332,16 @@ let discover ?(placement = At_eviction) (w : Wcet.t) =
   done;
   !candidates
 
-let miss_bound w = Analysis.miss_count_bound w.Wcet.analysis
+(* An analysis with the two figures the acceptance check compares,
+   each computed once: [tau] is the bound Theorem 1 protects, τ_w plus
+   the conservative residual-stall charge for prefetches whose
+   effectiveness window was eroded by other insertions (hits where the
+   discovery-time analysis still saw misses); [misses] is the
+   Condition-2 miss bound. *)
+type scored = { w : Wcet.t; tau : int; misses : int }
 
-(* The bound the acceptance check protects: τ_w plus the conservative
-   residual-stall charge for prefetches whose effectiveness window was
-   eroded by other insertions (hits where the discovery-time analysis
-   still saw misses). *)
-let tau_eff w = Wcet.tau_with_residual w
+let score w =
+  { w; tau = Wcet.tau_with_residual w; misses = Analysis.miss_count_bound w.Wcet.analysis }
 
 let optimize ?deadline ?(placement = At_eviction) ?(max_insertions = 2000)
     ?(overhead_budget = 0.05) ?pinned ?initial ?(policy = Ucp_policy.Lru) program
@@ -356,11 +357,13 @@ let optimize ?deadline ?(placement = At_eviction) ?(max_insertions = 2000)
   let analyze p =
     Ucp_util.Deadline.check deadline;
     incr analyze_calls;
-    Ucp_obs.Trace.with_span ~name:"optimizer-round"
-      ~args:[ ("round", Ucp_obs.Trace.Int !analyze_calls) ] (fun () ->
-        Wcet.compute ?deadline ~with_may:false ?pinned ~policy p config model)
+    score
+      (Ucp_obs.Trace.with_span ~name:"optimizer-round"
+         ~args:[ ("round", Ucp_obs.Trace.Int !analyze_calls) ] (fun () ->
+           Wcet.compute ?deadline ~with_may:false ?pinned ~policy p config model))
   in
-  let w0 = match initial with Some w -> w | None -> analyze program in
+  let s0 = match initial with Some w -> score w | None -> analyze program in
+  let w0 = s0.w in
   (* Dynamic-overhead budget: inserted prefetches may add at most this
      share of the WCET scenario's executed instructions (the paper
      reports a 1.32% maximum average increase, Figure 8).  Candidates
@@ -380,8 +383,10 @@ let optimize ?deadline ?(placement = At_eviction) ?(max_insertions = 2000)
   in
   let banned = Hashtbl.create 64 in
   let rej_tau = ref 0 and rej_miss = ref 0 in
-  let accepts w w' misses_p misses' =
-    tau_eff w' <= tau_eff w && (misses' < misses_p || tau_eff w' < tau_eff w)
+  let accepts s s' = s'.tau <= s.tau && (s'.misses < s.misses || s'.tau < s.tau) in
+  let note_rejection s s' =
+    if s'.tau > s.tau then incr rej_tau;
+    if s'.misses >= s.misses then incr rej_miss
   in
   let rec take n = function
     | [] -> []
@@ -414,19 +419,17 @@ let optimize ?deadline ?(placement = At_eviction) ?(max_insertions = 2000)
      shift one block boundary; in bulk the gains dominate that noise).
      Try the full affordable batch, halve on failure, and ban the top
      candidate when even a single insertion fails. *)
-  let rec descend p w misses_p cands size =
+  let rec descend p s cands size =
     if size = 0 then None
     else begin
       let prefix = take size cands in
       let p', uids = materialize p prefix in
-      let w' = analyze p' in
-      let misses' = miss_bound w' in
+      let s' = analyze p' in
       incr rounds;
-      if accepts w w' misses_p misses' then Some (p', w', misses', uids)
+      if accepts s s' then Some (p', s', uids)
       else begin
-        if tau_eff w' > tau_eff w then incr rej_tau;
-        if misses' >= misses_p then incr rej_miss;
-        descend p w misses_p cands (size / 2)
+        note_rejection s s';
+        descend p s cands (size / 2)
       end
     end
   in
@@ -434,7 +437,7 @@ let optimize ?deadline ?(placement = At_eviction) ?(max_insertions = 2000)
      failure, until one acceptance or exhaustion — used after a prefix
      bisection has already failed at size one, so re-descending per ban
      would waste log-many analyses. *)
-  let rec walk_singles p w misses_p strikes = function
+  let rec walk_singles p s strikes = function
     | [] -> None
     | c :: rest ->
       (* the list is gain-ranked: a long run of failures predicts the
@@ -442,25 +445,23 @@ let optimize ?deadline ?(placement = At_eviction) ?(max_insertions = 2000)
       if !rounds > 4000 || strikes = 0 then None
       else begin
         let p', uids = materialize p [ c ] in
-        let w' = analyze p' in
-        let misses' = miss_bound w' in
+        let s' = analyze p' in
         incr rounds;
-        if accepts w w' misses_p misses' then Some (p', w', misses', uids)
+        if accepts s s' then Some (p', s', uids)
         else begin
-          if tau_eff w' > tau_eff w then incr rej_tau;
-          if misses' >= misses_p then incr rej_miss;
+          note_rejection s s';
           Hashtbl.add banned (c.cand_before_uid, c.cand_target_uid) ();
-          walk_singles p w misses_p (strikes - 1) rest
+          walk_singles p s (strikes - 1) rest
         end
       end
   in
-  let rec go p w misses_p insertions rejected trail ~cached =
+  let rec go p s insertions rejected trail ~cached =
     if List.length insertions >= max_insertions || !rounds > 4000 then
-      (p, w, insertions, rejected, trail)
+      (p, s, insertions, rejected, trail)
     else begin
       (* discovery only depends on the current program, so it is reused
          across rounds that merely banned candidates *)
-      let all = match cached with Some c -> c | None -> discover ~placement w in
+      let all = match cached with Some c -> c | None -> discover ~placement s.w in
       let cands =
         List.filter
           (fun c ->
@@ -479,7 +480,7 @@ let optimize ?deadline ?(placement = At_eviction) ?(max_insertions = 2000)
         in
         affordable !budget cands
       in
-      let accept (p', w', misses', uids) rejected =
+      let accept (p', s', uids) rejected =
         List.iter (fun (c, _) -> budget := !budget - c.cand_cost) uids;
         let accepted =
           List.map
@@ -487,10 +488,10 @@ let optimize ?deadline ?(placement = At_eviction) ?(max_insertions = 2000)
               {
                 target_uid = c.cand_target_uid;
                 prefetch_uid = uid;
-                tau_before = tau_eff w;
-                tau_after = tau_eff w';
-                misses_before = misses_p;
-                misses_after = misses';
+                tau_before = s.tau;
+                tau_after = s'.tau;
+                misses_before = s.misses;
+                misses_after = s'.misses;
                 est_gain = c.cand_gain;
               })
             uids
@@ -501,35 +502,32 @@ let optimize ?deadline ?(placement = At_eviction) ?(max_insertions = 2000)
           {
             round_insertions =
               List.map (fun (c, uid) -> (uid, c.cand_target_uid)) uids;
-            round_tau_before = tau_eff w;
-            round_tau_after = tau_eff w';
-            round_misses_before = misses_p;
-            round_misses_after = misses';
+            round_tau_before = s.tau;
+            round_tau_after = s'.tau;
+            round_misses_before = s.misses;
+            round_misses_after = s'.misses;
           }
         in
-        go p' w' misses' (accepted @ insertions) rejected (round :: trail)
-          ~cached:None
+        go p' s' (accepted @ insertions) rejected (round :: trail) ~cached:None
       in
       match cands with
-      | [] -> (p, w, insertions, rejected, trail)
+      | [] -> (p, s, insertions, rejected, trail)
       | top :: rest -> (
-        match descend p w misses_p cands (List.length cands) with
+        match descend p s cands (List.length cands) with
         | Some result -> accept result rejected
         | None -> (
           (* the descent already tried (and rejected) the top candidate
              alone; ban it and walk the rest one by one *)
           Hashtbl.add banned (top.cand_before_uid, top.cand_target_uid) ();
-          match walk_singles p w misses_p 30 rest with
+          match walk_singles p s 30 rest with
           | Some result -> accept result (rejected + 1)
-          | None -> (p, w, insertions, rejected + 1 + List.length rest, trail)))
+          | None -> (p, s, insertions, rejected + 1 + List.length rest, trail)))
     end
   in
-  let p, w, insertions, rejected, trail =
-    go program w0 (miss_bound w0) [] 0 [] ~cached:None
-  in
-  assert (tau_eff w <= tau_eff w0);
+  let p, s, insertions, rejected, trail = go program s0 [] 0 [] ~cached:None in
+  assert (s.tau <= s0.tau);
   assert (Program.prefetch_equivalent program p);
-  Ucp_obs.Metrics.add (Lazy.force optimizer_rounds_total) !rounds;
+  Ucp_obs.Metrics.add (Ucp_obs.Metrics.counter "optimizer_rounds_total") !rounds;
   {
     program = p;
     original = program;
@@ -538,7 +536,7 @@ let optimize ?deadline ?(placement = At_eviction) ?(max_insertions = 2000)
     rejected_tau = !rej_tau;
     rejected_miss = !rej_miss;
     rounds = !rounds;
-    tau_before = tau_eff w0;
-    tau_after = tau_eff w;
+    tau_before = s0.tau;
+    tau_after = s.tau;
     trail = List.rev trail;
   }

@@ -3,21 +3,19 @@
    on the per-byte hot path. *)
 
 let table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
 
 let mask = 0xFFFFFFFF
 
 let update crc s =
-  let t = Lazy.force table in
   let crc = ref (crc lxor mask) in
   String.iter
-    (fun ch -> crc := t.((!crc lxor Char.code ch) land 0xff) lxor (!crc lsr 8))
+    (fun ch -> crc := table.((!crc lxor Char.code ch) land 0xff) lxor (!crc lsr 8))
     s;
   (!crc lxor mask) land mask
 

@@ -12,11 +12,6 @@ module Simulator = Ucp_sim.Simulator
 module Optimizer = Ucp_prefetch.Optimizer
 module Cacti = Ucp_energy.Cacti
 
-let audit_obligations_total = lazy (Ucp_obs.Metrics.counter "audit_obligations_total")
-let audit_seconds_total = lazy (Ucp_obs.Metrics.fcounter "audit_seconds_total")
-let audit_fastpath_total = lazy (Ucp_obs.Metrics.counter "audit_ipet_fastpath_total")
-let audit_slowpath_total = lazy (Ucp_obs.Metrics.counter "audit_ipet_slowpath_total")
-
 (* ------------------------------------------------------------------ *)
 (* Audit modes *)
 
@@ -278,12 +273,12 @@ let certify_ipet ?deadline (w : Wcet.t) =
   in
   match fast with
   | Ok () ->
-    Ucp_obs.Metrics.incr (Lazy.force audit_fastpath_total);
+    Ucp_obs.Metrics.incr (Ucp_obs.Metrics.counter "audit_ipet_fastpath_total");
     Ok ()
   | Error reason ->
     (* Any fast-path shortfall — an unclosable certificate, a genuine
        violation — defers to the solver, which is authoritative. *)
-    Ucp_obs.Metrics.incr (Lazy.force audit_slowpath_total);
+    Ucp_obs.Metrics.incr (Ucp_obs.Metrics.counter "audit_ipet_slowpath_total");
     Ucp_obs.Log.debug "audit: ipet fast path failed (%s), falling back to the LP" reason;
     certify_ipet_solver ?deadline w
 
@@ -695,12 +690,12 @@ let audit_case ?deadline ?seed ?(corrupt = false)
     let obligation name check =
       Ucp_obs.Trace.with_span ~name:"audit-obligation"
         ~args:[ ("obligation", Ucp_obs.Trace.Str name) ] (fun () ->
-          Ucp_obs.Metrics.incr (Lazy.force audit_obligations_total);
+          Ucp_obs.Metrics.incr (Ucp_obs.Metrics.counter "audit_obligations_total");
           let t0 = Unix.gettimeofday () in
           let res = check () in
           let d = Unix.gettimeofday () -. t0 in
           elapsed := !elapsed +. d;
-          Ucp_obs.Metrics.fadd (Lazy.force audit_seconds_total) d;
+          Ucp_obs.Metrics.fadd (Ucp_obs.Metrics.fcounter "audit_seconds_total") d;
           res)
     in
     let refine_mode, refine_original, refine_optimized = refine in

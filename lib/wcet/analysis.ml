@@ -5,8 +5,6 @@ module Instr = Ucp_isa.Instr
 module Abstract = Ucp_cache.Abstract
 module Config = Ucp_cache.Config
 
-let fixpoint_iterations_total = lazy (Ucp_obs.Metrics.counter "fixpoint_iterations_total")
-
 type domain = Flat | Functional
 
 type t = {
@@ -19,6 +17,7 @@ type t = {
   in_may : Abstract.t array;
   classif : Classification.t array array;
   passes : int;
+  transfers : int;
 }
 
 let slot_mem_block_of layout ~block ~pos = Layout.mem_block layout ~block ~pos
@@ -40,9 +39,9 @@ let fill_hint ~with_may must may tb =
   else if with_may && not (Abstract.contains may tb) then Ucp_policy.Miss
   else Ucp_policy.Unknown
 
-(* Transfer one node: thread both states through its slots, optionally
-   recording per-slot classifications. *)
-let transfer ~vivu ~layout ~with_may ~hw_next_n ~pinned ~record node_id (must0, may0) =
+(* Transfer one node: thread both states through its slots, recording
+   per-slot classifications into [classif]. *)
+let transfer ~vivu ~layout ~with_may ~hw_next_n ~pinned ~classif node_id (must0, may0) =
   let program = Vivu.program vivu in
   let nd = Vivu.node vivu node_id in
   let block = nd.Vivu.block in
@@ -54,9 +53,7 @@ let transfer ~vivu ~layout ~with_may ~hw_next_n ~pinned ~record node_id (must0, 
     let s = slot_mem_block_of layout ~block ~pos in
     if pinned s then begin
       (* locked way: guaranteed hit, no replacement-state effect *)
-      match record with
-      | Some classif -> classif.(node_id).(pos) <- Classification.Always_hit
-      | None -> ()
+      classif.(node_id).(pos) <- Classification.Always_hit
     end
     else begin
       let cls =
@@ -65,9 +62,7 @@ let transfer ~vivu ~layout ~with_may ~hw_next_n ~pinned ~record node_id (must0, 
           Classification.Always_miss
         else Classification.Not_classified
       in
-      (match record with
-      | Some classif -> classif.(node_id).(pos) <- cls
-      | None -> ());
+      classif.(node_id).(pos) <- cls;
       (* The classification of this very access is fed back into the
          abstract update as a hint: policies with outcome-dependent
          aging (FIFO) need it, LRU/PLRU ignore it. *)
@@ -134,6 +129,13 @@ let run ?deadline ?(with_may = true) ?(hw_next_n = 0) ?pinned
       ( Abstract.empty_flat ~policy ~base ~universe config Abstract.Must,
         Abstract.empty_flat ~policy ~base ~universe config Abstract.May )
   in
+  let classif =
+    Array.init n (fun node_id ->
+        let nd = Vivu.node vivu node_id in
+        Array.make
+          (max 1 (Program.slots program nd.Vivu.block))
+          Classification.Not_classified)
+  in
   let out_states : (Abstract.t * Abstract.t) option array = Array.make n None in
   let in_states : (Abstract.t * Abstract.t) option array = Array.make n None in
   let entry = Vivu.entry vivu in
@@ -153,6 +155,22 @@ let run ?deadline ?(with_may = true) ?(hw_next_n = 0) ?pinned
       if is_entry then Some (Abstract.join m cold_must, Abstract.join y cold_may)
       else Some (m, y)
   in
+  let transfers = ref 0 in
+  let transfer node_id input =
+    incr transfers;
+    transfer ~vivu ~layout ~with_may ~hw_next_n ~pinned ~classif node_id input
+  in
+  (* Topological sweeps until one changes no out-state.  A node is
+     transferred only when some predecessor's out-state changed since
+     its own last transfer ([dirty]): a DAG successor then runs later in
+     the same sweep, an iteration successor in the next one.  Any
+     skipped transfer would have joined the very same predecessor
+     states, so in-states, out-states and the sweep count are those of
+     transferring every node on every sweep.  Each transfer records its
+     classifications; a node's last one, from its converged in-state,
+     stands. *)
+  let dirty = Array.make n false in
+  dirty.(entry) <- true;
   let passes = ref 0 in
   let changed = ref true in
   while !changed do
@@ -164,52 +182,53 @@ let run ?deadline ?(with_may = true) ?(hw_next_n = 0) ?pinned
       ~args:[ ("pass", Ucp_obs.Trace.Int !passes) ] (fun () ->
     Array.iter
       (fun node_id ->
-        match join_in node_id with
-        | None -> ()
-        | Some input ->
-          in_states.(node_id) <- Some input;
-          let output =
-            transfer ~vivu ~layout ~with_may ~hw_next_n ~pinned ~record:None node_id
-              input
-          in
-          let same =
-            match out_states.(node_id) with
-            | None -> false
-            | Some (m, y) ->
-              Abstract.equal m (fst output) && Abstract.equal y (snd output)
-          in
-          if not same then begin
-            out_states.(node_id) <- Some output;
-            changed := true
-          end)
+        if dirty.(node_id) then begin
+          dirty.(node_id) <- false;
+          match join_in node_id with
+          | None -> ()
+          | Some input ->
+            in_states.(node_id) <- Some input;
+            let output = transfer node_id input in
+            let same =
+              match out_states.(node_id) with
+              | None -> false
+              | Some (m, y) ->
+                Abstract.equal m (fst output) && Abstract.equal y (snd output)
+            in
+            if not same then begin
+              out_states.(node_id) <- Some output;
+              changed := true;
+              List.iter (fun s -> dirty.(s) <- true) (Vivu.dag_succ vivu node_id);
+              List.iter (fun s -> dirty.(s) <- true) (Vivu.iter_succ vivu node_id)
+            end
+        end)
       topo)
   done;
-  Ucp_obs.Metrics.add
-    (Lazy.force fixpoint_iterations_total)
-    !passes;
-  (* Final recording pass from converged in-states. *)
-  let classif =
-    Array.init n (fun node_id ->
-        let nd = Vivu.node vivu node_id in
-        Array.make
-          (max 1 (Program.slots program nd.Vivu.block))
-          Classification.Not_classified)
-  in
+  Ucp_obs.Metrics.add (Ucp_obs.Metrics.counter "fixpoint_iterations_total") !passes;
+  (* Nodes no state reaches are classified from the cold state. *)
   let in_must = Array.make n cold_must and in_may = Array.make n cold_may in
-  Array.iter
-    (fun node_id ->
-      let input =
-        match in_states.(node_id) with
-        | Some s -> s
-        | None -> (cold_must, cold_may)
-      in
-      in_must.(node_id) <- fst input;
-      in_may.(node_id) <- snd input;
-      ignore
-        (transfer ~vivu ~layout ~with_may ~hw_next_n ~pinned ~record:(Some classif)
-           node_id input))
-    topo;
-  { vivu; layout; config; policy; plain; in_must; in_may; classif; passes = !passes }
+  Array.iteri
+    (fun node_id -> function
+      | Some (m, y) ->
+        in_must.(node_id) <- m;
+        in_may.(node_id) <- y
+      | None -> ignore (transfer node_id (cold_must, cold_may)))
+    in_states;
+  Ucp_obs.Metrics.add
+    (Ucp_obs.Metrics.counter "fixpoint_node_transfers_total")
+    !transfers;
+  {
+    vivu;
+    layout;
+    config;
+    policy;
+    plain;
+    in_must;
+    in_may;
+    classif;
+    passes = !passes;
+    transfers = !transfers;
+  }
 
 let vivu t = t.vivu
 let layout t = t.layout
@@ -272,3 +291,4 @@ let classification_counts t =
   (!ah, !am, !nc)
 
 let fixpoint_passes t = t.passes
+let node_transfers t = t.transfers

@@ -102,3 +102,9 @@ val classification_counts : t -> int * int * int
 
 val fixpoint_passes : t -> int
 (** Number of sweeps the fixpoint needed (diagnostics). *)
+
+val node_transfers : t -> int
+(** Number of node transfers the run made: a sweep transfers only the
+    nodes some predecessor's out-state changed for, plus one transfer
+    from the cold state per node no state reaches (diagnostics; also
+    added to the [fixpoint_node_transfers_total] registry counter). *)

@@ -233,6 +233,102 @@ let prop_witness_replay =
           Result.is_ok (Ucp_verify.replay_witness w))
         [ Ucp_policy.Lru; Ucp_policy.Fifo; Ucp_policy.Plru ])
 
+(* ------------------------------------------------------------------ *)
+(* fixpoint output pinned: per-slot classifications, every node's
+   in-must/in-may and the pass count, digested over the suite below
+   2000 slots and a fixed set of generated programs at four
+   configurations (256 B and 512 B direct-mapped, 8 KiB 2- and
+   4-way).  Any change to how the fixpoint iterates must leave all of
+   it byte-identical. *)
+
+let pin_programs =
+  List.filter_map
+    (fun (_, p) -> if Program.total_slots p < 2000 then Some p else None)
+    Ucp_workloads.Suite.all
+  @ List.concat_map
+      (fun cls ->
+        List.init 4 (fun seed -> Ucp_workloads.Generate.program ~seed:(seed + 1) ~cls))
+      [ "s"; "m"; "l" ]
+
+let pin_configs =
+  List.map (fun id -> List.assoc id Config.paper_configs) [ "k4"; "k10"; "k35"; "k36" ]
+
+let digest_analysis buf a =
+  let vivu = Analysis.vivu a in
+  let program = Ucp_cfg.Vivu.program vivu in
+  let state s =
+    List.iter
+      (fun b ->
+        Printf.bprintf buf "%d:%d," b
+          (Option.value ~default:(-1) (Ucp_cache.Abstract.age s b)))
+      (Ucp_cache.Abstract.blocks s);
+    Buffer.add_char buf '|'
+  in
+  Printf.bprintf buf "passes %d\n" (Analysis.fixpoint_passes a);
+  for node = 0 to Ucp_cfg.Vivu.node_count vivu - 1 do
+    let block = (Ucp_cfg.Vivu.node vivu node).Ucp_cfg.Vivu.block in
+    for pos = 0 to Program.slots program block - 1 do
+      Buffer.add_string buf (Classification.to_string (Analysis.classif a ~node ~pos))
+    done;
+    state (Analysis.in_must a node);
+    state (Analysis.in_may a node);
+    Buffer.add_char buf '\n'
+  done
+
+let pin_digest analyze =
+  let buf = Buffer.create (1 lsl 20) in
+  List.iter
+    (fun p -> List.iter (fun c -> digest_analysis buf (analyze p c)) pin_configs)
+    pin_programs;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let test_fixpoint_output_pinned () =
+  let runs =
+    List.concat_map
+      (fun (label, policy) ->
+        List.concat_map
+          (fun (dlabel, domain) ->
+            List.map
+              (fun with_may ->
+                ( Printf.sprintf "%s %s with_may=%b" label dlabel with_may,
+                  fun p c -> Wcet.analyze ~with_may ~policy ~domain p c ))
+              [ true; false ])
+          [ ("flat", Analysis.Flat); ("functional", Analysis.Functional) ])
+      [ ("lru", Ucp_policy.Lru); ("fifo", Ucp_policy.Fifo); ("plru", Ucp_policy.Plru) ]
+    @ [
+        ("lru hw next-2", fun p c -> Wcet.analyze ~hw_next_n:2 p c);
+        ("lru pinned", fun p c -> Wcet.analyze ~pinned:(fun mb -> mb mod 5 = 0) p c);
+      ]
+  in
+  let lru = "6689f7d915ce7fc0ced5c2c050059381"
+  and lru_must = "43f988d10c96d9c9e534631555ab16e0"
+  and fifo = "ac0a083b4e130a2cfc18635d25cc2585"
+  and plru = "269b870223573c250fb938fecb55ff58"
+  and plru_must = "0877bfa7a80a0268de56194353047705" in
+  (* the two domains agree state for state; FIFO forces the may
+     analysis on, so its two [with_may] runs agree too *)
+  let expected =
+    [
+      ("lru flat with_may=true", lru);
+      ("lru flat with_may=false", lru_must);
+      ("lru functional with_may=true", lru);
+      ("lru functional with_may=false", lru_must);
+      ("fifo flat with_may=true", fifo);
+      ("fifo flat with_may=false", fifo);
+      ("fifo functional with_may=true", fifo);
+      ("fifo functional with_may=false", fifo);
+      ("plru flat with_may=true", plru);
+      ("plru flat with_may=false", plru_must);
+      ("plru functional with_may=true", plru);
+      ("plru functional with_may=false", plru_must);
+      ("lru hw next-2", "408dfe4aa5a8882be9bffb3c4fd3ac93");
+      ("lru pinned", "fd8383fe52d19e03d65c6879c31a4a90");
+    ]
+  in
+  Alcotest.(check (list (pair string string)))
+    "digests" expected
+    (List.map (fun (label, analyze) -> (label, pin_digest analyze)) runs)
+
 let () =
   Alcotest.run "ucp_wcet"
     [
@@ -253,6 +349,7 @@ let () =
           Alcotest.test_case "residual stall" `Quick test_residual_stall;
           Alcotest.test_case "hw next-line analysis" `Quick test_hw_next_line_analysis;
           Alcotest.test_case "hw next-n monotone" `Quick test_hw_next_n_monotone;
+          Alcotest.test_case "fixpoint output pinned" `Quick test_fixpoint_output_pinned;
         ] );
       ( "ipet",
         [
