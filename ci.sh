@@ -684,11 +684,14 @@ grep -q 'signature mismatch' "$fuzz_dir/tamper.err" || {
 }
 echo "ci: fuzz smoke passed"
 
-# Behaviour preservation: a short run of each batch benchmark workload.
-# Every run checks each record against check_invariants and the whole
-# record stream against the digest pinned in ucpbench/baseline.json,
-# and exits non-zero on any mismatch.
-for workload in lru-small lru-large policies-audit; do
+# Behaviour preservation: a short run of each benchmark workload.
+# Every batch run checks each record against check_invariants and the
+# whole record stream against the digest pinned in
+# ucpbench/baseline.json; the serve-mix run computes its cases in the
+# daemon's cold tier (Experiments.run_case) and byte-compares each
+# answer across the cold, store and memory tiers.  Any mismatch exits
+# non-zero.
+for workload in lru-small lru-large policies-audit serve-mix; do
   bash ucpbench/run.sh --workload "$workload" --seed 1 --seconds 1 --trace 0 \
     >"$smoke_err" 2>&1 || {
     echo "ci: benchmark check: $workload failed" >&2

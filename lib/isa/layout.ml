@@ -1,3 +1,5 @@
+type target = No_target | Target of int | Dangling of int
+
 type t = {
   program : Program.t;
   block_bytes : int;
@@ -5,6 +7,8 @@ type t = {
   starts : int array;  (* global slot index of each block's first slot *)
   total : int;
   by_block : (int, (int * int) list) Hashtbl.t;  (* mem block -> slots, reversed *)
+  slot_blocks : int array array;  (* basic block -> memory block of each slot *)
+  targets : target array array;  (* basic block -> prefetch target of each slot *)
 }
 
 let end_addr = 1 lsl 24
@@ -24,13 +28,27 @@ let make program ~block_bytes =
   let total = !total in
   let base = end_addr - (Instr.bytes * total) in
   let by_block = Hashtbl.create 64 in
-  let t = { program; block_bytes; base; starts; total; by_block } in
-  Program.iter_slots program (fun ~block ~pos ~instr:_ ->
+  let slot_blocks = Array.init n (fun id -> Array.make (Program.slots program id) 0) in
+  (* uid -> memory block, only to resolve prefetch targets below *)
+  let mem_block_of_uid = Hashtbl.create total in
+  Program.iter_slots program (fun ~block ~pos ~instr ->
       let a = base + (Instr.bytes * (starts.(block) + pos)) in
       let mb = a / block_bytes in
+      slot_blocks.(block).(pos) <- mb;
+      Hashtbl.replace mem_block_of_uid instr.Instr.uid mb;
       let prev = try Hashtbl.find by_block mb with Not_found -> [] in
       Hashtbl.replace by_block mb ((block, pos) :: prev));
-  t
+  let targets =
+    Array.init n (fun id ->
+        Array.init (Program.slots program id) (fun pos ->
+            match (Program.slot_instr program ~block:id ~pos).Instr.kind with
+            | Instr.Compute -> No_target
+            | Instr.Prefetch uid -> (
+              match Hashtbl.find_opt mem_block_of_uid uid with
+              | Some mb -> Target mb
+              | None -> Dangling uid)))
+  in
+  { program; block_bytes; base; starts; total; by_block; slot_blocks; targets }
 
 let program t = t.program
 let block_bytes t = t.block_bytes
@@ -51,8 +69,8 @@ let addr_of_uid t uid =
   | None -> None
   | Some (block, pos) -> Some (addr t ~block ~pos)
 
-let mem_block_of_uid t uid =
-  match addr_of_uid t uid with None -> None | Some a -> Some (mem_block_of_addr t a)
+let slot_mem_blocks t block = t.slot_blocks.(block)
+let prefetch_targets t block = t.targets.(block)
 
 let slots_of_mem_block t mb =
   match Hashtbl.find_opt t.by_block mb with

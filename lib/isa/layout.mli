@@ -11,12 +11,21 @@
 
 type t
 
+(** What a slot prefetches. *)
+type target =
+  | No_target  (** a compute instruction or a terminator *)
+  | Target of int  (** a prefetch, with the memory block it loads *)
+  | Dangling of int
+      (** a prefetch whose target uid is absent from the program *)
+
 val end_addr : int
 (** The fixed anchor address (a multiple of every supported memory-block
     size). *)
 
 val make : Program.t -> block_bytes:int -> t
-(** Compute the layout of a program for a given memory-block size.
+(** Compute the layout of a program for a given memory-block size,
+    together with its slot table: the memory block and the prefetch
+    target of every slot ({!slot_mem_blocks}, {!prefetch_targets}).
     @raise Invalid_argument if [block_bytes] is not a positive multiple
     of {!Instr.bytes}. *)
 
@@ -36,10 +45,21 @@ val mem_block_of_addr : t -> int -> int
 (** Memory block id of a byte address. *)
 
 val addr_of_uid : t -> int -> int option
-(** Address of the instruction with the given uid, if present. *)
+(** Address of the instruction with the given uid, if present (a scan
+    of the program). *)
 
-val mem_block_of_uid : t -> int -> int option
-(** [S(r)] looked up by uid. *)
+val slot_mem_blocks : t -> int -> int array
+(** [slot_mem_blocks t block]: {!mem_block} of each slot of a basic
+    block, indexed by position, as {!make} computed it.  The slot
+    walkers (the cache analysis, the exact refinement and the
+    simulator) read this table instead of recomputing addresses.  The
+    array is shared: do not mutate it. *)
+
+val prefetch_targets : t -> int -> target array
+(** [prefetch_targets t block]: what each slot of a basic block
+    prefetches, indexed by position.  A prefetch's target is the
+    memory block of the slot holding its target uid, resolved once by
+    {!make}.  The array is shared: do not mutate it. *)
 
 val first_slot_of_mem_block : t -> int -> (int * int) option
 (** [R(s)]: the [(block, pos)] of the lowest-addressed instruction

@@ -55,13 +55,16 @@ let cset_copy cs =
   | Tree t -> Tree { ways = Array.copy t.ways; bits = t.bits }
 
 (* Queue access shared by LRU and FIFO: [reorder] is whether a hit
-   moves the block to the front (LRU yes, FIFO no). *)
+   moves the block to the front (LRU yes, FIFO no).  A hit on the
+   youngest entry leaves the queue as it is under both. *)
 let order_access ~reorder ~assoc lst mb =
-  if List.mem mb lst then
+  match lst with
+  | youngest :: _ when youngest = mb -> (lst, true, None)
+  | _ when List.mem mb lst ->
     let lst' = if reorder then mb :: List.filter (fun x -> x <> mb) lst else lst in
     (lst', true, None)
-  else if List.length lst < assoc then (mb :: lst, false, None)
-  else
+  | _ when List.length lst < assoc -> (mb :: lst, false, None)
+  | _ ->
     let rec split_last acc = function
       | [] -> assert false
       | [ last ] -> (List.rev acc, last)

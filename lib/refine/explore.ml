@@ -12,9 +12,10 @@
    the walk set (DAG + iteration edges from a cold entry) that the
    abstract fixpoint over-approximates, so "all reachable in-states
    hit" really covers every execution the WCET bound ranges over.
-   Second, the per-slot transfer is shared code with the reachability
-   sweep and mirrors the simulator's slot order, so the verdict pass
-   cannot drift from either.  The converse containment gives a free
+   Second, the verdict pass replays in-states through the reachability
+   sweep's own transfer over the same per-set events, built once from
+   the layout's slot table in the simulator's slot order, so it cannot
+   drift from either.  The converse containment gives a free
    self-test: an abstract Always_hit (resp. Always_miss) must be an
    exploration all-hit (all-miss) — [Mode.Full] checks this for every
    reference and raises {!Unsound} on contradiction. *)
@@ -107,14 +108,16 @@ let run_plain ?deadline ?budget ~corrupt ~mode (w : Wcet.t) =
   done;
   let sets = List.sort compare (Hashtbl.fold (fun s _ acc -> s :: acc) by_set []) in
   let states = ref 0 in
+  let steps = ref 0 in
   let budget_hit = ref false in
   let budget_exhausted = ref 0 in
   let overrides = ref [] in
   List.iter
-    (fun set ->
+    (fun (set, events) ->
       Deadline.check deadline;
-      let r = Product.reachable ?deadline ?budget ~policy ~set vivu layout config in
+      let r = Product.reachable ?deadline ?budget ~policy ~assoc ~events vivu in
       states := !states + r.Product.visited;
+      steps := !steps + r.Product.steps;
       if r.Product.exhausted then begin
         (* partial reachability proves nothing: every focus reference
            of this set degrades gracefully to Genuinely_unknown; count
@@ -141,7 +144,7 @@ let run_plain ?deadline ?budget ~corrupt ~mode (w : Wcet.t) =
         Hashtbl.iter
           (fun node poss ->
             let poss = List.sort compare !poss in
-            let nd = Vivu.node vivu node in
+            let block_events = events.((Vivu.node vivu node).Vivu.block) in
             match r.Product.per_node.(node) with
             | [] ->
               (* node instance unreachable in the product — no walk
@@ -156,14 +159,14 @@ let run_plain ?deadline ?budget ~corrupt ~mode (w : Wcet.t) =
                 poss;
               List.iter
                 (fun cs ->
+                  steps := !steps + Array.length block_events;
                   ignore
-                    (Product.transfer (module P) ~assoc ~config ~layout ~program
-                       ~set
+                    (Product.transfer (module P) ~assoc
                        ~on_access:(fun ~pos ~hit ->
                          if Hashtbl.mem all_hit pos then
                            if hit then Hashtbl.replace all_miss pos false
                            else Hashtbl.replace all_hit pos false)
-                       ~block:nd.Vivu.block cs))
+                       block_events cs))
                 in_states;
               List.iter
                 (fun pos ->
@@ -202,7 +205,7 @@ let run_plain ?deadline ?budget ~corrupt ~mode (w : Wcet.t) =
                 poss)
           per_node
       end)
-    sets;
+    (Product.events layout config sets);
   let overrides = List.sort compare !overrides in
   (* corrupt-refine fault: claim Always_hit for the first focus
      reference that is NOT a proven all-hit — an unsound tightening the
@@ -245,6 +248,9 @@ let run_plain ?deadline ?budget ~corrupt ~mode (w : Wcet.t) =
     (Ucp_obs.Metrics.counter "refine_reclassified_total")
     (List.length overrides);
   Ucp_obs.Metrics.add (Ucp_obs.Metrics.counter "refine_states_total") !states;
+  Ucp_obs.Metrics.add
+    (Ucp_obs.Metrics.counter "refine_transfer_steps_total")
+    !steps;
   if !budget_hit then
     Ucp_obs.Metrics.incr (Ucp_obs.Metrics.counter "refine_budget_exhausted_total");
   let summary =

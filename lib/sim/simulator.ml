@@ -1,6 +1,5 @@
 module Program = Ucp_isa.Program
 module Layout = Ucp_isa.Layout
-module Instr = Ucp_isa.Instr
 module Branch_model = Ucp_isa.Branch_model
 module Concrete = Ucp_cache.Concrete
 module Account = Ucp_energy.Account
@@ -17,13 +16,11 @@ type stats = {
 }
 
 type state = {
-  program : Program.t;
-  layout : Layout.t;
   cache : Concrete.t;
   model : Cacti.t;
   rng : Rng.t;
   in_flight : (int, int) Hashtbl.t;  (* mem block -> ready cycle *)
-  branch_counts : (int, int) Hashtbl.t;  (* block id -> cond executions *)
+  branch_counts : int array;  (* block id -> cond executions *)
   mutable cycles : int;
   mutable fetches : int;
   mutable hits : int;
@@ -75,32 +72,31 @@ let fetch_locked st locked mb =
 
 let fetch_demand st mb =
   st.fetches <- st.fetches + 1;
-  if Concrete.contains st.cache mb then begin
-    (* stall if the line's prefetch is still in flight *)
-    (match Hashtbl.find_opt st.in_flight mb with
+  (* the line's prefetch, if one is in flight: a hit waits for it; on a
+     miss the entry is stale, the line was re-evicted before use *)
+  let ready =
+    if Hashtbl.length st.in_flight = 0 then None else Hashtbl.find_opt st.in_flight mb
+  in
+  if Option.is_some ready then Hashtbl.remove st.in_flight mb;
+  match Concrete.access st.cache mb with
+  | Concrete.Hit ->
+    (match ready with
     | Some ready ->
-      Hashtbl.remove st.in_flight mb;
       let stall = max 0 (ready - st.cycles) in
       st.cycles <- st.cycles + stall;
       st.late_stalls <- st.late_stalls + stall
     | None -> ());
-    ignore (Concrete.access st.cache mb);
     st.hits <- st.hits + 1;
     st.cycles <- st.cycles + st.model.Cacti.hit_cycles;
     true
-  end
-  else begin
-    (* a stale in-flight entry means the line was re-evicted before use *)
-    Hashtbl.remove st.in_flight mb;
-    ignore (Concrete.access st.cache mb);
+  | Concrete.Miss _ ->
     st.misses <- st.misses + 1;
     st.cycles <- st.cycles + st.model.Cacti.hit_cycles + st.model.Cacti.miss_penalty;
     false
-  end
 
 let cond_decision st block model =
-  let count = try Hashtbl.find st.branch_counts block with Not_found -> 0 in
-  Hashtbl.replace st.branch_counts block (count + 1);
+  let count = st.branch_counts.(block) in
+  st.branch_counts.(block) <- count + 1;
   match model with
   | Branch_model.Always_taken -> true
   | Branch_model.Never_taken -> false
@@ -111,7 +107,6 @@ let run ?(seed = 42) ?(max_steps = 3_000_000) ?(policy = Concrete.Lru) ?hw ?lock
     ?(pinned = []) ?cache_config ?on_fetch ?branch_oracle program config model =
   let layout = Layout.make program ~block_bytes:config.Ucp_cache.Config.block_bytes in
   let cache_config = match cache_config with Some c -> c | None -> config in
-  let hw = match hw with Some h -> h | None -> Hw_prefetch.none () in
   let locked_tbl =
     match locked with
     | None -> None
@@ -122,16 +117,15 @@ let run ?(seed = 42) ?(max_steps = 3_000_000) ?(policy = Concrete.Lru) ?hw ?lock
   in
   let pinned_tbl = Hashtbl.create 16 in
   List.iter (fun mb -> Hashtbl.replace pinned_tbl mb ()) pinned;
-  let is_pinned mb = Hashtbl.mem pinned_tbl mb in
+  let any_pinned = Hashtbl.length pinned_tbl > 0 in
+  let is_pinned mb = any_pinned && Hashtbl.mem pinned_tbl mb in
   let st =
     {
-      program;
-      layout;
       cache = Concrete.create ~policy cache_config;
       model;
       rng = Rng.create seed;
       in_flight = Hashtbl.create 8;
-      branch_counts = Hashtbl.create 16;
+      branch_counts = Array.make (Program.block_count program) 0;
       cycles = 0;
       fetches = 0;
       hits = 0;
@@ -167,71 +161,74 @@ let run ?(seed = 42) ?(max_steps = 3_000_000) ?(policy = Concrete.Lru) ?hw ?lock
     | None -> ());
     hit
   in
-  let hw_observe info =
-    List.iter
-      (fun mb ->
-        if (not (is_pinned mb)) && issue_prefetch st mb then
-          st.hw_issued <- st.hw_issued + 1)
-      (Hw_prefetch.observe hw info)
+  (* Show the fetch of slot [(block, pos)] to the hardware prefetcher,
+     if there is one, and issue what it asks for.  [branch] is the
+     taken target and the decision of a conditional. *)
+  let hw_observe ~block ~pos ?branch mb hit =
+    match hw with
+    | None -> ()
+    | Some hw ->
+      let target_addr, taken =
+        match branch with
+        | None -> (None, None)
+        | Some (target, decision) ->
+          ( (try Some (Layout.addr layout ~block:target ~pos:0)
+             with Invalid_argument _ -> None),
+            Some decision )
+      in
+      List.iter
+        (fun mb ->
+          if (not (is_pinned mb)) && issue_prefetch st mb then
+            st.hw_issued <- st.hw_issued + 1)
+        (Hw_prefetch.observe hw
+           {
+             Hw_prefetch.mem_block = mb;
+             hit;
+             is_branch = Option.is_some branch;
+             branch_addr = Layout.addr layout ~block ~pos;
+             target_addr;
+             taken;
+           })
   in
   let rec exec_block block =
     if st.executed > max_steps then
       failwith
         (Printf.sprintf "Simulator.run: %s exceeded %d instructions"
            (Program.name program) max_steps);
+    let mem_blocks = Layout.slot_mem_blocks layout block in
+    let targets = Layout.prefetch_targets layout block in
     let b = Program.block program block in
     let body_len = Array.length b.Program.body in
     (* body slots *)
     for pos = 0 to body_len - 1 do
-      let addr = Layout.addr layout ~block ~pos in
-      let mb = Layout.mem_block_of_addr layout addr in
+      let mb = mem_blocks.(pos) in
       let hit = fetch_at st ~block ~pos mb in
       st.executed <- st.executed + 1;
-      let instr = b.Program.body.(pos) in
-      (match instr.Instr.kind with
-      | Instr.Compute -> ()
-      | Instr.Prefetch target_uid -> (
+      (match targets.(pos) with
+      | Layout.No_target -> ()
+      | Layout.Target target ->
         st.executed_prefetches <- st.executed_prefetches + 1;
-        if locked_tbl = None then
-          match Layout.mem_block_of_uid layout target_uid with
-          | Some target -> if not (is_pinned target) then ignore (issue_prefetch st target)
-          | None -> failwith "Simulator.run: dangling prefetch target"));
-      hw_observe
-        {
-          Hw_prefetch.mem_block = mb;
-          hit;
-          is_branch = false;
-          branch_addr = addr;
-          target_addr = None;
-          taken = None;
-        }
+        if locked_tbl = None && not (is_pinned target) then
+          ignore (issue_prefetch st target)
+      | Layout.Dangling _ ->
+        st.executed_prefetches <- st.executed_prefetches + 1;
+        if locked_tbl = None then failwith "Simulator.run: dangling prefetch target");
+      hw_observe ~block ~pos mb hit
     done;
     (* terminator *)
     match b.Program.term with
     | Program.Fallthrough target -> exec_block target
     | Program.Jump { target; _ } ->
-      let addr = Layout.addr layout ~block ~pos:body_len in
-      let mb = Layout.mem_block_of_addr layout addr in
+      let mb = mem_blocks.(body_len) in
       let hit = fetch_at st ~block ~pos:body_len mb in
       st.executed <- st.executed + 1;
-      hw_observe
-        {
-          Hw_prefetch.mem_block = mb;
-          hit;
-          is_branch = false;
-          branch_addr = addr;
-          target_addr = None;
-          taken = None;
-        };
+      hw_observe ~block ~pos:body_len mb hit;
       exec_block target
     | Program.Return _ ->
-      let addr = Layout.addr layout ~block ~pos:body_len in
-      let mb = Layout.mem_block_of_addr layout addr in
-      let _hit = fetch_at st ~block ~pos:body_len mb in
+      let _hit = fetch_at st ~block ~pos:body_len mem_blocks.(body_len) in
       st.executed <- st.executed + 1
     | Program.Cond { taken; fallthrough; model = bm; _ } ->
-      let addr = Layout.addr layout ~block ~pos:body_len in
-      let mb = Layout.mem_block_of_addr layout addr in
+      let mb = mem_blocks.(body_len) in
       let hit = fetch_at st ~block ~pos:body_len mb in
       st.executed <- st.executed + 1;
       let decision =
@@ -239,19 +236,7 @@ let run ?(seed = 42) ?(max_steps = 3_000_000) ?(policy = Concrete.Lru) ?hw ?lock
         | Some oracle -> oracle block
         | None -> cond_decision st block bm
       in
-      let target_addr =
-        try Some (Layout.addr layout ~block:taken ~pos:0)
-        with Invalid_argument _ -> None
-      in
-      hw_observe
-        {
-          Hw_prefetch.mem_block = mb;
-          hit;
-          is_branch = true;
-          branch_addr = addr;
-          target_addr;
-          taken = Some decision;
-        };
+      hw_observe ~block ~pos:body_len ~branch:(taken, decision) mb hit;
       exec_block (if decision then taken else fallthrough)
   in
   exec_block (Program.entry program);

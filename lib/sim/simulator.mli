@@ -9,7 +9,11 @@
     the remaining latency.
 
     Produces the event counts the energy model consumes and the ACET in
-    cycles.  Runs are deterministic for a given seed. *)
+    cycles.  Runs are deterministic for a given seed.
+
+    The slot loop reads each slot's memory block and prefetch target
+    from the program's {!Ucp_isa.Layout} slot table, and makes one
+    cache access per demand fetch. *)
 
 type stats = {
   counts : Ucp_energy.Account.counts;
@@ -54,9 +58,12 @@ val run :
     baseline).  [~pinned] instead locks only {e part} of the cache: the
     given blocks always hit while the rest of the program runs through
     a normal cache of geometry [~cache_config] (the unlocked ways) —
-    the hybrid locking+prefetching mode [16, 2].
+    the hybrid locking+prefetching mode [16, 2].  Without [~hw] no
+    hardware prefetcher runs, as with {!Hw_prefetch.none}, and no
+    fetch is described to one.
     @raise Failure if [max_steps] (default 3,000,000) instructions are
-    exceeded — a diverging branch model. *)
+    exceeded — a diverging branch model — or, unless [~locked], when a
+    prefetch targets a uid absent from the program. *)
 
 val acet : stats -> int
 (** Memory contribution to the average-case execution time, cycles. *)

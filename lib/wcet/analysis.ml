@@ -1,7 +1,6 @@
 module Vivu = Ucp_cfg.Vivu
 module Program = Ucp_isa.Program
 module Layout = Ucp_isa.Layout
-module Instr = Ucp_isa.Instr
 module Abstract = Ucp_cache.Abstract
 module Config = Ucp_cache.Config
 
@@ -20,17 +19,11 @@ type t = {
   transfers : int;
 }
 
-let slot_mem_block_of layout ~block ~pos = Layout.mem_block layout ~block ~pos
-
-let prefetch_target layout instr =
-  match instr.Instr.kind with
-  | Instr.Compute -> None
-  | Instr.Prefetch target_uid -> (
-    match Layout.mem_block_of_uid layout target_uid with
-    | Some mb -> Some mb
-    | None ->
-      invalid_arg
-        (Printf.sprintf "Analysis: prefetch targets unknown uid %d" target_uid))
+let target_block = function
+  | Layout.No_target -> None
+  | Layout.Target mb -> Some mb
+  | Layout.Dangling uid ->
+    invalid_arg (Printf.sprintf "Analysis: prefetch targets unknown uid %d" uid)
 
 (* Residency hint for a prefetch/hardware fill: known resident, known
    absent, or unknown — from the states right before the fill. *)
@@ -42,15 +35,14 @@ let fill_hint ~with_may must may tb =
 (* Transfer one node: thread both states through its slots, recording
    per-slot classifications into [classif]. *)
 let transfer ~vivu ~layout ~with_may ~hw_next_n ~pinned ~classif node_id (must0, may0) =
-  let program = Vivu.program vivu in
-  let nd = Vivu.node vivu node_id in
-  let block = nd.Vivu.block in
-  let n_slots = Program.slots program block in
+  let block = (Vivu.node vivu node_id).Vivu.block in
+  let mem_blocks = Layout.slot_mem_blocks layout block in
+  let targets = Layout.prefetch_targets layout block in
   (* one defensive copy per node, then destructive per-slot updates —
      the inputs stay usable as the node's recorded in-states *)
   let must = Abstract.copy must0 and may = Abstract.copy may0 in
-  for pos = 0 to n_slots - 1 do
-    let s = slot_mem_block_of layout ~block ~pos in
+  for pos = 0 to Array.length mem_blocks - 1 do
+    let s = mem_blocks.(pos) in
     if pinned s then begin
       (* locked way: guaranteed hit, no replacement-state effect *)
       classif.(node_id).(pos) <- Classification.Always_hit
@@ -84,8 +76,7 @@ let transfer ~vivu ~layout ~with_may ~hw_next_n ~pinned ~classif node_id (must0,
         end
       done
     end;
-    let instr = Program.slot_instr program ~block ~pos in
-    match prefetch_target layout instr with
+    match target_block targets.(pos) with
     | None -> ()
     | Some tb ->
       if not (pinned tb) then begin
@@ -240,13 +231,10 @@ let in_must t node = t.in_must.(node)
 let in_may t node = t.in_may.(node)
 
 let slot_mem_block t ~node ~pos =
-  let nd = Vivu.node t.vivu node in
-  slot_mem_block_of t.layout ~block:nd.Vivu.block ~pos
+  (Layout.slot_mem_blocks t.layout (Vivu.node t.vivu node).Vivu.block).(pos)
 
 let prefetch_target_block t ~node ~pos =
-  let nd = Vivu.node t.vivu node in
-  let instr = Program.slot_instr (Vivu.program t.vivu) ~block:nd.Vivu.block ~pos in
-  prefetch_target t.layout instr
+  target_block (Layout.prefetch_targets t.layout (Vivu.node t.vivu node).Vivu.block).(pos)
 
 let miss_count_bound t =
   let program = Vivu.program t.vivu in

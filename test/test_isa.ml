@@ -197,6 +197,61 @@ let test_layout_rejects_bad_block_size () =
        false
      with Invalid_argument _ -> true)
 
+(* The slot table holds, for every slot, the memory block its address
+   maps to and, for a prefetch, the memory block of the slot its target
+   uid names; compute slots and terminators carry no target.  Checked
+   for the suite, its BB-start versions (many prefetches) and a few
+   generated programs, at 16 B and 32 B lines. *)
+let check_slot_table p ~block_bytes =
+  let l = Layout.make p ~block_bytes in
+  for block = 0 to Program.block_count p - 1 do
+    let mem_blocks = Layout.slot_mem_blocks l block in
+    let targets = Layout.prefetch_targets l block in
+    Alcotest.(check int) "one entry per slot" (Program.slots p block)
+      (Array.length mem_blocks);
+    Alcotest.(check int) "one target per slot" (Program.slots p block)
+      (Array.length targets);
+    Array.iteri
+      (fun pos mb ->
+        Alcotest.(check int) "memory block" (Layout.mem_block l ~block ~pos) mb;
+        let expected =
+          match (Program.slot_instr p ~block ~pos).Instr.kind with
+          | Instr.Compute -> Layout.No_target
+          | Instr.Prefetch uid -> (
+            match Program.find_uid p uid with
+            | Some (b, q) -> Layout.Target (Layout.mem_block l ~block:b ~pos:q)
+            | None -> Layout.Dangling uid)
+        in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s b%d:%d target" (Program.name p) block pos)
+          true
+          (targets.(pos) = expected))
+      mem_blocks
+  done
+
+let test_layout_slot_table () =
+  let config = List.assoc "k4" Ucp_cache.Config.paper_configs in
+  let model = Ucp_energy.Cacti.model config Ucp_energy.Tech.nm45 in
+  let suite = List.map snd Ucp_workloads.Suite.all in
+  let programs =
+    suite
+    @ List.map (fun p -> Ucp_prefetch.Baselines.bb_start p config model) suite
+    @ List.concat_map
+        (fun cls ->
+          List.init 3 (fun seed -> Ucp_workloads.Generate.program ~seed:(seed + 1) ~cls))
+        [ "s"; "m"; "l" ]
+  in
+  Alcotest.(check bool) "some prefetches to resolve" true
+    (List.exists (fun p -> Program.prefetch_count p > 0) programs);
+  List.iter
+    (fun p -> List.iter (fun block_bytes -> check_slot_table p ~block_bytes) [ 16; 32 ])
+    programs;
+  (* a prefetch whose target was removed stays in the table, marked *)
+  let p, _ = Program.insert_prefetch (straightline 8) ~block:0 ~pos:1 ~target_uid:5 in
+  let p = Program.remove_uid p 5 in
+  Alcotest.(check bool) "dangling target marked" true
+    ((Layout.prefetch_targets (Layout.make p ~block_bytes:16) 0).(1) = Layout.Dangling 5)
+
 (* property: layout occupies ceil(total*4/bs) or that +1 memory blocks *)
 let prop_layout_block_count =
   QCheck2.Test.make ~name:"code spans a sane number of memory blocks" ~count:100
@@ -244,6 +299,7 @@ let () =
             test_layout_insertion_keeps_suffix;
           Alcotest.test_case "mem block mapping" `Quick test_layout_mem_block_mapping;
           Alcotest.test_case "first slot of block" `Quick test_layout_first_slot_of_block;
+          Alcotest.test_case "slot table" `Quick test_layout_slot_table;
           Alcotest.test_case "bad block size" `Quick test_layout_rejects_bad_block_size;
           QCheck_alcotest.to_alcotest prop_layout_block_count;
           QCheck_alcotest.to_alcotest prop_uid_addresses_unique;

@@ -324,6 +324,83 @@ let test_corrupt_refine_caught () =
     | _ -> Alcotest.fail "corrupt-refine slipped past the audit")
 
 (* ------------------------------------------------------------------ *)
+(* exploration output pinned: every summary field (explored states,
+   digest and budget demotions included) and the refined
+   [tau_with_residual], over the suite below 2000 slots and a fixed set
+   of generated programs, each also in its BB-start version so that
+   prefetch fills go through the product, at three configurations
+   (256 B direct-mapped, 8 KiB 2- and 4-way), under the three policies
+   and both refining modes.  A starved run pins where the budget cuts
+   the exploration off.  Any change to how the product walks a block
+   must leave all of it byte-identical. *)
+
+let pin_programs =
+  List.filter_map
+    (fun (_, p) -> if Program.total_slots p < 2000 then Some p else None)
+    Suite.all
+  @ List.concat_map
+      (fun cls ->
+        List.init 4 (fun seed -> Ucp_workloads.Generate.program ~seed:(seed + 1) ~cls))
+      [ "s"; "m"; "l" ]
+
+let pin_configs = List.map paper_config [ "k4"; "k35"; "k36" ]
+let pin_model c = Ucp_energy.Cacti.model c Tech.nm45
+
+let pin_cases () =
+  List.concat_map
+    (fun p ->
+      List.concat_map
+        (fun c -> [ (p, c); (Ucp_prefetch.Baselines.bb_start p c (pin_model c), c) ])
+        pin_configs)
+    pin_programs
+
+let digest_refined buf = function
+  | None -> Buffer.add_string buf "none\n"
+  | Some ((s : Explore.summary), w') ->
+    Printf.bprintf buf "%s %d %d %d %d %d %d %s %d %b %d %s %d\n"
+      (Mode.to_string s.Explore.s_mode) s.Explore.s_nc_before s.Explore.s_nc_after
+      s.Explore.s_ah_gained s.Explore.s_am_gained s.Explore.s_tau
+      s.Explore.s_miss_bound
+      (match s.Explore.s_quant with None -> "-" | Some q -> string_of_int q)
+      s.Explore.s_states s.Explore.s_budget_hit s.Explore.s_budget_exhausted
+      s.Explore.s_digest (Wcet.tau_with_residual w')
+
+let test_exploration_output_pinned () =
+  let cases = pin_cases () in
+  let runs =
+    List.map
+      (fun policy ->
+        let buf = Buffer.create 65536 in
+        List.iter
+          (fun (p, c) ->
+            let w = Wcet.compute ~with_may:true ~policy p c (pin_model c) in
+            List.iter
+              (fun mode -> digest_refined buf (Explore.run ~mode w))
+              [ Mode.Nc; Mode.Full ])
+          cases;
+        (Policy.to_string policy, Digest.to_hex (Digest.string (Buffer.contents buf))))
+      Policy.all
+    @ [
+        (let buf = Buffer.create 4096 in
+         List.iter
+           (fun (p, c) ->
+             let w = Wcet.compute ~with_may:true ~policy:Policy.Fifo p c (pin_model c) in
+             digest_refined buf (Explore.run ~budget:40 ~mode:Mode.Nc w))
+           cases;
+         ("fifo budget 40", Digest.to_hex (Digest.string (Buffer.contents buf))));
+      ]
+  in
+  let expected =
+    [
+      ("lru", "b655b2625331b7ce4cb3b8a97af7e897");
+      ("fifo", "46afcb29d387e5072298b9b3764072f3");
+      ("plru", "c4ec05313ca761d73e442365f7ce3e88");
+      ("fifo budget 40", "720c5b23071ba552eb314c91515626de");
+    ]
+  in
+  Alcotest.(check (list (pair string string))) "digests" expected runs
+
+(* ------------------------------------------------------------------ *)
 (* quantitative bounds *)
 
 (* The analysis-level bound holds on the simulated run. *)
@@ -422,6 +499,11 @@ let () =
         [
           Alcotest.test_case "starved exploration: deterministic and sound"
             `Slow test_budget_exhaustion;
+        ] );
+      ( "pinned",
+        [
+          Alcotest.test_case "exploration output pinned" `Quick
+            test_exploration_output_pinned;
         ] );
       ( "persistence",
         [

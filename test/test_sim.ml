@@ -139,6 +139,20 @@ let test_prefetch_of_resident_block_is_free () =
   let s = Simulator.run p' config model in
   Alcotest.(check int) "no dram read" 0 s.Simulator.counts.Account.prefetch_dram_reads
 
+(* A prefetch whose target uid is gone from the program fails the run;
+   a fully locked cache never issues prefetches, so it runs. *)
+let test_dangling_prefetch_target () =
+  let p = Dsl.compile ~name:"dg" [ Dsl.compute 8 ] in
+  let p, _ = Program.insert_prefetch p ~block:0 ~pos:1 ~target_uid:5 in
+  let p = Program.remove_uid p 5 in
+  Alcotest.(check bool) "Failure" true
+    (try
+       ignore (Simulator.run p config model);
+       false
+     with Failure msg -> Ucp_testlib.contains ~substring:"dangling prefetch target" msg);
+  let s = Simulator.run ~locked:[] p config model in
+  Alcotest.(check int) "locked run counts the prefetch" 1 s.Simulator.executed_prefetches
+
 (* ------------------------------------------------------------------ *)
 (* locked mode *)
 
@@ -294,6 +308,134 @@ let prop_counts_add_up =
       s.Simulator.counts.Account.hits + s.Simulator.counts.Account.misses
       = s.Simulator.counts.Account.fetches)
 
+(* ------------------------------------------------------------------ *)
+(* simulator output pinned: every stats field and the [on_fetch]
+   (block, pos, hit) stream, digested over the suite below 2000 slots
+   at four configurations (256 B and 512 B direct-mapped, 8 KiB 2- and
+   4-way) under the three policies, for each original program and its
+   BB-start version, whose prefetches make fills, in-flight stalls and
+   late-prefetch cycles occur.  These programs fit in 8 KiB, so no
+   policy evicts there; a 256 B 4-way configuration adds the runs where
+   the policies differ.  Extra runs over the BB-start versions cover
+   every hardware prefetcher, locked and pinned ways and a branch
+   oracle.  Any change to the slot loop must leave all of it
+   byte-identical. *)
+
+let pin_programs =
+  List.filter_map
+    (fun (_, p) -> if Program.total_slots p < 2000 then Some p else None)
+    Ucp_workloads.Suite.all
+
+let pin_config id = List.assoc id Config.paper_configs
+let pin_configs = List.map pin_config [ "k4"; "k10"; "k35"; "k36"; "k6" ]
+let pin_model c = Cacti.model c Ucp_energy.Tech.nm45
+
+(* (program, config) pairs, each original followed by its BB-start
+   version *)
+let pin_cases () =
+  List.concat_map
+    (fun p ->
+      List.concat_map
+        (fun c -> [ (p, c); (Ucp_prefetch.Baselines.bb_start p c (pin_model c), c) ])
+        pin_configs)
+    pin_programs
+
+(* One run: its stats fields, then the MD5 of its fetch stream. *)
+let pin_run buf run =
+  let fetches = Buffer.create 65536 in
+  let on_fetch ~block ~pos ~hit =
+    Buffer.add_int64_le fetches
+      (Int64.of_int ((block lsl 32) lor (pos lsl 1) lor Bool.to_int hit))
+  in
+  let s = run ~on_fetch in
+  let c = s.Simulator.counts in
+  Printf.bprintf buf "%d %d %d %d %d %d %d %d %d %d %h %s\n" c.Account.fetches
+    c.Account.hits c.Account.misses c.Account.prefetch_dram_reads
+    c.Account.prefetch_fills c.Account.cycles s.Simulator.executed
+    s.Simulator.executed_prefetches s.Simulator.hw_issued
+    s.Simulator.late_prefetch_stall_cycles s.Simulator.miss_rate
+    (Digest.to_hex (Digest.string (Buffer.contents fetches)))
+
+let pin_digest cases run =
+  let buf = Buffer.create 65536 in
+  List.iter (fun (p, c) -> pin_run buf (run p c)) cases;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+(* Alternates each conditional's decision per execution: every loop
+   leaves within two visits of its test, so every program ends. *)
+let alternating_oracle () =
+  let seen = Hashtbl.create 16 in
+  fun block ->
+    let n = Option.value ~default:0 (Hashtbl.find_opt seen block) in
+    Hashtbl.replace seen block (n + 1);
+    n mod 2 = 0
+
+let test_simulator_output_pinned () =
+  let cases = pin_cases () in
+  let k10 = pin_config "k10" and k36 = pin_config "k36" in
+  let extra =
+    List.filter (fun (p, c) -> c = k10 && Program.prefetch_count p > 0) cases
+  in
+  let blocks_where p c keep =
+    let layout = Ucp_isa.Layout.make p ~block_bytes:c.Config.block_bytes in
+    List.filter keep (Ucp_isa.Layout.mem_block_ids layout)
+  in
+  (* k36 without one of its four ways: the unlocked rest of a
+     one-way-locked cache *)
+  let unlocked =
+    Config.make ~assoc:3 ~block_bytes:k36.Config.block_bytes
+      ~capacity:(3 * k36.Config.block_bytes * k36.Config.sets)
+  in
+  let runs =
+    List.map
+      (fun policy ->
+        ( Ucp_policy.to_string policy,
+          pin_digest cases (fun p c ~on_fetch ->
+              Simulator.run ~policy ~on_fetch p c (pin_model c)) ))
+      [ Ucp_policy.Lru; Ucp_policy.Fifo; Ucp_policy.Plru ]
+    @ List.map
+        (fun (name, make) ->
+          ( "hw " ^ name,
+            pin_digest extra (fun p c ~on_fetch ->
+                Simulator.run ~hw:(make ()) ~on_fetch p c (pin_model c)) ))
+        (Hw.all_schemes ~block_bytes:k10.Config.block_bytes)
+    @ [
+        ( "locked",
+          pin_digest extra (fun p c ~on_fetch ->
+              let locked = blocks_where p c (fun mb -> mb mod 3 = 0) in
+              Simulator.run ~locked ~on_fetch p c (pin_model c)) );
+        ( "pinned",
+          pin_digest
+            (List.filter (fun (p, c) -> c = k36 && Program.prefetch_count p > 0) cases)
+            (fun p c ~on_fetch ->
+              let pinned = blocks_where p c (fun mb -> mb mod 5 = 0) in
+              Simulator.run ~policy:Ucp_policy.Fifo ~pinned ~cache_config:unlocked
+                ~on_fetch p c (pin_model c)) );
+        ( "branch oracle",
+          pin_digest extra (fun p c ~on_fetch ->
+              Simulator.run ~branch_oracle:(alternating_oracle ()) ~on_fetch p c
+                (pin_model c)) );
+      ]
+  in
+  let expected =
+    [
+      ("lru", "c8bcdda10db527ddd069af6e6cc203dd");
+      ("fifo", "d0a3ee78608d1410dc49d4da39f9c7ed");
+      ("plru", "9e2baaf6b370b66ef0fee494c674258f");
+      ("hw none", "2ce97cae71f21d96cbd9cd32096e8abc");
+      ("hw next-line-always", "2d278acc06dd860c767b14eaa4a41195");
+      ("hw next-line-on-miss", "ff3bdbf8fa47c5809649504402b0a9af");
+      ("hw next-line-tagged", "de2ee90dfe3b4c2deaabfa5d194ee44f");
+      ("hw next-2-line", "5b72e982641243c396649d5807d5e042");
+      ("hw target-rpt", "3be14e4372c89cbff0aabca42ce9c4e2");
+      ("hw wrong-path", "5a4ce3dfcb618b2b47d3542525556601");
+      ("locked", "4aaf6f865b04a91383c5f9a64feda56f");
+      ("pinned", "0f69b3a6c2825f374b7ef46b0f4ec07d");
+      ("branch oracle", "eb256cdbf60f3f5012e8ce89442b09d3");
+    ]
+  in
+  Alcotest.(check (list (pair string string))) "digests" expected runs
+
 let () =
   Alcotest.run "ucp_sim"
     [
@@ -312,6 +454,7 @@ let () =
           Alcotest.test_case "effective prefetch" `Quick
             test_effective_prefetch_hides_latency;
           Alcotest.test_case "late prefetch" `Quick test_late_prefetch_stalls;
+          Alcotest.test_case "dangling target" `Quick test_dangling_prefetch_target;
           Alcotest.test_case "resident target" `Quick
             test_prefetch_of_resident_block_is_free;
         ] );
@@ -339,5 +482,7 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_cycles_consistent;
           QCheck_alcotest.to_alcotest prop_counts_add_up;
+          Alcotest.test_case "simulator output pinned" `Quick
+            test_simulator_output_pinned;
         ] );
     ]

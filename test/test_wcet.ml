@@ -115,6 +115,18 @@ let test_hw_next_line_analysis () =
   (* only the first block's cold miss remains *)
   Alcotest.(check int) "one cold miss" 1 (Wcet.wcet_misses w1)
 
+(* A prefetch whose target uid is gone from the program is rejected by
+   the analysis. *)
+let test_dangling_prefetch_rejected () =
+  let p = Dsl.compile ~name:"dg" [ Dsl.compute 8 ] in
+  let p, _ = Program.insert_prefetch p ~block:0 ~pos:1 ~target_uid:5 in
+  let p = Program.remove_uid p 5 in
+  Alcotest.(check bool) "Invalid_argument" true
+    (try
+       ignore (Wcet.compute p config model);
+       false
+     with Invalid_argument msg -> Ucp_testlib.contains ~substring:"unknown uid 5" msg)
+
 let test_hw_next_n_monotone () =
   let p = Ucp_workloads.Suite.find "crc" in
   let w0 = Wcet.compute p config model in
@@ -349,6 +361,8 @@ let () =
           Alcotest.test_case "residual stall" `Quick test_residual_stall;
           Alcotest.test_case "hw next-line analysis" `Quick test_hw_next_line_analysis;
           Alcotest.test_case "hw next-n monotone" `Quick test_hw_next_n_monotone;
+          Alcotest.test_case "dangling prefetch rejected" `Quick
+            test_dangling_prefetch_rejected;
           Alcotest.test_case "fixpoint output pinned" `Quick test_fixpoint_output_pinned;
         ] );
       ( "ipet",
