@@ -591,7 +591,7 @@ let experiment_cmd =
       & info [ "checkpoint" ] ~docv:"PATH"
           ~doc:
             "Append each finished use case to a JSONL journal at $(docv), \
-             flushed per record, so an interrupted sweep can be resumed.")
+             fsynced per record, so an interrupted sweep can be resumed.")
   in
   let resume =
     Arg.(

@@ -684,6 +684,45 @@ grep -q 'signature mismatch' "$fuzz_dir/tamper.err" || {
 }
 echo "ci: fuzz smoke passed"
 
+# Resume smoke: a checkpointed sweep whose journal loses its last 40
+# bytes, as a crash mid-append leaves it, must resume by replaying the
+# three complete cases, dropping the torn line and recomputing that
+# case, and end with record lines byte-identical to the uninterrupted
+# run.
+resume_dir=$(mktemp -d)
+trap 'rm -f "$smoke_err"; rm -rf "$obs_dir" "$speed_dir" "$refine_dir" "$serve_dir" "$tel_dir" "$fuzz_dir" "$resume_dir"' EXIT
+
+"$UCP" experiment --programs fft1,crc --configs k2,k5 --techs 45nm --jobs 2 \
+  --checkpoint "$resume_dir/journal.jsonl" --sweep-out "$resume_dir/full.jsonl" \
+  >/dev/null 2>"$smoke_err" || {
+  echo "ci: resume smoke: checkpointed sweep failed" >&2
+  cat "$smoke_err" >&2
+  exit 1
+}
+journal_bytes=$(wc -c <"$resume_dir/journal.jsonl")
+head -c $((journal_bytes - 40)) "$resume_dir/journal.jsonl" >"$resume_dir/torn.jsonl"
+mv "$resume_dir/torn.jsonl" "$resume_dir/journal.jsonl"
+"$UCP" experiment --programs fft1,crc --configs k2,k5 --techs 45nm --jobs 2 \
+  --checkpoint "$resume_dir/journal.jsonl" --resume \
+  --sweep-out "$resume_dir/resumed.jsonl" >/dev/null 2>"$smoke_err" || {
+  echo "ci: resume smoke: resumed sweep failed" >&2
+  cat "$smoke_err" >&2
+  exit 1
+}
+grep -q '\[sweep\] 3 cases replayed' "$smoke_err" || {
+  echo "ci: resume smoke: expected '[sweep] 3 cases replayed'" >&2
+  cat "$smoke_err" >&2
+  exit 1
+}
+grep -v '"summary"' "$resume_dir/full.jsonl" >"$resume_dir/full.records"
+grep -v '"summary"' "$resume_dir/resumed.jsonl" >"$resume_dir/resumed.records"
+if ! cmp -s "$resume_dir/full.records" "$resume_dir/resumed.records"; then
+  echo "ci: resume smoke: resumed records differ from the uninterrupted run" >&2
+  diff "$resume_dir/full.records" "$resume_dir/resumed.records" >&2 || true
+  exit 1
+fi
+echo "ci: resume smoke passed"
+
 # Behaviour preservation: a short run of each benchmark workload.
 # Every batch run checks each record against check_invariants and the
 # whole record stream against the digest pinned in

@@ -1,191 +1,23 @@
 module Config = Ucp_cache.Config
 module Tech = Ucp_energy.Tech
+module Json = Ucp_util.Json
 
 (* v3: the grid fingerprint covers the refine mode and measurements
    carry the (additive) refine_* fields *)
 let format_version = 3
 
 (* ------------------------------------------------------------------ *)
-(* minimal JSON: just enough to round-trip our own journal lines *)
+(* decoding: a missing or ill-typed field makes the whole line
+   unreadable *)
 
-type json =
-  | Null
-  | Bool of bool
-  | Num of string  (* raw token: keeps ints exact and floats lossless *)
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
+exception Malformed
 
-exception Malformed of string
+let need = function Some v -> v | None -> raise Malformed
 
-let parse (s : string) : json =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Malformed (Printf.sprintf "%s at offset %d" msg !pos)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-      advance ();
-      skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected %c" c)
-  in
-  let literal word value =
-    if !pos + String.length word <= n && String.sub s !pos (String.length word) = word
-    then begin
-      pos := !pos + String.length word;
-      value
-    end
-    else fail (Printf.sprintf "expected %s" word)
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' -> (
-        advance ();
-        match peek () with
-        | Some '"' -> Buffer.add_char buf '"'; advance (); go ()
-        | Some '\\' -> Buffer.add_char buf '\\'; advance (); go ()
-        | Some '/' -> Buffer.add_char buf '/'; advance (); go ()
-        | Some 'n' -> Buffer.add_char buf '\n'; advance (); go ()
-        | Some 'r' -> Buffer.add_char buf '\r'; advance (); go ()
-        | Some 't' -> Buffer.add_char buf '\t'; advance (); go ()
-        | Some 'b' -> Buffer.add_char buf '\b'; advance (); go ()
-        | Some 'f' -> Buffer.add_char buf '\012'; advance (); go ()
-        | Some 'u' ->
-          if !pos + 4 >= n then fail "truncated \\u escape";
-          let hex = String.sub s (!pos + 1) 4 in
-          let code =
-            match int_of_string_opt ("0x" ^ hex) with
-            | Some c -> c
-            | None -> fail "bad \\u escape"
-          in
-          (* our writer only \u-escapes ASCII control characters *)
-          if code < 0x80 then Buffer.add_char buf (Char.chr code)
-          else Buffer.add_char buf '?';
-          pos := !pos + 5;
-          go ()
-        | _ -> fail "bad escape")
-      | Some c ->
-        Buffer.add_char buf c;
-        advance ();
-        go ()
-    in
-    go ();
-    Buffer.contents buf
-  in
-  let parse_number () =
-    let start = !pos in
-    let num_char = function
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while (match peek () with Some c -> num_char c | None -> false) do
-      advance ()
-    done;
-    if !pos = start then fail "expected a number";
-    Num (String.sub s start (!pos - start))
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | None -> fail "unexpected end of input"
-    | Some '"' -> Str (parse_string ())
-    | Some '{' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some '}' then begin advance (); Obj [] end
-      else begin
-        let rec members acc =
-          skip_ws ();
-          let key = parse_string () in
-          skip_ws ();
-          expect ':';
-          let v = parse_value () in
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-            advance ();
-            members ((key, v) :: acc)
-          | Some '}' ->
-            advance ();
-            Obj (List.rev ((key, v) :: acc))
-          | _ -> fail "expected , or } in object"
-        in
-        members []
-      end
-    | Some '[' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some ']' then begin advance (); Arr [] end
-      else begin
-        let rec elements acc =
-          let v = parse_value () in
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-            advance ();
-            elements (v :: acc)
-          | Some ']' ->
-            advance ();
-            Arr (List.rev (v :: acc))
-          | _ -> fail "expected , or ] in array"
-        in
-        elements []
-      end
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some _ -> parse_number ()
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  v
-
-(* [None] when the key is absent: journals written before the audit
-   fields existed stay readable (format_version is unchanged — the
-   fields are additive) *)
-let opt_field obj key =
-  match obj with
-  | Obj kvs -> List.assoc_opt key kvs
-  | _ -> raise (Malformed "expected an object")
-
-let field obj key =
-  match obj with
-  | Obj kvs -> (
-    match List.assoc_opt key kvs with
-    | Some v -> v
-    | None -> raise (Malformed ("missing field " ^ key)))
-  | _ -> raise (Malformed "expected an object")
-
-let to_int = function
-  | Num raw -> (
-    match int_of_string_opt raw with
-    | Some i -> i
-    | None -> raise (Malformed ("not an integer: " ^ raw)))
-  | _ -> raise (Malformed "expected a number")
-
-let to_float = function
-  | Num raw -> (
-    match float_of_string_opt raw with
-    | Some f -> f
-    | None -> raise (Malformed ("not a number: " ^ raw)))
-  | _ -> raise (Malformed "expected a number")
-
-let to_string = function
-  | Str s -> s
-  | _ -> raise (Malformed "expected a string")
+let field j key = need (Json.member key j)
+let int_of j key = need (Json.to_int (field j key))
+let float_of j key = need (Json.to_float (field j key))
+let str_of j key = need (Json.to_str (field j key))
 
 (* ------------------------------------------------------------------ *)
 (* journal lines *)
@@ -193,56 +25,42 @@ let to_string = function
 (* %.17g round-trips any finite double exactly *)
 let flt f = Printf.sprintf "%.17g" f
 
-(* the refine fields sit flat and last inside the measurement object,
-   so a refined record stream differs from an unrefined one only by a
-   strippable suffix per measurement (the ci byte-identity check
-   depends on this) *)
-let refine_json (s : Ucp_refine.Explore.summary option) =
-  match s with
-  | None -> ""
-  | Some s ->
-    let open Ucp_refine.Explore in
-    Printf.sprintf
-      {|,"refine_mode":%s,"refine_nc_before":%d,"refine_nc":%d,"refine_ah_gained":%d,"refine_am_gained":%d,"refine_tau":%d,"refine_miss_bound":%d,"refine_quant":%s,"refine_states":%d,"refine_budget_hit":%b,"refine_budget_exhausted":%d,"refine_digest":%s|}
-      (Report.json_string (Ucp_refine.Mode.to_string s.s_mode))
-      s.s_nc_before s.s_nc_after s.s_ah_gained s.s_am_gained s.s_tau
-      s.s_miss_bound
-      (match s.s_quant with None -> "null" | Some q -> string_of_int q)
-      s.s_states s.s_budget_hit s.s_budget_exhausted
-      (Report.json_string s.s_digest)
-
+(* the refine fields sit flat and last inside the measurement object
+   (written by [Report.refine_json_side ""]); [None] when absent *)
 let refine_of_json j : Ucp_refine.Explore.summary option =
-  match opt_field j "refine_mode" with
+  match Json.member "refine_mode" j with
   | None -> None
   | Some mode ->
     let s_mode =
-      match Ucp_refine.Mode.of_string (to_string mode) with
+      match Ucp_refine.Mode.of_string (need (Json.to_str mode)) with
       | Ok m -> m
-      | Error msg -> raise (Malformed msg)
+      | Error _ -> raise Malformed
     in
     Some
       {
         Ucp_refine.Explore.s_mode;
-        s_nc_before = to_int (field j "refine_nc_before");
-        s_nc_after = to_int (field j "refine_nc");
-        s_ah_gained = to_int (field j "refine_ah_gained");
-        s_am_gained = to_int (field j "refine_am_gained");
-        s_tau = to_int (field j "refine_tau");
-        s_miss_bound = to_int (field j "refine_miss_bound");
+        s_nc_before = int_of j "refine_nc_before";
+        s_nc_after = int_of j "refine_nc";
+        s_ah_gained = int_of j "refine_ah_gained";
+        s_am_gained = int_of j "refine_am_gained";
+        s_tau = int_of j "refine_tau";
+        s_miss_bound = int_of j "refine_miss_bound";
         s_quant =
-          (match field j "refine_quant" with Null -> None | v -> Some (to_int v));
-        s_states = to_int (field j "refine_states");
+          (match field j "refine_quant" with
+          | Json.Null -> None
+          | v -> Some (need (Json.to_int v)));
+        s_states = int_of j "refine_states";
         s_budget_hit =
           (match field j "refine_budget_hit" with
-          | Bool b -> b
-          | _ -> raise (Malformed "refine_budget_hit: expected a bool"));
+          | Json.Bool b -> b
+          | _ -> raise Malformed);
         (* additive: absent in journals written before the demotion
            count existed *)
         s_budget_exhausted =
-          (match opt_field j "refine_budget_exhausted" with
-          | Some v -> to_int v
+          (match Json.member "refine_budget_exhausted" j with
+          | Some v -> need (Json.to_int v)
           | None -> 0);
-        s_digest = to_string (field j "refine_digest");
+        s_digest = str_of j "refine_digest";
       }
 
 let measurement_json (m : Pipeline.measurement) =
@@ -251,20 +69,20 @@ let measurement_json (m : Pipeline.measurement) =
     m.Pipeline.tau m.Pipeline.acet (flt m.Pipeline.energy_pj)
     (flt m.Pipeline.miss_rate) m.Pipeline.executed m.Pipeline.demand_misses
     m.Pipeline.wcet_miss_bound m.Pipeline.ah m.Pipeline.am m.Pipeline.nc
-    (refine_json m.Pipeline.refine)
+    (Report.refine_json_side "" m.Pipeline.refine)
 
 let measurement_of_json j : Pipeline.measurement =
   {
-    Pipeline.tau = to_int (field j "tau");
-    acet = to_int (field j "acet");
-    energy_pj = to_float (field j "energy_pj");
-    miss_rate = to_float (field j "miss_rate");
-    executed = to_int (field j "executed");
-    demand_misses = to_int (field j "demand_misses");
-    wcet_miss_bound = to_int (field j "wcet_miss_bound");
-    ah = to_int (field j "ah");
-    am = to_int (field j "am");
-    nc = to_int (field j "nc");
+    Pipeline.tau = int_of j "tau";
+    acet = int_of j "acet";
+    energy_pj = float_of j "energy_pj";
+    miss_rate = float_of j "miss_rate";
+    executed = int_of j "executed";
+    demand_misses = int_of j "demand_misses";
+    wcet_miss_bound = int_of j "wcet_miss_bound";
+    ah = int_of j "ah";
+    am = int_of j "am";
+    nc = int_of j "nc";
     refine = refine_of_json j;
   }
 
@@ -276,16 +94,19 @@ let audit_json (a : Pipeline.audit) =
   | Pipeline.Audit_skipped reason ->
     Printf.sprintf {|,"audit_skipped":%s|} (Report.json_string reason)
 
+(* the audit fields are additive: a line without them is Not_audited *)
 let audit_of_json j : Pipeline.audit =
-  match opt_field j "audit_checks" with
+  match Json.member "audit_checks" j with
   | Some checks ->
     let seconds =
-      match opt_field j "audit_s" with Some s -> to_float s | None -> 0.0
+      match Json.member "audit_s" j with
+      | Some s -> need (Json.to_float s)
+      | None -> 0.0
     in
-    Pipeline.Audited { checks = to_int checks; seconds }
+    Pipeline.Audited { checks = need (Json.to_int checks); seconds }
   | None -> (
-    match opt_field j "audit_skipped" with
-    | Some reason -> Pipeline.Audit_skipped (to_string reason)
+    match Json.member "audit_skipped" j with
+    | Some reason -> Pipeline.Audit_skipped (need (Json.to_str reason))
     | None -> Pipeline.Not_audited)
 
 let record_line ~id (r : Experiments.record) =
@@ -309,39 +130,35 @@ let record_line ~id (r : Experiments.record) =
 let tech_of_label label =
   match List.find_opt (fun t -> t.Tech.label = label) Tech.all with
   | Some t -> t
-  | None -> raise (Malformed ("unknown technology " ^ label))
+  | None -> raise Malformed
 
 let policy_of_name name =
-  match Ucp_policy.of_string name with
-  | Ok p -> p
-  | Error msg -> raise (Malformed msg)
+  match Ucp_policy.of_string name with Ok p -> p | Error _ -> raise Malformed
 
 let parse_line line =
-  match parse line with
-  | exception Malformed _ -> None
-  | j -> (
+  match Json.parse line with
+  | Error _ -> None
+  | Ok j -> (
     try
-      let id = to_string (field j "case") in
+      let id = str_of j "case" in
       let record =
         {
-          Experiments.program_name = to_string (field j "program");
-          config_id = to_string (field j "config_id");
+          Experiments.program_name = str_of j "program";
+          config_id = str_of j "config_id";
           config =
-            Config.make
-              ~assoc:(to_int (field j "assoc"))
-              ~block_bytes:(to_int (field j "block_bytes"))
-              ~capacity:(to_int (field j "capacity"));
-          tech = tech_of_label (to_string (field j "tech"));
-          policy = policy_of_name (to_string (field j "policy"));
+            Config.make ~assoc:(int_of j "assoc") ~block_bytes:(int_of j "block_bytes")
+              ~capacity:(int_of j "capacity");
+          tech = tech_of_label (str_of j "tech");
+          policy = policy_of_name (str_of j "policy");
           original = measurement_of_json (field j "original");
           optimized = measurement_of_json (field j "optimized");
-          prefetches = to_int (field j "prefetches");
-          rejected = to_int (field j "rejected");
+          prefetches = int_of j "prefetches";
+          rejected = int_of j "rejected";
           audit = audit_of_json j;
         }
       in
       Some (id, record)
-    with Malformed _ | Invalid_argument _ -> None)
+    with Malformed | Invalid_argument _ -> None)
 
 (* ------------------------------------------------------------------ *)
 (* grid fingerprint *)
@@ -401,15 +218,17 @@ let replay path ~fingerprint tbl =
   match read_lines path with
   | [] | (exception Sys_error _) -> ()
   | header :: rest ->
-    (match parse header with
-    | exception Malformed _ ->
+    (match Json.parse header with
+    | Error _ ->
       failwith (Printf.sprintf "Checkpoint.start: %s: unreadable journal header" path)
-    | j ->
-      let v = try to_int (field j "ucp_checkpoint") with Malformed _ -> -1 in
-      if v <> format_version then
+    | Ok j ->
+      if Option.bind (Json.member "ucp_checkpoint" j) Json.to_int <> Some format_version
+      then
         failwith
           (Printf.sprintf "Checkpoint.start: %s: unsupported journal version" path);
-      let fp = try to_string (field j "fingerprint") with Malformed _ -> "" in
+      let fp =
+        Option.value ~default:"" (Option.bind (Json.member "fingerprint" j) Json.to_str)
+      in
       if fp <> fingerprint then
         failwith
           (Printf.sprintf
@@ -461,45 +280,6 @@ let fsync_dir path =
           Atomic.incr synced
         with Unix.Unix_error _ -> ())
 
-let start ~path ~fingerprint ~resume =
-  let loaded = Hashtbl.create 97 in
-  if resume && Sys.file_exists path then begin
-    replay path ~fingerprint loaded;
-    (* rewrite the journal from what survived replay: this drops a torn
-       trailing line instead of appending after it *)
-    let oc = open_out path in
-    output_string oc (header_line fingerprint);
-    output_char oc '\n';
-    Hashtbl.iter
-      (fun id record ->
-        output_string oc (record_line ~id record);
-        output_char oc '\n')
-      loaded;
-    fsync_out oc;
-    { oc; lock = Mutex.create (); loaded }
-  end
-  else begin
-    let oc = open_out path in
-    output_string oc (header_line fingerprint);
-    output_char oc '\n';
-    fsync_out oc;
-    { oc; lock = Mutex.create (); loaded }
-  end
-
-let completed t = t.loaded
-
-let record t ~id record =
-  let line = record_line ~id record in
-  Mutex.lock t.lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.lock)
-    (fun () ->
-      output_string t.oc line;
-      output_char t.oc '\n';
-      fsync_out t.oc)
-
-let close t = close_out_noerr t.oc
-
 let write_atomic ~path content =
   let tmp = Printf.sprintf "%s.tmp.%d" path (Unix.getpid ()) in
   let oc = open_out tmp in
@@ -514,3 +294,35 @@ let write_atomic ~path content =
     raise e);
   Sys.rename tmp path;
   fsync_dir path
+
+let start ~path ~fingerprint ~resume =
+  let loaded = Hashtbl.create 97 in
+  if resume && Sys.file_exists path then replay path ~fingerprint loaded;
+  (* the header and what survived replay go to a new file that replaces
+     the journal by rename: a crash mid-rewrite leaves the old journal
+     whole, and a torn trailing line is dropped instead of appended
+     after *)
+  let buf = Buffer.create 4096 in
+  let add line =
+    Buffer.add_string buf line;
+    Buffer.add_char buf '\n'
+  in
+  add (header_line fingerprint);
+  Hashtbl.iter (fun id record -> add (record_line ~id record)) loaded;
+  write_atomic ~path (Buffer.contents buf);
+  let oc = open_out_gen [ Open_wronly; Open_append; Open_text ] 0 path in
+  { oc; lock = Mutex.create (); loaded }
+
+let completed t = t.loaded
+
+let record t ~id record =
+  let line = record_line ~id record in
+  Mutex.lock t.lock;
+  Fun.protect
+    ~finally:(fun () -> Mutex.unlock t.lock)
+    (fun () ->
+      output_string t.oc line;
+      output_char t.oc '\n';
+      fsync_out t.oc)
+
+let close t = close_out_noerr t.oc

@@ -10,6 +10,10 @@
     invariant-violating cases are {e not} journaled — a resume retries
     them.
 
+    Lines are written by [Printf] templates and read back through
+    {!Ucp_util.Json}, the repository's one JSON reader; the same line
+    is the [ucp serve] store entry of a case.
+
     The fingerprint hashes the suite, the configuration grid, the
     technology list, the replacement-policy list and the refine mode;
     resuming against a journal written for a different grid — including
@@ -34,12 +38,14 @@ val fingerprint :
 
 val start :
   path:string -> fingerprint:string -> resume:bool -> t
-(** Open a journal.  With [resume:false] the file is truncated and a
-    fresh header written.  With [resume:true] an existing journal is
-    replayed first: its header fingerprint must match (otherwise
-    [Failure]), complete record lines populate {!completed}, and a torn
-    trailing line is dropped; a missing or empty file degrades to a
-    fresh start.  The channel is then positioned for appending.
+(** Open a journal.  With [resume:false] the file is replaced by a
+    fresh header.  With [resume:true] an existing journal is replayed
+    first: its header fingerprint must match (otherwise [Failure]),
+    complete record lines populate {!completed}, and a torn trailing
+    line is dropped; a missing or empty file degrades to a fresh start.
+    The header and the replayed records are then rewritten through
+    {!write_atomic}, so a crash during [start] leaves the old journal
+    whole, and the file is reopened for appending.
     @raise Failure on a fingerprint mismatch or a corrupt line in the
     middle of the journal;
     @raise Sys_error if the path cannot be opened. *)
@@ -55,13 +61,19 @@ val record : t -> id:string -> Experiments.record -> unit
 
 val close : t -> unit
 
-(** {2 Serialization} (exposed for tests) *)
+(** {2 Serialization} (also the [ucp serve] store format) *)
 
 val record_line : id:string -> Experiments.record -> string
-(** One journal line (no trailing newline). *)
+(** One journal line (no trailing newline).  Floats are written with
+    [%.17g], so they read back exactly. *)
 
 val parse_line : string -> (string * Experiments.record) option
-(** Inverse of {!record_line}; [None] on malformed input. *)
+(** Inverse of {!record_line}; [None] on malformed input: a line that
+    is not one JSON object, a missing or ill-typed field, an integer
+    of magnitude 2{^53} or more, an unknown technology, policy or
+    refine mode, or a geometry {!Ucp_cache.Config.make} rejects.
+    Lines written before the additive audit, refine or
+    [refine_budget_exhausted] fields existed still parse. *)
 
 val write_atomic : path:string -> string -> unit
 (** Write a whole file via temp-file + fsync + rename (followed by a

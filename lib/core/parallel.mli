@@ -200,7 +200,7 @@ val sweep :
     audit.
 
     Checkpointing: with [?checkpoint:path] every sound finished record
-    is appended to a JSONL journal and flushed; with [resume:true] a
+    is appended to a JSONL journal and fsynced; with [resume:true] a
     journal left by an interrupted sweep over the {e same} grid
     (enforced by fingerprint) is replayed first and the journaled
     cases are skipped, so crash + resume produces the same records as

@@ -202,22 +202,7 @@ let headline records =
 (* ------------------------------------------------------------------ *)
 (* machine-readable sweep summary (JSON lines) *)
 
-let json_string s =
-  let buf = Buffer.create (String.length s + 2) in
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"';
-  Buffer.contents buf
+let json_string s = Ucp_util.Json.to_string (Ucp_util.Json.Str s)
 
 (* appended to record_json: absent entirely for unaudited cases, so an
    audit-off sweep's stream is byte-identical to the seed's *)

@@ -45,9 +45,17 @@ val all : Experiments.record list -> string
 (** Every table and figure, concatenated. *)
 
 val json_string : string -> string
-(** JSON string literal with the usual escapes (quotes, backslash,
-    control characters).  Shared by {!record_json} and the checkpoint
-    journal. *)
+(** JSON string literal, escaped by {!Ucp_util.Json.to_string} (quotes,
+    backslash, [\n]/[\r]/[\t], other control bytes as [\u00XX],
+    every other byte verbatim).  Shared by {!record_json} and the
+    checkpoint journal. *)
+
+val refine_json_side : string -> Ucp_refine.Explore.summary option -> string
+(** [refine_json_side suffix s]: the flat [,"refine_<field><suffix>":v]
+    pairs of a refine summary, in the fixed order listed under
+    {!record_json}; [""] for [None].  {!record_json} appends them per
+    side ([""] and ["_opt"]); the checkpoint journal appends the
+    [""] form inside each measurement object. *)
 
 val gen_json : string -> string
 (** Generator-provenance suffix for a program name: when the name is a
@@ -71,7 +79,8 @@ val record_json : Experiments.record -> string
     [refine_*] fields per side ([refine_mode], [refine_nc_before],
     [refine_nc], [refine_ah_gained], [refine_am_gained], [refine_tau],
     [refine_miss_bound], [refine_quant] (int or null),
-    [refine_states], [refine_budget_hit], [refine_digest]; [_opt]
+    [refine_states], [refine_budget_hit], [refine_budget_exhausted],
+    [refine_digest]; [_opt]
     suffix for the optimized side) — appended last, so stripping every
     [,"refine_*":v] pair restores the unrefined stream byte for
     byte. *)

@@ -83,9 +83,9 @@ type t = {
   stop : bool Atomic.t;
   pool : Parallel.pool;
   store : Store.t;
-  (* case id -> (checkpoint record line, rendered record_json); both
-     strings are final bytes, so cache hits are trivially byte-stable *)
-  cache : (string, string * string) Lru.t;
+  (* case id -> rendered record_json, the final bytes a hit answers
+     with, so cache hits are trivially byte-stable *)
+  cache : (string, string) Lru.t;
   cmutex : Mutex.t;
   memo : Experiments.Analysis_memo.t;
   models : (Config.t * Tech.t, Ucp_energy.Cacti.t) Hashtbl.t;
@@ -253,10 +253,9 @@ let compute t ~trace id (c : Experiments.case) key =
                   | Ok () -> Ok r
                 with
                 | Ok r ->
-                  let line = Checkpoint.record_line ~id r in
                   let json = Report.record_json r in
-                  Store.put t.store ~id ~key line;
-                  cache_add t id (line, json);
+                  Store.put t.store ~id ~key (Checkpoint.record_line ~id r);
+                  cache_add t id json;
                   tally t (fun s -> s.computed_total <- s.computed_total + 1);
                   Metrics.incr (Metrics.counter "serve_computed_total");
                   P.Record { id; source = P.Computed; json; trace_id = trace }
@@ -302,7 +301,7 @@ let answer_case t ~trace id =
         "reject" )
     | () -> (
       match Trace.with_span ~name:"cache_lookup" (fun () -> cache_find t id) with
-      | Some (_, json) ->
+      | Some json ->
         tally t (fun s -> s.cache_hits <- s.cache_hits + 1);
         Metrics.incr (Metrics.counter "serve_cache_hits_total");
         (P.Record { id; source = P.Memory; json; trace_id = trace }, "cache")
@@ -321,7 +320,7 @@ let answer_case t ~trace id =
               | None -> None
               | Some line -> (
                 match Checkpoint.parse_line line with
-                | Some (id', r) when id' = id -> Some (line, Report.record_json r)
+                | Some (id', r) when id' = id -> Some (Report.record_json r)
                 | Some _ | None ->
                   (* checksum-clean but semantically wrong: same self-heal
                      path as bit rot *)
@@ -329,10 +328,10 @@ let answer_case t ~trace id =
                   None))
         in
         match from_store with
-        | Some (line, json) ->
+        | Some json ->
           tally t (fun s -> s.store_hits <- s.store_hits + 1);
           Metrics.incr (Metrics.counter "serve_store_hits_total");
-          cache_add t id (line, json);
+          cache_add t id json;
           (P.Record { id; source = P.Store; json; trace_id = trace }, "store")
         | None ->
           (* cold: bounded admission — cache/store answers above never

@@ -27,6 +27,16 @@ let peek c = if c.pos < String.length c.src then Some c.src.[c.pos] else None
 
 let advance c = c.pos <- c.pos + 1
 
+let at c ch = c.pos < String.length c.src && c.src.[c.pos] = ch
+
+(* skip a run of decimal digits; false when there is none *)
+let digits c =
+  let first = c.pos in
+  while c.pos < String.length c.src && c.src.[c.pos] >= '0' && c.src.[c.pos] <= '9' do
+    advance c
+  done;
+  c.pos > first
+
 let expect c ch =
   match peek c with
   | Some x when x = ch -> advance c
@@ -51,7 +61,14 @@ let parse_literal c word value =
 let parse_string c =
   expect c '"';
   let buf = Buffer.create 16 in
+  let plain ch = ch <> '"' && ch <> '\\' && Char.code ch >= 0x20 in
   let rec go () =
+    (* copy each run of bytes that need no decoding in one piece *)
+    let run = c.pos in
+    while c.pos < String.length c.src && plain c.src.[c.pos] do
+      advance c
+    done;
+    Buffer.add_substring buf c.src run (c.pos - run);
     match peek c with
     | None -> error c "unterminated string"
     | Some '"' -> advance c
@@ -93,37 +110,43 @@ let parse_string c =
           end
         | ch -> error c "invalid escape \\%C" ch);
         go ())
-    | Some ch when Char.code ch < 0x20 -> error c "raw control byte in string"
-    | Some ch ->
-      advance c;
-      Buffer.add_char buf ch;
-      go ()
+    | Some _ -> error c "raw control byte in string"
   in
   go ();
   Buffer.contents buf
 
 let parse_number c =
   let start = c.pos in
-  let accept pred =
-    match peek c with Some ch when pred ch -> advance c; true | _ -> false
-  in
-  let is_digit ch = ch >= '0' && ch <= '9' in
-  ignore (accept (fun ch -> ch = '-'));
-  if not (accept is_digit) then error c "malformed number";
-  while accept is_digit do () done;
-  if accept (fun ch -> ch = '.') then begin
-    if not (accept is_digit) then error c "malformed number (no digit after '.')";
-    while accept is_digit do () done
+  let negative = at c '-' in
+  if negative then advance c;
+  let int_start = c.pos in
+  if not (digits c) then error c "malformed number";
+  let int_end = c.pos in
+  if at c '.' then begin
+    advance c;
+    if not (digits c) then error c "malformed number (no digit after '.')"
   end;
-  if accept (fun ch -> ch = 'e' || ch = 'E') then begin
-    ignore (accept (fun ch -> ch = '+' || ch = '-'));
-    if not (accept is_digit) then error c "malformed number (empty exponent)";
-    while accept is_digit do () done
+  if at c 'e' || at c 'E' then begin
+    advance c;
+    if at c '+' || at c '-' then advance c;
+    if not (digits c) then error c "malformed number (empty exponent)"
   end;
-  let text = String.sub c.src start (c.pos - start) in
-  match float_of_string_opt text with
-  | Some v -> Num v
-  | None -> error c "malformed number %S" text
+  if c.pos = int_end && int_end - int_start <= 15 then begin
+    (* fast path for integer tokens (no fraction, no exponent): fifteen
+       digits stay below 2^53, so the sum is exact and equals what
+       [float_of_string] would return (negated after the sum, so "-0"
+       still reads as -0.0) *)
+    let v = ref 0 in
+    for i = int_start to int_end - 1 do
+      v := (!v * 10) + (Char.code c.src.[i] - Char.code '0')
+    done;
+    Num (if negative then -.float_of_int !v else float_of_int !v)
+  end
+  else
+    let text = String.sub c.src start (c.pos - start) in
+    match float_of_string_opt text with
+    | Some v -> Num v
+    | None -> error c "malformed number %S" text
 
 let rec parse_value c =
   skip_ws c;
@@ -260,8 +283,10 @@ let member key = function
   | _ -> None
 
 let to_float = function Num v -> Some v | _ -> None
+(* below 2^53 a float holds every integer exactly; from 2^53 on, a
+   decimal token may have been rounded onto the value it reads as *)
 let to_int = function
-  | Num v when Float.is_integer v -> Some (int_of_float v)
+  | Num v when Float.is_integer v && Float.abs v < 0x1p53 -> Some (int_of_float v)
   | _ -> None
 let to_str = function Str s -> Some s | _ -> None
 let to_list = function Arr items -> Some items | _ -> None

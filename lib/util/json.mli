@@ -1,12 +1,15 @@
-(** A minimal, strict JSON reader/writer for the observability layer
-    (Chrome [trace_event] files, sweep JSONL lines) and its tests.
+(** A minimal, strict JSON reader/writer: the repository's one JSON
+    reader (Chrome [trace_event] files, sweep JSONL lines, the serve
+    protocol, checkpoint journals and serve store entries, the fuzz
+    corpus) and its tests.
 
     The parser is deliberately strict: it rejects trailing garbage,
     comments, unquoted keys, raw control bytes inside strings and
     malformed numbers, so a "well-formed trace" check through {!parse}
     means the file really is standard JSON.  Numbers are held as
-    [float], like JavaScript — integers round-trip exactly up to
-    2{^53}. *)
+    [float], like JavaScript: a float token reads as the double
+    [float_of_string] gives it (so a [%.17g] rendering reads back
+    exactly), and integers round-trip exactly below 2{^53}. *)
 
 type t =
   | Null
@@ -36,7 +39,9 @@ val member : string -> t -> t option
 
 val to_float : t -> float option
 val to_int : t -> int option
-(** Only for numbers with integral value. *)
+(** Only for numbers with an integral value of magnitude below 2{^53}:
+    a larger token may have been rounded when it was read (2{^53}+1
+    reads as 2{^53}), so it is [None] rather than a wrong integer. *)
 
 val to_str : t -> string option
 val to_list : t -> t list option

@@ -659,6 +659,156 @@ let test_checkpoint_policy_fingerprint_mismatch () =
            false
          with Failure msg -> Ucp_testlib.contains ~substring:"fingerprint" msg))
 
+(* ------------------------------------------------------------------ *)
+(* the record codec, pinned to bytes written before journals were read
+   through Ucp_util.Json *)
+
+module Generate = Ucp_workloads.Generate
+
+let gen_name = Generate.name ~seed:3 ~cls:"s"
+let gen_program () = Generate.program ~seed:3 ~cls:"s"
+let codec_config = ("a", Config.make ~assoc:2 ~block_bytes:16 ~capacity:256)
+
+(* LRU/FIFO/PLRU x refine nc x full audit over two suite programs and a
+   generated one (for the gen_* fields), with the wall-clock audit
+   seconds fixed, plus an Audit_skipped record whose reason needs every
+   kind of escape *)
+let codec_records () =
+  let s =
+    Parallel.sweep
+      ~programs:
+        [
+          ("fft1", Ucp_workloads.Suite.find "fft1");
+          ("crc", Ucp_workloads.Suite.find "crc");
+          (gen_name, gen_program ());
+        ]
+      ~configs:[ codec_config; ("b", Config.make ~assoc:4 ~block_bytes:32 ~capacity:1024) ]
+      ~techs:[ Tech.nm45 ]
+      ~policies:[ Ucp_policy.Lru; Ucp_policy.Fifo; Ucp_policy.Plru ]
+      ~refine:Ucp_refine.Mode.Nc ~audit:Ucp_verify.Full ~jobs:1 ()
+  in
+  let records =
+    List.map
+      (fun (id, o) ->
+        match o with
+        | Outcome.Ok r ->
+          let audit =
+            match r.Experiments.audit with
+            | Pipeline.Audited { checks; seconds = _ } ->
+              Pipeline.Audited { checks; seconds = 0.25 }
+            | a -> a
+          in
+          (id, { r with Experiments.audit })
+        | _ -> Alcotest.failf "%s should be fault-free" id)
+      s.Parallel.results
+  in
+  match records with
+  | (id, r) :: _ ->
+    records
+    @ [
+        ( id ^ "-skipped",
+          {
+            r with
+            Experiments.audit = Pipeline.Audit_skipped "q\"b\\t\tn\000x\xc3\xa9\xff";
+          } );
+      ]
+  | [] -> Alcotest.fail "empty codec grid"
+
+let test_codec_pinned () =
+  let records = codec_records () in
+  let digest f =
+    Digest.to_hex (Digest.string (String.concat "\n" (List.map f records)))
+  in
+  Alcotest.(check string) "record_line digest" "b67b30dcc5e0ca68aa5100420017689f"
+    (digest (fun (id, r) -> Checkpoint.record_line ~id r));
+  Alcotest.(check string) "record_json digest" "668127cc0ffe76a00f9ef926f3bdeca8"
+    (digest (fun (_, r) -> Report.record_json r));
+  List.iter
+    (fun (id, r) ->
+      Alcotest.(check bool) (id ^ " round-trips") true
+        (Checkpoint.parse_line (Checkpoint.record_line ~id r) = Some (id, r)))
+    records
+
+(* a journal written before journals were read through Ucp_util.Json:
+   fft1 under LRU and FIFO and a generated program under LRU (refine nc,
+   full audit), then the first 200 bytes of the next record, as a crash
+   leaves them *)
+let old_header =
+  {|{"ucp_checkpoint":3,"fingerprint":"73ee5dd7c13e7b89bf5df289a5a2424c"}|}
+
+let old_records =
+  [
+    {|{"case":"fft1:a:45nm:lru","program":"fft1","config_id":"a","assoc":2,"block_bytes":16,"capacity":256,"tech":"45nm","policy":"lru","prefetches":16,"rejected":1,"audit_checks":7,"audit_s":0.0016312599182128906,"original":{"tau":25235,"acet":18947,"energy_pj":682291.14000000001,"miss_rate":0.065669612508497621,"executed":7355,"demand_misses":483,"wcet_miss_bound":866,"ah":269,"am":45,"nc":17,"refine_mode":"nc","refine_nc_before":17,"refine_nc":10,"refine_ah_gained":0,"refine_am_gained":7,"refine_tau":25235,"refine_miss_bound":866,"refine_quant":null,"refine_states":167,"refine_budget_hit":false,"refine_budget_exhausted":0,"refine_digest":"056ad896c6f151f9a11ad8b4b46972df"},"optimized":{"tau":20835,"acet":16363,"energy_pj":616576.26000000001,"miss_rate":0.045319176485821573,"executed":7723,"demand_misses":350,"wcet_miss_bound":470,"ah":323,"am":38,"nc":6,"refine_mode":"nc","refine_nc_before":6,"refine_nc":2,"refine_ah_gained":0,"refine_am_gained":4,"refine_tau":20835,"refine_miss_bound":470,"refine_quant":null,"refine_states":101,"refine_budget_hit":false,"refine_budget_exhausted":0,"refine_digest":"a9e53400f2bf84684e4dc39b6eeef8d5"}}|};
+    {|{"case":"fft1:a:45nm:fifo","program":"fft1","config_id":"a","assoc":2,"block_bytes":16,"capacity":256,"tech":"45nm","policy":"fifo","prefetches":0,"rejected":7,"audit_checks":7,"audit_s":0.0013988018035888672,"original":{"tau":77267,"acet":18947,"energy_pj":682291.14000000001,"miss_rate":0.065669612508497621,"executed":7355,"demand_misses":483,"wcet_miss_bound":3288,"ah":209,"am":41,"nc":81,"refine_mode":"nc","refine_nc_before":81,"refine_nc":10,"refine_ah_gained":60,"refine_am_gained":11,"refine_tau":25235,"refine_miss_bound":866,"refine_quant":1748,"refine_states":182,"refine_budget_hit":false,"refine_budget_exhausted":0,"refine_digest":"a1458735e2cdea1af30999ad1df0a5f7"},"optimized":{"tau":77267,"acet":18947,"energy_pj":682291.14000000001,"miss_rate":0.065669612508497621,"executed":7355,"demand_misses":483,"wcet_miss_bound":3288,"ah":209,"am":41,"nc":81,"refine_mode":"nc","refine_nc_before":81,"refine_nc":10,"refine_ah_gained":60,"refine_am_gained":11,"refine_tau":25235,"refine_miss_bound":866,"refine_quant":1748,"refine_states":182,"refine_budget_hit":false,"refine_budget_exhausted":0,"refine_digest":"a1458735e2cdea1af30999ad1df0a5f7"}}|};
+    {|{"case":"gen-s-3:a:45nm:lru","program":"gen-s-3","config_id":"a","assoc":2,"block_bytes":16,"capacity":256,"tech":"45nm","policy":"lru","prefetches":0,"rejected":0,"gen_seed":3,"gen_shape":"s","audit_checks":7,"audit_s":0.00011682510375976562,"original":{"tau":374,"acet":104,"energy_pj":3691.6800000000003,"miss_rate":0.5,"executed":8,"demand_misses":4,"wcet_miss_bound":14,"ah":24,"am":10,"nc":4,"refine_mode":"nc","refine_nc_before":4,"refine_nc":4,"refine_ah_gained":0,"refine_am_gained":0,"refine_tau":374,"refine_miss_bound":14,"refine_quant":null,"refine_states":31,"refine_budget_hit":false,"refine_budget_exhausted":0,"refine_digest":"81a1247960423ff442dd76b114656009"},"optimized":{"tau":374,"acet":104,"energy_pj":3691.6800000000003,"miss_rate":0.5,"executed":8,"demand_misses":4,"wcet_miss_bound":14,"ah":24,"am":10,"nc":4,"refine_mode":"nc","refine_nc_before":4,"refine_nc":4,"refine_ah_gained":0,"refine_am_gained":0,"refine_tau":374,"refine_miss_bound":14,"refine_quant":null,"refine_states":31,"refine_budget_hit":false,"refine_budget_exhausted":0,"refine_digest":"81a1247960423ff442dd76b114656009"}}|};
+  ]
+
+let old_journal =
+  String.concat "\n"
+    ((old_header :: old_records)
+    @ [
+        {|{"case":"gen-s-3:a:45nm:fifo","program":"gen-s-3","config_id":"a","assoc":2,"block_bytes":16,"capacity":256,"tech":"45nm","policy":"fifo","prefetches":0,"rejected":0,"gen_seed":3,"gen_shape":"s","audi|};
+      ])
+
+let old_fingerprint () =
+  Checkpoint.fingerprint
+    ~policies:[ Ucp_policy.Lru; Ucp_policy.Fifo ]
+    ~refine:Ucp_refine.Mode.Nc
+    ~programs:[ ("fft1", Ucp_workloads.Suite.find "fft1"); (gen_name, gen_program ()) ]
+    ~configs:[ codec_config ] ~techs:[ Tech.nm45 ] ()
+
+let with_old_journal f =
+  let path = Filename.temp_file "ucp_ckpt" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc old_journal);
+      f path)
+
+let test_old_journal_resumes () =
+  with_old_journal (fun path ->
+      let j = Checkpoint.start ~path ~fingerprint:(old_fingerprint ()) ~resume:true in
+      Checkpoint.close j;
+      let rewritten =
+        Hashtbl.fold
+          (fun id r acc -> Checkpoint.record_line ~id r :: acc)
+          (Checkpoint.completed j) []
+      in
+      Alcotest.(check (list string))
+        "complete lines re-encode byte for byte; the torn line is dropped"
+        (List.sort compare old_records)
+        (List.sort compare rewritten))
+
+(* resume replaces the journal by rename: a hard link to the old file
+   keeps its bytes, and appends go to the new file *)
+let test_resume_rewrite_is_atomic () =
+  with_old_journal (fun path ->
+      let link = path ^ ".link" in
+      Unix.link path link;
+      Fun.protect
+        ~finally:(fun () -> try Sys.remove link with Sys_error _ -> ())
+        (fun () ->
+          let j =
+            Checkpoint.start ~path ~fingerprint:(old_fingerprint ()) ~resume:true
+          in
+          let r =
+            match Hashtbl.find_opt (Checkpoint.completed j) "fft1:a:45nm:lru" with
+            | Some r -> r
+            | None -> Alcotest.fail "fft1:a:45nm:lru not replayed"
+          in
+          Checkpoint.record j ~id:"extra" r;
+          Checkpoint.close j;
+          Alcotest.(check string) "the old journal is not written in place"
+            old_journal
+            (In_channel.with_open_bin link In_channel.input_all);
+          Alcotest.(check (list string))
+            "new journal: header, replayed records, then the append"
+            (List.sort compare
+               ("" :: old_header :: Checkpoint.record_line ~id:"extra" r :: old_records))
+            (List.sort compare
+               (String.split_on_char '\n'
+                  (In_channel.with_open_bin path In_channel.input_all)))))
+
 let test_experiments_ratio_degenerate () =
   Alcotest.(check bool) "zero denominator is None" true
     (Experiments.ratio 5 0 = None);
@@ -830,6 +980,11 @@ let () =
             test_checkpoint_policy_roundtrip;
           Alcotest.test_case "checkpoint rejects LRU journal for multi-policy grid"
             `Quick test_checkpoint_policy_fingerprint_mismatch;
+          Alcotest.test_case "record codec pinned" `Quick test_codec_pinned;
+          Alcotest.test_case "journal written before the Json reader resumes"
+            `Quick test_old_journal_resumes;
+          Alcotest.test_case "resume rewrite is atomic" `Quick
+            test_resume_rewrite_is_atomic;
           Alcotest.test_case "degenerate ratios" `Quick
             test_experiments_ratio_degenerate;
         ] );

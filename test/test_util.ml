@@ -1,6 +1,6 @@
 (* Unit and property tests for Ucp_util: deterministic RNG, statistics,
    table rendering, cooperative deadlines, LRU map, retry backoff,
-   CRC-32. *)
+   CRC-32, JSON. *)
 
 module Rng = Ucp_util.Rng
 module Stats = Ucp_util.Stats
@@ -9,6 +9,7 @@ module Deadline = Ucp_util.Deadline
 module Lru = Ucp_util.Lru
 module Backoff = Ucp_util.Backoff
 module Crc32 = Ucp_util.Crc32
+module Json = Ucp_util.Json
 
 let check_float = Alcotest.(check (float 1e-9))
 
@@ -400,6 +401,111 @@ let prop_crc32_detects_flip =
       Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl bit)));
       Crc32.string (Bytes.to_string b) <> Crc32.string s)
 
+(* ------------------------------------------------------------------ *)
+(* Json *)
+
+(* the escape table every JSONL writer in the repository relies on:
+   quote, backslash, \n \r \t, other control bytes as \u00XX, every
+   other byte verbatim *)
+let reference_escape ch =
+  match ch with
+  | '"' -> "\\\""
+  | '\\' -> "\\\\"
+  | '\n' -> "\\n"
+  | '\r' -> "\\r"
+  | '\t' -> "\\t"
+  | ch when Char.code ch < 0x20 -> Printf.sprintf "\\u%04x" (Char.code ch)
+  | ch -> String.make 1 ch
+
+let test_json_string_bytes () =
+  for b = 0 to 255 do
+    let s = Printf.sprintf "a%cz" (Char.chr b) in
+    let text = Json.to_string (Json.Str s) in
+    Alcotest.(check string)
+      (Printf.sprintf "byte 0x%02x escaped" b)
+      ("\"a" ^ reference_escape (Char.chr b) ^ "z\"")
+      text;
+    Alcotest.(check bool)
+      (Printf.sprintf "byte 0x%02x round-trips" b)
+      true
+      (Json.parse text = Ok (Json.Str s))
+  done;
+  let all = String.init 256 Char.chr in
+  Alcotest.(check bool) "all 256 bytes in one string round-trip" true
+    (Json.parse (Json.to_string (Json.Str all)) = Ok (Json.Str all))
+
+let num text =
+  match Json.parse text with
+  | Ok (Json.Num v) -> v
+  | Ok _ -> Alcotest.failf "%s: not a number" text
+  | Error msg -> Alcotest.failf "%s: %s" text msg
+
+(* the integer fast path must read every token bit for bit as
+   [float_of_string] does, on both sides of its 15-digit cutoff *)
+let test_json_number_fast_path () =
+  List.iter
+    (fun text ->
+      Alcotest.(check int64) text
+        (Int64.bits_of_float (float_of_string text))
+        (Int64.bits_of_float (num text)))
+    [
+      "0"; "-0"; "7"; "-7"; "10"; "00"; "123456789012345"; "999999999999999";
+      "-999999999999999"; "1000000000000000"; "9999999999999999";
+      "-1000000000000000"; "9007199254740993"; "0.5"; "-0.0"; "1e3"; "1E-3";
+      "2.5e+2";
+    ];
+  Alcotest.(check bool) "-0 keeps its sign" true (Float.sign_bit (num "-0"));
+  Alcotest.(check bool) "0 is positive zero" false (Float.sign_bit (num "0"))
+
+let test_json_to_int_range () =
+  let to_int text = Json.to_int (Json.Num (num text)) in
+  List.iter
+    (fun (text, expected) ->
+      Alcotest.(check (option int)) text expected (to_int text))
+    [
+      ("0", Some 0);
+      ("-0", Some 0);
+      ("5.0", Some 5);
+      ("5.5", None);
+      ("999999999999999", Some 999999999999999);
+      ("9007199254740991", Some 9007199254740991);
+      ("-9007199254740991", Some (-9007199254740991));
+      (* 2^53 and 2^53+1 read as the same double *)
+      ("9007199254740992", None);
+      ("9007199254740993", None);
+      ("-9007199254740993", None);
+      ("12345678901234567890", None);
+      ("1e300", None);
+    ];
+  Alcotest.(check (option int)) "not a number" None (Json.to_int (Json.Str "1"))
+
+let test_json_rejects () =
+  List.iter
+    (fun text ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%S rejected" text)
+        true
+        (Result.is_error (Json.parse text)))
+    [
+      "1 x"; "{} {}"; "[1]]"; {|"a"b|}; "12a"; "-"; "1."; ".5"; "+1"; "1e";
+      "\"a\nb\""; "\"\000\""; "\"\031\""; "\"tab\tin\""; {|{"k":1|};
+      {|"\u12"|}; {|"abc|}; {|"a\|}; "nan"; "Infinity";
+    ]
+
+let prop_json_string_roundtrip =
+  QCheck.Test.make ~count:500 ~name:"json strings round-trip"
+    QCheck.(string_of_size Gen.(int_range 0 40))
+    (fun s -> Json.parse (Json.to_string (Json.Str s)) = Ok (Json.Str s))
+
+(* the journal writes floats with %.17g and integers with %d *)
+let prop_json_number_roundtrip =
+  QCheck.Test.make ~count:500 ~name:"json numbers read back exactly"
+    QCheck.(pair float (int_range (-999_999_999_999_999) 999_999_999_999_999))
+    (fun (f, i) ->
+      QCheck.assume (Float.is_finite f);
+      Int64.bits_of_float (num (Printf.sprintf "%.17g" f)) = Int64.bits_of_float f
+      && Json.to_int (Json.Num (num (string_of_int i))) = Some i)
+
 let () =
   Alcotest.run "ucp_util"
     [
@@ -466,5 +572,15 @@ let () =
           Alcotest.test_case "check vector" `Quick test_crc32_vector;
           QCheck_alcotest.to_alcotest prop_crc32_update_concat;
           QCheck_alcotest.to_alcotest prop_crc32_detects_flip;
+        ] );
+      ( "json",
+        [
+          Alcotest.test_case "every byte escaped and round-trips" `Quick
+            test_json_string_bytes;
+          Alcotest.test_case "integer fast path" `Quick test_json_number_fast_path;
+          Alcotest.test_case "to_int range" `Quick test_json_to_int_range;
+          Alcotest.test_case "rejects malformed input" `Quick test_json_rejects;
+          QCheck_alcotest.to_alcotest prop_json_string_roundtrip;
+          QCheck_alcotest.to_alcotest prop_json_number_roundtrip;
         ] );
     ]
