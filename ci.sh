@@ -316,6 +316,27 @@ if ! cmp -s "$refine_dir/nc.records" "$refine_dir/off.records"; then
 fi
 echo "ci: refinement smoke passed"
 
+# Large-program refinement smoke: the two programs of 2000 slots or
+# more at the two 8 KiB associative configurations under every policy,
+# refined in full mode.  Full mode explores every reference and raises
+# Explore.Unsound when an abstract always-hit/always-miss is not an
+# exploration all-hit/all-miss, so this checks the set-at-a-time
+# exploration against the abstraction on the programs no other step
+# refines under FIFO or PLRU.
+status=0
+dune exec --no-build bin/ucp.exe -- experiment \
+  --programs statemate,nsichneu --configs k35,k36 --techs 45nm \
+  --policies lru,fifo,plru --refine full --jobs 2 \
+  --sweep-out "$refine_dir/large.jsonl" \
+  >/dev/null 2>"$smoke_err" || status=$?
+if [ "$status" -ne 0 ] \
+  || ! grep -q 'cases: 12 ok, 0 failed, 0 timed out, 0 invariant violations' "$smoke_err"; then
+  echo "ci: large refine smoke: expected exit 0 with 12 cases ok, got $status" >&2
+  cat "$smoke_err" >&2
+  exit 1
+fi
+echo "ci: large-program refinement smoke passed"
+
 # Serve smoke: the analysis daemon end to end.  Start `ucp serve` with
 # two faults armed -- the worker domain evaluating fft1:k2:45nm:lru is
 # killed mid-request (one-shot), and crc:k5:45nm:lru's store entry is

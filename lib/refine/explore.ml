@@ -116,9 +116,9 @@ let run_plain ?deadline ?budget ~corrupt ~mode (w : Wcet.t) =
     (fun (set, events) ->
       Deadline.check deadline;
       let r = Product.reachable ?deadline ?budget ~policy ~assoc ~events vivu in
-      states := !states + r.Product.visited;
-      steps := !steps + r.Product.steps;
-      if r.Product.exhausted then begin
+      states := !states + Product.visited r;
+      steps := !steps + Product.steps r;
+      if Product.exhausted r then begin
         (* partial reachability proves nothing: every focus reference
            of this set degrades gracefully to Genuinely_unknown; count
            the Not_classified refs actually demoted so campaigns can
@@ -145,7 +145,7 @@ let run_plain ?deadline ?budget ~corrupt ~mode (w : Wcet.t) =
           (fun node poss ->
             let poss = List.sort compare !poss in
             let block_events = events.((Vivu.node vivu node).Vivu.block) in
-            match r.Product.per_node.(node) with
+            match Product.in_states r node with
             | [] ->
               (* node instance unreachable in the product — no walk
                  executes it, nothing to conclude or contradict *)

@@ -18,11 +18,17 @@ module Deadline = Ucp_util.Deadline
 
 type event = Access of { pos : int; mb : int } | Fill of int
 
+(* [states] holds each distinct set state the sweep met, by interned
+   id.  [reached] holds each node's in-states as a bitset over those
+   ids, [Sys.int_size] ids a word: node [v]'s words are [v * width] to
+   [v * width + width - 1]. *)
 type r = {
-  per_node : Ucp_policy.cset list array;
   visited : int;
   exhausted : bool;
   steps : int;
+  states : Ucp_policy.cset array;
+  width : int;
+  reached : int array;
 }
 
 let default_budget = 32768
@@ -76,37 +82,170 @@ let transfer (module P : Ucp_policy.POLICY) ~assoc ?on_access events cs0 =
   done;
   !cs
 
+let word = Sys.int_size
+
+let popcount x =
+  let x = ref x and c = ref 0 in
+  while !x <> 0 do
+    x := !x land (!x - 1);
+    incr c
+  done;
+  !c
+
+(* Set-at-a-time dataflow over (node, state) pairs.  Each distinct
+   state is interned once as a dense id, each block's transfer is
+   memoized per (block, id), and each node carries the bitset of ids
+   reaching it ([reached]) and of those not yet pushed through it
+   ([pending]; a node is [dirty] while it has any).  Topological
+   sweeps expand the dirty nodes, as [Analysis.run]'s fixpoint does: a
+   DAG successor's new ids are expanded later in the same sweep, an
+   iteration successor's in the next one.  The reached pairs are the
+   closure of the cold entry under the block transfers along DAG and
+   iteration edges, whatever order they are found in: the pairs a
+   breadth-first search from the same root visits.  [visited] counts
+   newly set bits, so it and the budget cutoff are that search's too:
+   the first time the count exceeds [budget], [budget + 1] is recorded
+   and the sweep stops. *)
 let reachable ?deadline ?(budget = default_budget) ~policy ~assoc ~events vivu =
   let (module P : Ucp_policy.POLICY) = Ucp_policy.find policy in
   let n = Vivu.node_count vivu in
-  let per_node : Ucp_policy.cset list array = Array.make n [] in
-  let seen : (int * Ucp_policy.cset, unit) Hashtbl.t = Hashtbl.create 256 in
-  let work = Queue.create () in
+  let ids : (Ucp_policy.cset, int) Hashtbl.t = Hashtbl.create 64 in
+  let states = ref [||] in
+  (* the out-states of the ids one node expands; all zero between
+     expansions, and always long enough for every interned id *)
+  let delta = ref [| 0 |] in
+  let intern cs =
+    match Hashtbl.find_opt ids cs with
+    | Some id -> id
+    | None ->
+      let id = Hashtbl.length ids in
+      if id = Array.length !states then
+        states := Array.append !states (Array.make (max 16 id) cs);
+      !states.(id) <- cs;
+      Hashtbl.add ids cs id;
+      if id / word = Array.length !delta then
+        delta := Array.append !delta (Array.make (Array.length !delta) 0);
+      id
+  in
+  (* memo.(block).(id): the out-state id of [block] from state [id], or
+     -1 before its first transfer *)
+  let memo = Array.make (Array.length events) [||] in
+  let steps = ref 0 in
+  let out block id =
+    if id >= Array.length memo.(block) then
+      memo.(block) <- Array.append memo.(block) (Array.make (id + 1) (-1));
+    if memo.(block).(id) < 0 then begin
+      steps := !steps + Array.length events.(block);
+      memo.(block).(id) <- intern (transfer (module P) ~assoc events.(block) !states.(id))
+    end;
+    memo.(block).(id)
+  in
+  let width = ref 1 in
+  let reached = ref (Array.make n 0) in
+  let pending = ref (Array.make n 0) in
+  let widen () =
+    let w = !width and w' = 2 * !width in
+    let grow a =
+      let b = Array.make (n * w') 0 in
+      for v = 0 to n - 1 do
+        Array.blit a (v * w) b (v * w') w
+      done;
+      b
+    in
+    reached := grow !reached;
+    pending := grow !pending;
+    width := w'
+  in
+  let dirty = Array.make n false in
+  let dirty_count = ref 0 in
   let visited = ref 0 in
   let exhausted = ref false in
-  let push node cs =
-    if (not !exhausted) && not (Hashtbl.mem seen (node, cs)) then begin
-      Hashtbl.add seen (node, cs) ();
-      per_node.(node) <- cs :: per_node.(node);
-      incr visited;
-      if !visited > budget then exhausted := true
-      else Queue.add (node, cs) work
+  let merge v =
+    let r = !reached and p = !pending and d = !delta and base = v * !width in
+    for w = 0 to !width - 1 do
+      let fresh = d.(w) land lnot r.(base + w) in
+      if fresh <> 0 then begin
+        r.(base + w) <- r.(base + w) lor fresh;
+        p.(base + w) <- p.(base + w) lor fresh;
+        visited := !visited + popcount fresh;
+        if not dirty.(v) then begin
+          dirty.(v) <- true;
+          incr dirty_count
+        end
+      end
+    done;
+    if !visited > budget then begin
+      visited := budget + 1;
+      exhausted := true
     end
   in
-  push (Vivu.entry vivu) (P.cset_empty ~assoc);
-  let steps = ref 0 in
-  let transfer_steps = ref 0 in
-  while (not !exhausted) && not (Queue.is_empty work) do
-    incr steps;
-    if !steps land 255 = 0 then Deadline.check deadline;
-    let node, cs = Queue.pop work in
-    let block_events = events.((Vivu.node vivu node).Vivu.block) in
-    transfer_steps := !transfer_steps + Array.length block_events;
-    let out = transfer (module P) ~assoc block_events cs in
-    List.iter (fun succ -> push succ out) (Vivu.dag_succ vivu node);
-    List.iter (fun succ -> push succ out) (Vivu.iter_succ vivu node)
+  (* the cold state is id 0 *)
+  ignore (intern (P.cset_empty ~assoc));
+  !delta.(0) <- 1;
+  merge (Vivu.entry vivu);
+  !delta.(0) <- 0;
+  let expand v =
+    dirty.(v) <- false;
+    decr dirty_count;
+    let block = (Vivu.node vivu v).Vivu.block in
+    let p = !pending and base = v * !width in
+    if Array.length events.(block) = 0 then
+      (* no event on this set: the identity *)
+      for w = 0 to !width - 1 do
+        !delta.(w) <- p.(base + w);
+        p.(base + w) <- 0
+      done
+    else
+      for w = 0 to !width - 1 do
+        let x = ref p.(base + w) and id = ref (w * word) in
+        p.(base + w) <- 0;
+        while !x <> 0 do
+          if !x land 1 <> 0 then begin
+            let o = out block !id in
+            !delta.(o / word) <- !delta.(o / word) lor (1 lsl (o mod word))
+          end;
+          x := !x lsr 1;
+          incr id
+        done
+      done;
+    while Hashtbl.length ids > !width * word do
+      widen ()
+    done;
+    List.iter merge (Vivu.dag_succ vivu v);
+    List.iter merge (Vivu.iter_succ vivu v);
+    Array.fill !delta 0 !width 0
+  in
+  let topo = Vivu.topo vivu in
+  let expansions = ref 0 in
+  while !dirty_count > 0 && not !exhausted do
+    Array.iter
+      (fun v ->
+        if dirty.(v) && not !exhausted then begin
+          incr expansions;
+          if !expansions land 255 = 0 then Deadline.check deadline;
+          expand v
+        end)
+      topo
   done;
-  (* FIFO worklist + insertion-order state lists keep the result (and
-     the budget cutoff point) fully deterministic *)
-  Array.iteri (fun i l -> per_node.(i) <- List.rev l) per_node;
-  { per_node; visited = !visited; exhausted = !exhausted; steps = !transfer_steps }
+  {
+    visited = !visited;
+    exhausted = !exhausted;
+    steps = !steps;
+    states = Array.sub !states 0 (Hashtbl.length ids);
+    width = !width;
+    reached = !reached;
+  }
+
+let visited r = r.visited
+let exhausted r = r.exhausted
+let steps r = r.steps
+
+let in_states r v =
+  let acc = ref [] in
+  for w = (v * r.width) + r.width - 1 downto v * r.width do
+    for b = word - 1 downto 0 do
+      if r.reached.(w) land (1 lsl b) <> 0 then
+        acc := r.states.(((w - (v * r.width)) * word) + b) :: !acc
+    done
+  done;
+  !acc

@@ -10,15 +10,9 @@ type event =
       (** demand access of slot [pos] to memory block [mb] *)
   | Fill of int  (** prefetch fill of a memory block *)
 
-type r = {
-  per_node : Ucp_policy.cset list array;
-      (** reachable in-states per expanded node, in discovery order *)
-  visited : int;  (** total (node, state) product pairs discovered *)
-  exhausted : bool;
-      (** the state budget cut the sweep short — [per_node] is partial
-          and must not be used for verdicts *)
-  steps : int;  (** events the sweep's transfers stepped through *)
-}
+type r
+(** One set's exploration: the reachable (expanded node, set state)
+    pairs, each state interned once. *)
 
 val default_budget : int
 (** Default per-set cap on product pairs (32768). *)
@@ -51,9 +45,28 @@ val reachable :
   events:event array array ->
   Ucp_cfg.Vivu.t ->
   r
-(** Breadth-first product sweep of one set, whose per-block [events]
-    {!events} built, from a cold entry along DAG and iteration edges —
-    exactly the walk set the abstract fixpoint over-approximates.
-    Deterministic, including where the [budget] cuts it short.
+(** Product sweep of one set, whose per-block [events] {!events}
+    built, from a cold entry along DAG and iteration edges — exactly
+    the walk set the abstract fixpoint over-approximates.  Set at a
+    time: each distinct state is interned once, each block's transfer
+    is memoized per (block, state), and every node carries the bitset
+    of states reaching it, propagated in topological sweeps.  The
+    reachable pairs, hence {!visited} and where the [budget] cuts the
+    sweep short, do not depend on the order they are found in.
     @raise Ucp_util.Deadline.Deadline_exceeded if [?deadline] passes
-    (checked every 256 expansions). *)
+    (checked every 256 node expansions). *)
+
+val visited : r -> int
+(** Distinct (node, state) pairs reached; [budget + 1] when the
+    budget ran out. *)
+
+val exhausted : r -> bool
+(** The state budget cut the sweep short: {!in_states} is partial and
+    must not be used for verdicts. *)
+
+val steps : r -> int
+(** Events stepped by the transfers the sweep ran (memo misses). *)
+
+val in_states : r -> int -> Ucp_policy.cset list
+(** Reachable in-states of an expanded node, in interning order; [[]]
+    if no walk reaches it. *)

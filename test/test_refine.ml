@@ -10,11 +10,14 @@
    sound), the checkpoint-fingerprint refine axis (journals swept under
    different modes never mix), the lossless record round-trip of the
    refine summary, the corrupt-refine fault being caught by the audit's
-   digest recomputation, and QCheck properties for the concrete
-   competitiveness inequalities behind {!Ucp_refine.Quantitative}. *)
+   digest recomputation, the set-at-a-time product sweep against the
+   pairwise breadth-first search it replaced, and QCheck properties for
+   the concrete competitiveness inequalities behind
+   {!Ucp_refine.Quantitative}. *)
 
 module Mode = Ucp_refine.Mode
 module Explore = Ucp_refine.Explore
+module Product = Ucp_refine.Product
 module Quantitative = Ucp_refine.Quantitative
 module Policy = Ucp_policy
 module Config = Ucp_cache.Config
@@ -25,6 +28,7 @@ module Classification = Ucp_wcet.Classification
 module Simulator = Ucp_sim.Simulator
 module Vivu = Ucp_cfg.Vivu
 module Program = Ucp_isa.Program
+module Layout = Ucp_isa.Layout
 module Suite = Ucp_workloads.Suite
 module Tech = Ucp_energy.Tech
 module Pipeline = Ucp_core.Pipeline
@@ -331,8 +335,10 @@ let test_corrupt_refine_caught () =
    prefetch fills go through the product, at three configurations
    (256 B direct-mapped, 8 KiB 2- and 4-way), under the three policies
    and both refining modes.  A starved run pins where the budget cuts
-   the exploration off.  Any change to how the product walks a block
-   must leave all of it byte-identical. *)
+   the exploration off, and nsichneu and statemate, the two programs
+   of 2000 slots or more, are pinned at the two 8 KiB associative
+   configurations under every policy.  Any change to how the product
+   walks a block must leave all of it byte-identical. *)
 
 let pin_programs =
   List.filter_map
@@ -353,6 +359,12 @@ let pin_cases () =
         (fun c -> [ (p, c); (Ucp_prefetch.Baselines.bb_start p c (pin_model c), c) ])
         pin_configs)
     pin_programs
+
+let large_pin_cases =
+  List.concat_map
+    (fun name ->
+      List.map (fun k -> (Suite.find name, paper_config k)) [ "k35"; "k36" ])
+    [ "nsichneu"; "statemate" ]
 
 let digest_refined buf = function
   | None -> Buffer.add_string buf "none\n"
@@ -388,6 +400,16 @@ let test_exploration_output_pinned () =
              digest_refined buf (Explore.run ~budget:40 ~mode:Mode.Nc w))
            cases;
          ("fifo budget 40", Digest.to_hex (Digest.string (Buffer.contents buf))));
+        (let buf = Buffer.create 4096 in
+         List.iter
+           (fun policy ->
+             List.iter
+               (fun (p, c) ->
+                 let w = Wcet.compute ~with_may:true ~policy p c (pin_model c) in
+                 digest_refined buf (Explore.run ~mode:Mode.Nc w))
+               large_pin_cases)
+           Policy.all;
+         ("nsichneu+statemate nc", Digest.to_hex (Digest.string (Buffer.contents buf))));
       ]
   in
   let expected =
@@ -396,9 +418,100 @@ let test_exploration_output_pinned () =
       ("fifo", "46afcb29d387e5072298b9b3764072f3");
       ("plru", "c4ec05313ca761d73e442365f7ce3e88");
       ("fifo budget 40", "720c5b23071ba552eb314c91515626de");
+      ("nsichneu+statemate nc", "8ff1e6e9f4ff46e7813be8e12a074a68");
     ]
   in
   Alcotest.(check (list (pair string string))) "digests" expected runs
+
+(* ------------------------------------------------------------------ *)
+(* set-at-a-time exploration vs the pairwise breadth-first search *)
+
+(* The search [Product.reachable] replaced, kept as its reference: one
+   hashed (node, state) pair at a time, each pair's block transfer run
+   afresh, in FIFO order.  Returns each node's in-states, the pairs
+   visited (budget + 1 where the budget ran out) and whether it did. *)
+let pairwise_reachable ~budget ~policy ~assoc ~events vivu =
+  let (module P : Policy.POLICY) = Policy.find policy in
+  let per_node = Array.make (Vivu.node_count vivu) [] in
+  let seen = Hashtbl.create 256 in
+  let work = Queue.create () in
+  let visited = ref 0 and exhausted = ref false in
+  let push node cs =
+    if (not !exhausted) && not (Hashtbl.mem seen (node, cs)) then begin
+      Hashtbl.add seen (node, cs) ();
+      per_node.(node) <- cs :: per_node.(node);
+      incr visited;
+      if !visited > budget then exhausted := true else Queue.add (node, cs) work
+    end
+  in
+  push (Vivu.entry vivu) (P.cset_empty ~assoc);
+  while (not !exhausted) && not (Queue.is_empty work) do
+    let node, cs = Queue.pop work in
+    let out =
+      Product.transfer (module P) ~assoc events.((Vivu.node vivu node).Vivu.block) cs
+    in
+    List.iter (fun s -> push s out) (Vivu.dag_succ vivu node);
+    List.iter (fun s -> push s out) (Vivu.iter_succ vivu node)
+  done;
+  (per_node, !visited, !exhausted)
+
+(* Every cache set of the two large programs at 256 B 4-way (where one
+   statemate set reaches hundreds of distinct states, so bitsets span
+   several words and widen) and 8 KiB 2-way, under every policy, at
+   budgets that cut the search at once, early, and not at all: the same
+   visited count and verdict, and, when the budget holds, the same
+   in-states at every node. *)
+let test_reachable_matches_pairwise () =
+  let widest = ref 0 in
+  List.iter
+    (fun name ->
+      let program = Suite.find name in
+      let vivu = Vivu.expand program in
+      List.iter
+        (fun k ->
+          let config = paper_config k in
+          let assoc = config.Config.assoc in
+          let layout = Layout.make program ~block_bytes:config.Config.block_bytes in
+          let sets =
+            List.sort_uniq compare
+              (List.map (Config.set_of_mem_block config) (Layout.mem_block_ids layout))
+          in
+          List.iter
+            (fun (set, events) ->
+              List.iter
+                (fun policy ->
+                  List.iter
+                    (fun budget ->
+                      let case =
+                        Printf.sprintf "%s %s set %d %s budget %d" name k set
+                          (Policy.to_string policy) budget
+                      in
+                      let r = Product.reachable ~budget ~policy ~assoc ~events vivu in
+                      let per_node, visited, exhausted =
+                        pairwise_reachable ~budget ~policy ~assoc ~events vivu
+                      in
+                      Alcotest.(check int) (case ^ ": visited") visited (Product.visited r);
+                      Alcotest.(check bool)
+                        (case ^ ": exhausted") exhausted (Product.exhausted r);
+                      if not exhausted then begin
+                        let distinct = Hashtbl.create 64 in
+                        Array.iteri
+                          (fun node expected ->
+                            let got = Product.in_states r node in
+                            List.iter (fun cs -> Hashtbl.replace distinct cs ()) got;
+                            if List.sort compare got <> List.sort compare expected then
+                              Alcotest.failf "%s: in-states of node %d differ" case node)
+                          per_node;
+                        widest := max !widest (Hashtbl.length distinct)
+                      end)
+                    [ 1; 2; 40; Product.default_budget ])
+                Policy.all)
+            (Product.events layout config sets))
+        [ "k3"; "k35" ])
+    [ "nsichneu"; "statemate" ];
+  Alcotest.(check bool)
+    (Printf.sprintf "some explored set spans several bitset words (%d states)" !widest)
+    true (!widest > Sys.int_size)
 
 (* ------------------------------------------------------------------ *)
 (* quantitative bounds *)
@@ -504,6 +617,11 @@ let () =
         [
           Alcotest.test_case "exploration output pinned" `Quick
             test_exploration_output_pinned;
+        ] );
+      ( "product",
+        [
+          Alcotest.test_case "set-at-a-time sweep matches the pairwise search"
+            `Quick test_reachable_matches_pairwise;
         ] );
       ( "persistence",
         [
