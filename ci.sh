@@ -108,6 +108,46 @@ do
 done
 echo "ci: certification audit smoke passed"
 
+# FIFO/PLRU optimizer audit smoke: the certification smoke above audits
+# LRU only.  At 256 B the optimizer inserts prefetches into all four
+# programs below under FIFO and PLRU (4 programs x 2 configs x 1 tech x
+# 2 policies = 16 use cases): every case, its optimizer trail
+# included, must be certified, and both a FIFO and a PLRU record must
+# carry prefetches.
+policy_dir=$(mktemp -d)
+trap 'rm -f "$smoke_err"; rm -rf "$policy_dir"' EXIT
+status=0
+dune exec --no-build bin/ucp.exe -- experiment \
+  --programs fft1,janne_complex,ludcmp,qurt --configs k5,k6 --techs 45nm \
+  --policies fifo,plru --audit full --jobs 2 \
+  --sweep-out "$policy_dir/sweep.jsonl" \
+  >/dev/null 2>"$smoke_err" || status=$?
+
+if [ "$status" -ne 0 ]; then
+  echo "ci: fifo/plru audit smoke: expected exit status 0 (clean audited sweep), got $status" >&2
+  cat "$smoke_err" >&2
+  exit 1
+fi
+for pat in \
+  'cases: 16 ok, 0 failed, 0 timed out, 0 invariant violations' \
+  'audited: 16 cases certified (112 checks'
+do
+  if ! grep -q "$pat" "$smoke_err"; then
+    echo "ci: fifo/plru audit smoke: expected output matching '$pat'" >&2
+    cat "$smoke_err" >&2
+    exit 1
+  fi
+done
+for policy in fifo plru; do
+  if ! grep "\"policy\":\"$policy\"" "$policy_dir/sweep.jsonl" \
+    | grep -q '"prefetches":[1-9]'; then
+    echo "ci: fifo/plru audit smoke: no $policy record carries a prefetch" >&2
+    exit 1
+  fi
+done
+rm -rf "$policy_dir"
+echo "ci: FIFO/PLRU optimizer audit smoke passed"
+
 # Negative certification smoke: corrupt one case's certified claim and
 # require the audit to catch it -- the case must be demoted to an
 # invariant violation naming the failed obligation, and the sweep must

@@ -60,19 +60,22 @@ let analyze p =
         (h, mk_body h latches, edges))
       headers
   in
-  (* Bounds: headers must carry one; other blocks must not. *)
-  for b = 0 to n - 1 do
-    let is_header = List.exists (fun (h, _, _) -> h = b) proto in
-    match ((Program.block p b).Program.loop_bound, is_header) with
-    | None, true ->
-      invalid_arg
-        (Printf.sprintf "Loops: header %d of %s lacks a loop bound" b (Program.name p))
-    | Some _, false ->
-      invalid_arg
-        (Printf.sprintf "Loops: non-header block %d of %s carries a loop bound" b
-           (Program.name p))
-    | Some _, true | None, false -> ()
-  done;
+  (* Bounds: headers must carry one; other blocks must not.  [bounds]
+     holds each header's (0 elsewhere). *)
+  let bounds =
+    Array.init n (fun b ->
+        let is_header = Hashtbl.mem back_edges b in
+        match ((Program.block p b).Program.loop_bound, is_header) with
+        | None, true ->
+          invalid_arg
+            (Printf.sprintf "Loops: header %d of %s lacks a loop bound" b (Program.name p))
+        | Some _, false ->
+          invalid_arg
+            (Printf.sprintf "Loops: non-header block %d of %s carries a loop bound" b
+               (Program.name p))
+        | Some bound, true -> bound
+        | None, false -> 0)
+  in
   let size body = Array.fold_left (fun acc x -> if x then acc + 1 else acc) 0 body in
   (* Parent = smallest strictly-enclosing loop. *)
   let arr = Array.of_list proto in
@@ -99,11 +102,6 @@ let analyze p =
   let loops =
     Array.init count (fun i ->
         let header, body, back_edges = arr.(i) in
-        let bound =
-          match (Program.block p header).Program.loop_bound with
-          | Some bound -> bound
-          | None -> assert false
-        in
         {
           index = i;
           header;
@@ -111,7 +109,7 @@ let analyze p =
           back_edges;
           parent = parents.(i);
           depth = depth_of i;
-          bound;
+          bound = bounds.(header);
         })
   in
   (* Sort outermost-first and remap indices. *)

@@ -168,6 +168,15 @@ let expand program =
     by_block;
   }
 
+(* [expand] and [Loops.analyze] read a program's block count, entry,
+   terminators and loop bounds, nothing else. *)
+let rebind t program =
+  if not (Program.same_control_flow t.program program) then
+    invalid_arg
+      (Printf.sprintf "Vivu.rebind: %s does not have the control flow of %s"
+         (Program.name program) (Program.name t.program));
+  { t with program }
+
 let program t = t.program
 let forest t = t.forest
 let node_count t = Array.length t.nodes

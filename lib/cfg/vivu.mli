@@ -15,7 +15,12 @@
 
     A node's {!mult} is its maximum execution count per program run
     ([First] contributes 1, [Rest] contributes [bound - 1],
-    multiplicatively over the context chain). *)
+    multiplicatively over the context chain).
+
+    The expansion depends on the control flow alone — block count,
+    entry, terminators and loop bounds — never on block bodies, so
+    programs that differ only in their bodies share one expansion
+    ({!rebind}). *)
 
 type mark = First | Rest
 
@@ -27,6 +32,13 @@ type t
 val expand : Ucp_isa.Program.t -> t
 (** Analyze loops and expand.  @raise Invalid_argument on irreducible
     CFGs or missing loop bounds (see {!Loops.analyze}). *)
+
+val rebind : t -> Ucp_isa.Program.t -> t
+(** [rebind t p] is [expand p] for a [p] with the control flow of
+    [program t] ({!Ucp_isa.Program.same_control_flow}), such as [program
+    t] with prefetches inserted: it shares [t]'s graph instead of
+    expanding again.
+    @raise Invalid_argument if [p]'s control flow differs. *)
 
 val program : t -> Ucp_isa.Program.t
 val forest : t -> Loops.forest

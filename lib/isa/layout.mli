@@ -26,13 +26,14 @@ val make : Program.t -> block_bytes:int -> t
 (** Compute the layout of a program for a given memory-block size,
     together with its slot table: the memory block and the prefetch
     target of every slot ({!slot_mem_blocks}, {!prefetch_targets}).
+    Every analysis and simulation makes one, so it builds no hash
+    table: slot memory blocks are arithmetic on the slot's position,
+    and prefetch targets resolve through an array indexed by uid.
     @raise Invalid_argument if [block_bytes] is not a positive multiple
     of {!Instr.bytes}. *)
 
 val program : t -> Program.t
 val block_bytes : t -> int
-val items_per_block : t -> int
-(** Instructions per memory block ([block_bytes / 4]). *)
 
 val addr : t -> block:int -> pos:int -> int
 (** Byte address of an instruction slot.
@@ -40,9 +41,6 @@ val addr : t -> block:int -> pos:int -> int
 
 val mem_block : t -> block:int -> pos:int -> int
 (** [S(r)]: id of the memory block holding the slot. *)
-
-val mem_block_of_addr : t -> int -> int
-(** Memory block id of a byte address. *)
 
 val addr_of_uid : t -> int -> int option
 (** Address of the instruction with the given uid, if present (a scan
@@ -61,15 +59,11 @@ val prefetch_targets : t -> int -> target array
     memory block of the slot holding its target uid, resolved once by
     {!make}.  The array is shared: do not mutate it. *)
 
-val first_slot_of_mem_block : t -> int -> (int * int) option
-(** [R(s)]: the [(block, pos)] of the lowest-addressed instruction
-    stored in memory block [s], or [None] if [s] holds no code. *)
-
-val slots_of_mem_block : t -> int -> (int * int) list
-(** All instruction slots residing in a memory block, in address order. *)
-
 val mem_block_ids : t -> int list
-(** All memory blocks containing at least one instruction, ascending. *)
+(** All memory blocks containing at least one instruction, ascending.
+    The code fills the addresses just below {!end_addr}, so these form
+    one contiguous range. *)
 
 val code_mem_blocks : t -> int
-(** Number of distinct memory blocks occupied by the program. *)
+(** Number of distinct memory blocks occupied by the program (the
+    length of {!mem_block_ids}). *)

@@ -69,13 +69,15 @@ let term_uid t id =
 let slot_instr t ~block:id ~pos =
   let b = block t id in
   let n = Array.length b.body in
+  let no_slot () =
+    invalid_arg (Printf.sprintf "Program.slot_instr: block %d has no slot %d" id pos)
+  in
   if pos >= 0 && pos < n then b.body.(pos)
-  else if pos = n && term_slots b.term = 1 then
+  else if pos = n then
     match b.term with
     | Jump { uid; _ } | Cond { uid; _ } | Return { uid } -> Instr.compute ~uid
-    | Fallthrough _ -> assert false
-  else
-    invalid_arg (Printf.sprintf "Program.slot_instr: block %d has no slot %d" id pos)
+    | Fallthrough _ -> no_slot ()
+  else no_slot ()
 
 let validate ~name ~entry blocks =
   let n = Array.length blocks in
@@ -127,6 +129,8 @@ let make ~name ~entry specs =
   let blocks = Array.map build_block specs in
   validate ~name ~entry blocks;
   { name; entry; blocks; next_uid = !next_uid }
+
+let uid_bound t = t.next_uid
 
 let find_uid t uid =
   let found = ref None in
@@ -197,15 +201,19 @@ let same_term a b =
   | Return _, Return _ -> true
   | (Fallthrough _ | Jump _ | Cond _ | Return _), _ -> false
 
-let prefetch_equivalent a b =
+let same_control_flow a b =
   a.entry = b.entry
   && Array.length a.blocks = Array.length b.blocks
   && Array.for_all2
+       (fun ba bb -> same_term ba.term bb.term && ba.loop_bound = bb.loop_bound)
+       a.blocks b.blocks
+
+let prefetch_equivalent a b =
+  same_control_flow a b
+  && Array.for_all2
        (fun ba bb ->
-         same_term ba.term bb.term
-         && ba.loop_bound = bb.loop_bound
-         && Array.length (strip_prefetches_body ba.body)
-            = Array.length (strip_prefetches_body bb.body))
+         Array.length (strip_prefetches_body ba.body)
+         = Array.length (strip_prefetches_body bb.body))
        a.blocks b.blocks
 
 let iter_slots t f =

@@ -90,8 +90,17 @@ val remove_uid : t -> int -> t
 val find_uid : t -> int -> (int * int) option
 (** [find_uid p uid] locates an instruction as [(block, pos)]. *)
 
+val uid_bound : t -> int
+(** Every instruction uid of the program is below this bound (uids are
+    never reused, so a removed instruction's uid stays below it too). *)
+
 val prefetch_count : t -> int
 (** Number of prefetch instructions in the program. *)
+
+val same_control_flow : t -> t -> bool
+(** Same entry, block count, terminators (kind, targets and branch
+    model; uids aside) and loop bounds: the two programs differ at most
+    in their block bodies. *)
 
 val prefetch_equivalent : t -> t -> bool
 (** Definition 5: indistinguishable except for prefetch instructions

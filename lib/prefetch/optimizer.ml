@@ -1,6 +1,8 @@
 module Program = Ucp_isa.Program
 module Instr = Ucp_isa.Instr
+module Layout = Ucp_isa.Layout
 module Vivu = Ucp_cfg.Vivu
+module Dominators = Ucp_cfg.Dominators
 module Abstract = Ucp_cache.Abstract
 module Analysis = Ucp_wcet.Analysis
 module Wcet = Ucp_wcet.Wcet
@@ -50,121 +52,91 @@ type candidate = {
   cand_cost : int;
 }
 
-(* Flatten the WCET path into per-reference arrays: the ACFG view the
-   reverse sweep operates on. *)
+(* The WCET path flattened into per-reference arrays — the ACFG view the
+   reverse sweep operates on — filled one path node at a time from the
+   layout's slot table. *)
 type path_view = {
   len : int;
   node : int array;
   pos : int array;
   mem_block : int array;
-  uid : int array;
   is_pf : bool array;
   pf_target : int array;  (* target mem block of prefetch slots, else -1 *)
-  cycles : int array;  (* per-execution WCET time of the reference *)
-  cum : int array;  (* cum.(k) = sum of cycles.(0..k-1) *)
-  wcet_miss : bool array;
-  n_w : int array;  (* per reference: executions in the WCET scenario *)
+  cum : int array;  (* cum.(k): per-execution WCET time of references 0..k-1 *)
 }
 
 let view_of_path (w : Wcet.t) =
   let analysis = w.Wcet.analysis in
   let vivu = Analysis.vivu analysis in
-  let program = Vivu.program vivu in
-  let refs = Wcet.path_refs w in
-  let len = Array.length refs in
+  let layout = Analysis.layout analysis in
+  let len =
+    Array.fold_left (fun acc nid -> acc + Array.length w.Wcet.slot_cycles.(nid)) 0 w.Wcet.path
+  in
   let node = Array.make len 0
   and pos = Array.make len 0
   and mem_block = Array.make len 0
-  and uid = Array.make len 0
   and is_pf = Array.make len false
   and pf_target = Array.make len (-1)
-  and cycles = Array.make len 0
-  and wcet_miss = Array.make len false
-  and n_w = Array.make len 0 in
-  Array.iteri
-    (fun i (nid, p) ->
-      node.(i) <- nid;
-      pos.(i) <- p;
-      let nd = Vivu.node vivu nid in
-      mem_block.(i) <- Analysis.slot_mem_block analysis ~node:nid ~pos:p;
-      let instr = Program.slot_instr program ~block:nd.Vivu.block ~pos:p in
-      uid.(i) <- instr.Instr.uid;
-      (match Analysis.prefetch_target_block analysis ~node:nid ~pos:p with
-      | Some tb ->
-        is_pf.(i) <- true;
-        pf_target.(i) <- tb
-      | None -> ());
-      cycles.(i) <- w.Wcet.slot_cycles.(nid).(p);
-      wcet_miss.(i) <-
-        Classification.is_wcet_miss (Analysis.classif analysis ~node:nid ~pos:p);
-      n_w.(i) <- w.Wcet.n_w.(nid))
-    refs;
-  let cum = Array.make (len + 1) 0 in
-  for i = 0 to len - 1 do
-    cum.(i + 1) <- cum.(i) + cycles.(i)
-  done;
-  { len; node; pos; mem_block; uid; is_pf; pf_target; cycles; cum; wcet_miss; n_w }
-
-(* Occurrence index: memory block -> sorted array of path positions. *)
-let occurrences view =
-  let tbl = Hashtbl.create 64 in
-  for i = view.len - 1 downto 0 do
-    let prev = try Hashtbl.find tbl view.mem_block.(i) with Not_found -> [] in
-    Hashtbl.replace tbl view.mem_block.(i) (i :: prev)
-  done;
-  Hashtbl.fold (fun mb lst acc -> (mb, Array.of_list lst) :: acc) tbl []
-  |> List.to_seq
-  |> Hashtbl.of_seq
-
-let next_occurrence occs mb ~after =
-  match Hashtbl.find_opt occs mb with
-  | None -> None
-  | Some arr ->
-    (* first element strictly greater than [after] *)
-    let lo = ref 0 and hi = ref (Array.length arr) in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if arr.(mid) <= after then lo := mid + 1 else hi := mid
-    done;
-    if !lo < Array.length arr then Some arr.(!lo) else None
+  and cum = Array.make (len + 1) 0 in
+  let k = ref 0 in
+  Array.iter
+    (fun nid ->
+      let block = (Vivu.node vivu nid).Vivu.block in
+      let targets = Layout.prefetch_targets layout block in
+      Array.iteri
+        (fun p mb ->
+          node.(!k) <- nid;
+          pos.(!k) <- p;
+          mem_block.(!k) <- mb;
+          (* [Analysis.run] rejects dangling targets *)
+          (match targets.(p) with
+          | Layout.Target tb ->
+            is_pf.(!k) <- true;
+            pf_target.(!k) <- tb
+          | Layout.No_target | Layout.Dangling _ -> ());
+          cum.(!k + 1) <- cum.(!k) + w.Wcet.slot_cycles.(nid).(p);
+          incr k)
+        (Layout.slot_mem_blocks layout block))
+    w.Wcet.path;
+  { len; node; pos; mem_block; is_pf; pf_target; cum }
 
 (* Sum over on-path instances of a concrete block of their WCET counts:
    the execution count a prefetch materialized in that block gets. *)
 let path_count_per_block (w : Wcet.t) =
   let vivu = Analysis.vivu w.Wcet.analysis in
-  let tbl = Hashtbl.create 32 in
+  let counts = Array.make (Program.block_count (Vivu.program vivu)) 0 in
   Array.iter
     (fun nid ->
       let b = (Vivu.node vivu nid).Vivu.block in
-      let prev = try Hashtbl.find tbl b with Not_found -> 0 in
-      Hashtbl.replace tbl b (prev + Vivu.mult vivu nid))
+      counts.(b) <- counts.(b) + Vivu.mult vivu nid)
     w.Wcet.path;
-  fun block -> try Hashtbl.find tbl block with Not_found -> 0
+  counts
 
 type placement = At_eviction | Latest_effective
 
-let discover ?(placement = At_eviction) (w : Wcet.t) =
+(* [dom]: the dominators of the program's CFG, which no insertion
+   changes. *)
+let discover_with ~placement ~dom (w : Wcet.t) =
   let analysis = w.Wcet.analysis in
   let vivu = Analysis.vivu analysis in
   let program = Vivu.program vivu in
   let config = Analysis.config analysis in
   let lambda = w.Wcet.model.Cacti.prefetch_latency in
   let view = view_of_path w in
-  let occs = occurrences view in
   let count_of_block = path_count_per_block w in
-  let dom = Ucp_cfg.Dominators.compute program in
   (* Chain-walk must states along the path (the J_SE join of Algorithm 2
      reduces confluences to the WCET-path predecessor, so the walk is a
      chain); Property 3 exposes each reference's replacement victims. *)
   let victims = Array.make view.len [] in
   let policy = Analysis.policy analysis in
-  let st = ref (Abstract.empty ~policy config Abstract.Must) in
+  (* the walk's own state, updated in place *)
+  let st = Abstract.empty ~policy config Abstract.Must in
   (* Classification hints for the chain-walked updates: the chain must
      state itself proves hits; otherwise fall back on the fixpoint
      analysis' per-slot classification.  LRU ignores hints (the walk is
      bit-identical to the seed); FIFO needs them to age soundly. *)
   let demand_hint i =
-    if Abstract.contains !st view.mem_block.(i) then Ucp_policy.Hit
+    if Abstract.contains st view.mem_block.(i) then Ucp_policy.Hit
     else
       match Analysis.classif analysis ~node:view.node.(i) ~pos:view.pos.(i) with
       | Classification.Always_hit -> Ucp_policy.Hit
@@ -172,22 +144,40 @@ let discover ?(placement = At_eviction) (w : Wcet.t) =
       | Classification.Not_classified -> Ucp_policy.Unknown
   in
   let fill_hint tb =
-    if Abstract.contains !st tb then Ucp_policy.Hit else Ucp_policy.Unknown
+    if Abstract.contains st tb then Ucp_policy.Hit else Ucp_policy.Unknown
   in
   for i = 0 to view.len - 1 do
     let hint = demand_hint i in
-    let demand_victims = Abstract.victims ~hint !st view.mem_block.(i) in
-    st := Abstract.update ~hint !st view.mem_block.(i);
+    let demand_victims = Abstract.victims ~hint st view.mem_block.(i) in
+    Abstract.update_ip ~hint st view.mem_block.(i);
     let fill_victims =
       if view.is_pf.(i) then begin
         let hint = fill_hint view.pf_target.(i) in
-        let v = Abstract.victims ~hint !st view.pf_target.(i) in
-        st := Abstract.fill ~hint !st view.pf_target.(i);
+        let v = Abstract.victims ~hint st view.pf_target.(i) in
+        Abstract.fill_ip ~hint st view.pf_target.(i);
         v
       end
       else []
     in
     victims.(i) <- demand_victims @ fill_victims
+  done;
+  (* Pair each victim with its next access on the path, in one backward
+     pass: [next.(mb - lo)] is the first position after [i] accessing
+     [mb], or -1.  Every victim was accessed or filled on the path, so
+     it is a code block, but it need not be accessed again. *)
+  let lo = Array.fold_left min max_int view.mem_block
+  and hi = Array.fold_left max min_int view.mem_block in
+  let next = Array.make (max 0 (hi - lo + 1)) (-1) in
+  let uses = Array.make view.len [] in
+  for i = view.len - 1 downto 0 do
+    uses.(i) <-
+      List.filter_map
+        (fun s' ->
+          let b = s' - lo in
+          if b >= 0 && b < Array.length next && next.(b) >= 0 then Some (s', next.(b))
+          else None)
+        victims.(i);
+    next.(view.mem_block.(i) - lo) <- i
   done;
   (* Insertion-point selection for a victim s' replaced at [i] and next
      missing at [j].  Any point between them satisfies the paper's
@@ -212,12 +202,16 @@ let discover ?(placement = At_eviction) (w : Wcet.t) =
     if view.cum.(j) - view.cum.(k_max) < lambda then None
     else begin
       let block_j = (Vivu.node vivu view.node.(j)).Vivu.block in
-      let conflicts = Hashtbl.create 8 in
-      let conflict_count = ref 0 in
+      (* the distinct blocks of the victim's set in the window, up to
+         [assoc] of them: every decision below only asks whether the
+         count reached [assoc] *)
+      let conflicts = ref [] and conflict_count = ref 0 in
       let note mb =
-        if mb <> victim && set_of mb = victim_set && not (Hashtbl.mem conflicts mb)
+        if
+          !conflict_count < assoc && mb <> victim && set_of mb = victim_set
+          && not (List.exists (Int.equal mb) !conflicts)
         then begin
-          Hashtbl.replace conflicts mb ();
+          conflicts := mb :: !conflicts;
           incr conflict_count
         end
       in
@@ -238,7 +232,7 @@ let discover ?(placement = At_eviction) (w : Wcet.t) =
         if k < i + 1 || !conflict_count >= assoc || j - k >= 2 * lambda then best
         else begin
           let best =
-            if Ucp_cfg.Dominators.dominates dom (block_of k) block_j then Some k
+            if Dominators.dominates dom (block_of k) block_j then Some k
             else best
           in
           if k = i + 1 then best
@@ -259,9 +253,9 @@ let discover ?(placement = At_eviction) (w : Wcet.t) =
            point that still hides Λ. *)
         let block_i1 = (Vivu.node vivu view.node.(i + 1)).Vivu.block in
         let at_eviction_ok =
-          Ucp_cfg.Dominators.dominates dom block_i1 block_j
+          Dominators.dominates dom block_i1 block_j
           &&
-          (let saved = Hashtbl.copy conflicts and saved_count = !conflict_count in
+          (let saved = !conflicts and saved_count = !conflict_count in
            let rec widen k =
              if k >= i + 1 then begin
                note view.mem_block.(k);
@@ -273,8 +267,7 @@ let discover ?(placement = At_eviction) (w : Wcet.t) =
            let ok = !conflict_count < assoc in
            if not ok then begin
              (* restore the [k_max, j) window for the fallback scan *)
-             Hashtbl.reset conflicts;
-             Hashtbl.iter (fun k v -> Hashtbl.replace conflicts k v) saved;
+             conflicts := saved;
              conflict_count := saved_count
            end;
            ok)
@@ -286,51 +279,61 @@ let discover ?(placement = At_eviction) (w : Wcet.t) =
         | None -> if !conflict_count < assoc then Some k_max else None)
     end
   in
+  let uid_at k =
+    (Program.slot_instr program ~block:(Vivu.node vivu view.node.(k)).Vivu.block
+       ~pos:view.pos.(k)).Instr.uid
+  in
   let candidates = ref [] in
-  let seen_use = Hashtbl.create 32 in
+  (* uses already paired with their victim: a use's position names the
+     pair, as the victim is the block it accesses *)
+  let seen_use = Array.make view.len false in
   (* Reverse sweep: in the accumulating list, earlier path positions end
      up later, so the final list is ordered latest-first. *)
   for i = 0 to view.len - 2 do
     List.iter
-      (fun s' ->
-        match next_occurrence occs s' ~after:i with
-        | None -> ()
-        | Some j ->
-          if
-            view.wcet_miss.(j) && view.n_w.(j) > 0
-            && (not view.is_pf.(j)) (* Equation 9: never prefetch for a prefetch *)
-            && not (Hashtbl.mem seen_use (s', j))
-          then begin
-            Hashtbl.replace seen_use (s', j) ();
-            match pick_insertion ~i ~j ~victim:s' with
-            | None -> ()
-            | Some k ->
-              let insert_node = view.node.(k) in
-              let insert_block = (Vivu.node vivu insert_node).Vivu.block in
-              let n_w_pf = count_of_block insert_block in
-              (* mcost - pcost, Equations 6-7: suppressing the miss saves
-                 the penalty on every WCET execution of r_j; the prefetch
-                 instruction costs one issue cycle per execution of its
-                 host block. *)
-              let gain = (lambda * view.n_w.(j)) - n_w_pf in
-              if gain > 0 then
-                candidates :=
-                  {
-                    cand_insert_node = insert_node;
-                    cand_insert_block = insert_block;
-                    cand_insert_pos = view.pos.(k);
-                    cand_before_uid = view.uid.(k);
-                    cand_target_uid = view.uid.(j);
-                    cand_target_block = s';
-                    cand_use_position = j;
-                    cand_gain = gain;
-                    cand_cost = n_w_pf;
-                  }
-                  :: !candidates
-          end)
-      victims.(i)
+      (fun (s', j) ->
+        let n_w_j = w.Wcet.n_w.(view.node.(j)) in
+        if
+          Classification.is_wcet_miss
+            (Analysis.classif analysis ~node:view.node.(j) ~pos:view.pos.(j))
+          && n_w_j > 0
+          && (not view.is_pf.(j)) (* Equation 9: never prefetch for a prefetch *)
+          && not seen_use.(j)
+        then begin
+          seen_use.(j) <- true;
+          match pick_insertion ~i ~j ~victim:s' with
+          | None -> ()
+          | Some k ->
+            let insert_node = view.node.(k) in
+            let insert_block = (Vivu.node vivu insert_node).Vivu.block in
+            let n_w_pf = count_of_block.(insert_block) in
+            (* mcost - pcost, Equations 6-7: suppressing the miss saves
+               the penalty on every WCET execution of r_j; the prefetch
+               instruction costs one issue cycle per execution of its
+               host block. *)
+            let gain = (lambda * n_w_j) - n_w_pf in
+            if gain > 0 then
+              candidates :=
+                {
+                  cand_insert_node = insert_node;
+                  cand_insert_block = insert_block;
+                  cand_insert_pos = view.pos.(k);
+                  cand_before_uid = uid_at k;
+                  cand_target_uid = uid_at j;
+                  cand_target_block = s';
+                  cand_use_position = j;
+                  cand_gain = gain;
+                  cand_cost = n_w_pf;
+                }
+                :: !candidates
+        end)
+      uses.(i)
   done;
   !candidates
+
+let discover ?(placement = At_eviction) (w : Wcet.t) =
+  let program = Vivu.program (Analysis.vivu w.Wcet.analysis) in
+  discover_with ~placement ~dom:(Dominators.compute program) w
 
 (* An analysis with the two figures the acceptance check compares,
    each computed once: [tau] is the bound Theorem 1 protects, τ_w plus
@@ -353,6 +356,17 @@ let optimize ?deadline ?(placement = At_eviction) ?(max_insertions = 2000)
     | Some w -> Analysis.policy w.Wcet.analysis
     | None -> policy
   in
+  (* An insertion changes only a block's body, so every round's program
+     has the control flow of [program]: expand it once (or take
+     [?initial]'s graph) and compute its dominators once, then rebind
+     each round's program to that graph.  A round is [Wcet.compute]
+     with the expansion replaced by the rebinding. *)
+  let vivu =
+    match initial with
+    | Some w -> Analysis.vivu w.Wcet.analysis
+    | None -> Vivu.expand program
+  in
+  let dom = Dominators.compute program in
   let analyze_calls = ref 0 in
   let analyze p =
     Ucp_util.Deadline.check deadline;
@@ -360,7 +374,12 @@ let optimize ?deadline ?(placement = At_eviction) ?(max_insertions = 2000)
     score
       (Ucp_obs.Trace.with_span ~name:"optimizer-round"
          ~args:[ ("round", Ucp_obs.Trace.Int !analyze_calls) ] (fun () ->
-           Wcet.compute ?deadline ~with_may:false ?pinned ~policy p config model))
+           let layout = Layout.make p ~block_bytes:config.Ucp_cache.Config.block_bytes in
+           let a =
+             Analysis.run ?deadline ~with_may:false ?pinned ~policy (Vivu.rebind vivu p)
+               layout config
+           in
+           Wcet.of_analysis a model))
   in
   let s0 = match initial with Some w -> score w | None -> analyze program in
   let w0 = s0.w in
@@ -461,7 +480,7 @@ let optimize ?deadline ?(placement = At_eviction) ?(max_insertions = 2000)
     else begin
       (* discovery only depends on the current program, so it is reused
          across rounds that merely banned candidates *)
-      let all = match cached with Some c -> c | None -> discover ~placement s.w in
+      let all = match cached with Some c -> c | None -> discover_with ~placement ~dom s.w in
       let cands =
         List.filter
           (fun c ->

@@ -100,8 +100,8 @@ val optimize :
     [Wcet.compute ?pinned ?policy program config model] (with or
     without the may analysis) — so a
     caller that has measured the original program does not pay for that
-    fixpoint twice; its policy then overrides [?policy]; passing
-    anything else is unspecified.
+    fixpoint twice; its policy then overrides [?policy], and its VIVU
+    graph serves every round; passing anything else is unspecified.
     [~pinned] marks blocks held in
     locked ways (see {!Ucp_wcet.Analysis.run}); pass the configuration
     of the unlocked ways — this is the hybrid mode used by

@@ -233,9 +233,6 @@ let in_may t node = t.in_may.(node)
 let slot_mem_block t ~node ~pos =
   (Layout.slot_mem_blocks t.layout (Vivu.node t.vivu node).Vivu.block).(pos)
 
-let prefetch_target_block t ~node ~pos =
-  target_block (Layout.prefetch_targets t.layout (Vivu.node t.vivu node).Vivu.block).(pos)
-
 let miss_count_bound t =
   let program = Vivu.program t.vivu in
   let total = ref 0 in

@@ -79,9 +79,6 @@ val in_may : t -> int -> Ucp_cache.Abstract.t
 val slot_mem_block : t -> node:int -> pos:int -> int
 (** [S(r)]: memory block fetched by the slot (the slot's own address). *)
 
-val prefetch_target_block : t -> node:int -> pos:int -> int option
-(** For a prefetch slot, the memory block it loads. *)
-
 val miss_count_bound : t -> int
 (** Σ over expanded nodes of [mult x] WCET-charged misses — the
     analysis' upper bound on demand misses (used by Condition 2). *)

@@ -121,75 +121,85 @@ let wcet_misses t =
    Λ - (minimum number of intervening slots), because each slot costs
    at least one cycle on every execution path.  The minimum is taken
    over ALL walks of the expanded graph — DAG and iteration edges alike
-   (breadth-first search on slots) — so the charge covers alternate
-   paths and wrap-around uses across a loop's back edge, and it is
-   weighted by the prefetch instance's full multiplicity, not just its
-   WCET-path count. *)
+   — so the charge covers alternate paths and wrap-around uses across a
+   loop's back edge, and it is weighted by the prefetch instance's full
+   multiplicity, not just its WCET-path count.
+
+   One search per prefetch instance, a node at a time: a node entered
+   at slot distance d holds its slot p at d + p and hands its
+   successors distance d + slots, so a bucket queue over entry
+   distances below Λ (beyond, the shortfall is zero) settles each node
+   once, at its least entry distance.  The prefetch's own node starts
+   at the slot after it and stays unsettled, so a lap back into it
+   reaches the slots before the prefetch — the same minimum as walking
+   (node, slot) states one by one. *)
 let residual_prefetch_stall t =
   let analysis = t.analysis in
   let vivu = Analysis.vivu analysis in
-  let program = Vivu.program vivu in
+  let layout = Analysis.layout analysis in
   let lambda = t.model.Cacti.prefetch_latency in
-  let slots node = Program.slots program (Vivu.node vivu node).Vivu.block in
-  (* shortest slot-distance from just after (node0, pos0) to any access
-     of [target]; None when no path reaches one *)
+  let mem_blocks node = Layout.slot_mem_blocks layout (Vivu.node vivu node).Vivu.block in
+  (* [settled.(node) = search] once the current search entered [node];
+     the stamps and the buckets are reused across searches *)
+  let settled = Array.make (Vivu.node_count vivu) (-1) in
+  let buckets = Array.make (max lambda 1) [] in
+  let search = ref 0 in
+  (* least distance below Λ from just after (node0, pos0) to an access
+     of [target], or Λ when there is none *)
   let min_distance_to_use ~node0 ~pos0 ~target =
-    (* 0/1-weighted shortest path processed in distance buckets: slot
-       steps cost one, block-to-block transitions cost nothing.  Only
-       distances below Λ matter (beyond that the shortfall is zero). *)
-    let buckets = Array.make (lambda + 1) [] in
-    buckets.(0) <- [ (node0, pos0 + 1) ];
-    let visited = Hashtbl.create 64 in
-    let result = ref None in
-    (try
-       for dist = 0 to lambda do
-         let rec drain () =
-           match buckets.(dist) with
-           | [] -> ()
-           | (node, pos) :: rest ->
-             buckets.(dist) <- rest;
-             if not (Hashtbl.mem visited (node, pos)) then begin
-               Hashtbl.replace visited (node, pos) ();
-               if pos >= slots node then begin
-                 (* follow BOTH edge kinds: a loop body's first later use
-                    of the target may sit across the wrap-around
-                    (iteration) edge back to the rest header, which can
-                    be strictly closer than any use downstream in the
-                    DAG.  Ignoring iteration edges over-estimated [d]
-                    and under-charged the stall (the fdct:k17/k18
-                    soundness demotions). *)
-                 List.iter (fun s -> buckets.(dist) <- (s, 0) :: buckets.(dist))
-                   (Vivu.dag_succ vivu node);
-                 List.iter (fun s -> buckets.(dist) <- (s, 0) :: buckets.(dist))
-                   (Vivu.iter_succ vivu node)
-               end
-               else if Analysis.slot_mem_block analysis ~node ~pos = target then begin
-                 result := Some dist;
-                 raise Exit
-               end
-               else if dist < lambda then
-                 buckets.(dist + 1) <- (node, pos + 1) :: buckets.(dist + 1)
-             end;
-             drain ()
-         in
-         drain ()
-       done
-     with Exit -> ());
-    !result
+    incr search;
+    let best = ref lambda in
+    (* scan [node], whose slot p sits at distance d + p, from slot
+       [from]; then queue its successors *)
+    let visit node d from =
+      let mbs = mem_blocks node in
+      let len = Array.length mbs in
+      let p = ref from in
+      while !p < len && d + !p < !best do
+        if mbs.(!p) = target then best := d + !p else incr p
+      done;
+      let d' = d + len in
+      if d' < !best then begin
+        (* follow BOTH edge kinds: a loop body's first later use of the
+           target may sit across the wrap-around (iteration) edge back
+           to the rest header, which can be strictly closer than any
+           use downstream in the DAG.  Ignoring iteration edges
+           over-estimated [d] and under-charged the stall (the
+           fdct:k17/k18 soundness demotions). *)
+        List.iter (fun s -> buckets.(d') <- s :: buckets.(d')) (Vivu.dag_succ vivu node);
+        List.iter (fun s -> buckets.(d') <- s :: buckets.(d')) (Vivu.iter_succ vivu node)
+      end
+    in
+    visit node0 (-(pos0 + 1)) (pos0 + 1);
+    let d = ref 0 in
+    while !d < !best do
+      match buckets.(!d) with
+      | [] -> incr d
+      | node :: rest ->
+        buckets.(!d) <- rest;
+        if settled.(node) <> !search then begin
+          settled.(node) <- !search;
+          visit node !d 0
+        end
+    done;
+    for i = !d to lambda - 1 do
+      buckets.(i) <- []
+    done;
+    !best
   in
   let total = ref 0 in
   for node = 0 to Vivu.node_count vivu - 1 do
-    if Vivu.mult vivu node > 0 then
-      for pos = 0 to slots node - 1 do
-        match Analysis.prefetch_target_block analysis ~node ~pos with
-        | None -> ()
-        | Some target -> (
-          match min_distance_to_use ~node0:node ~pos0:pos ~target with
-          | None -> ()
-          | Some dist ->
-            let shortfall = lambda - dist in
-            if shortfall > 0 then total := !total + (shortfall * Vivu.mult vivu node))
-      done
+    let mult = Vivu.mult vivu node in
+    if mult > 0 then
+      (* [Analysis.run] rejects dangling targets, so every prefetch
+         here has one *)
+      Array.iteri
+        (fun pos -> function
+          | Layout.Target target ->
+            let shortfall = lambda - min_distance_to_use ~node0:node ~pos0:pos ~target in
+            total := !total + (shortfall * mult)
+          | Layout.No_target | Layout.Dangling _ -> ())
+        (Layout.prefetch_targets layout (Vivu.node vivu node).Vivu.block)
   done;
   !total
 

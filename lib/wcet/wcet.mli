@@ -60,7 +60,7 @@ val longest_path : Ucp_cfg.Vivu.t -> node_cycles:int array -> int * int array
 
 val path_refs : t -> (int * int) array
 (** All references along the WCET path as [(node, pos)], in execution
-    order — the reverse sweep of the optimizer walks this backwards. *)
+    order. *)
 
 val wcet_misses : t -> int
 (** Number of WCET-charged misses along the path, weighted by [n_w]. *)
@@ -76,7 +76,10 @@ val residual_prefetch_stall : t -> int
     costs at least one cycle on any execution).  Near zero for
     programs optimized by the paper's criterion (Definition 10
     guarantees effectiveness in the WCET scenario); large for naive
-    baselines such as the basic-block-start inserter of [5]. *)
+    baselines such as the basic-block-start inserter of [5].  Each
+    instance's [d] comes from a search over expanded nodes, scanning a
+    node's slots in the layout's slot table; only distances below
+    [lambda] are explored. *)
 
 val tau_with_residual : t -> int
 (** [tau t + residual_prefetch_stall t] — the sound bound for programs

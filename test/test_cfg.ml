@@ -241,6 +241,82 @@ let test_vivu_exit_nodes () =
   let v = Vivu.expand simple_loop in
   Alcotest.(check int) "one exit instance" 1 (List.length (Vivu.exit_nodes v))
 
+(* [Vivu.rebind] hands a program the expansion of another with the same
+   control flow.  After prefetch insertions (bodies change, the CFG
+   does not) it must give what a fresh expansion gives, node for node,
+   on every suite program; a changed terminator, loop bound, entry or
+   block count must be refused. *)
+let check_same_graph label expected got =
+  let n = Vivu.node_count expected in
+  Alcotest.(check int) (label ^ " node count") n (Vivu.node_count got);
+  Alcotest.(check int) (label ^ " entry") (Vivu.entry expected) (Vivu.entry got);
+  Alcotest.(check (list int)) (label ^ " exit nodes") (Vivu.exit_nodes expected)
+    (Vivu.exit_nodes got);
+  Alcotest.(check (array int)) (label ^ " topo") (Vivu.topo expected) (Vivu.topo got);
+  for id = 0 to n - 1 do
+    let same f = f expected id = f got id in
+    if
+      not
+        (same Vivu.node && same Vivu.mult && same Vivu.dag_succ && same Vivu.dag_pred
+       && same Vivu.iter_succ && same Vivu.iter_pred)
+    then Alcotest.failf "%s: node %d differs" label id
+  done
+
+(* a prefetch at the start of every third block, for the block's last
+   slot *)
+let with_prefetches p =
+  let rec go p b =
+    if b < 0 then p
+    else if b mod 3 = 0 && Program.slots p b > 0 then
+      let target = Program.slot_instr p ~block:b ~pos:(Program.slots p b - 1) in
+      go (fst (Program.insert_prefetch p ~block:b ~pos:0 ~target_uid:target.Ucp_isa.Instr.uid)) (b - 1)
+    else go p (b - 1)
+  in
+  go p (Program.block_count p - 1)
+
+let test_vivu_rebind_suite () =
+  List.iter
+    (fun (name, p) ->
+      let p' = with_prefetches p in
+      Alcotest.(check bool) (name ^ " gained prefetches") true (Program.prefetch_count p' > 0);
+      let rebound = Vivu.rebind (Vivu.expand p) p' in
+      Alcotest.(check bool) (name ^ " rebound program") true (Vivu.program rebound == p');
+      check_same_graph name (Vivu.expand p') rebound)
+    Ucp_workloads.Suite.all
+
+let test_vivu_rebind_rejects () =
+  let specs =
+    [|
+      block 2 (Program.S_fallthrough 1);
+      block 3 ~bound:4 (cond ~taken:1 ~fallthrough:2);
+      block 1 Program.S_return;
+    |]
+  in
+  let v = Vivu.expand (Program.make ~name:"loop" ~entry:0 specs) in
+  let variant ?(entry = 0) edit =
+    let specs = Array.copy specs in
+    edit specs;
+    Program.make ~name:"variant" ~entry specs
+  in
+  (* a different body size is not a different control flow *)
+  let longer = variant (fun s -> s.(0) <- block 7 (Program.S_fallthrough 1)) in
+  check_same_graph "longer body" (Vivu.expand longer) (Vivu.rebind v longer);
+  List.iter
+    (fun (label, p) ->
+      Alcotest.(check bool) label true
+        (try
+           ignore (Vivu.rebind v p);
+           false
+         with Invalid_argument _ -> true))
+    [
+      ("terminator", variant (fun s -> s.(0) <- block 2 (Program.S_jump 1)));
+      ("branch target", variant (fun s -> s.(1) <- block 3 ~bound:4 (cond ~taken:1 ~fallthrough:0)));
+      ("loop bound", variant (fun s -> s.(1) <- block 3 ~bound:5 (cond ~taken:1 ~fallthrough:2)));
+      ("entry", variant ~entry:2 ignore);
+      ( "block count",
+        Program.make ~name:"variant" ~entry:0 (Array.append specs [| block 1 Program.S_return |]) );
+    ]
+
 let prop_vivu_invariants =
   QCheck2.Test.make ~name:"vivu: acyclic, multiplicities, iter edges target rest headers"
     ~count:100 ~print:Ucp_testlib.print_program Ucp_testlib.gen_program (fun p ->
@@ -345,6 +421,8 @@ let () =
           Alcotest.test_case "instances of block" `Quick test_vivu_instances_of_block;
           Alcotest.test_case "pp node" `Quick test_vivu_pp_node;
           QCheck_alcotest.to_alcotest prop_vivu_invariants;
+          Alcotest.test_case "rebind after insertions" `Quick test_vivu_rebind_suite;
+          Alcotest.test_case "rebind rejects a changed CFG" `Quick test_vivu_rebind_rejects;
         ] );
       ( "dsl",
         [

@@ -173,22 +173,6 @@ let test_layout_mem_block_mapping () =
       let a = Layout.addr l ~block ~pos in
       Alcotest.(check int) "S(r) = addr / bs" (a / 16) (Layout.mem_block l ~block ~pos))
 
-let test_layout_first_slot_of_block () =
-  let p = straightline 8 in
-  let l = Layout.make p ~block_bytes:16 in
-  List.iter
-    (fun mb ->
-      match Layout.first_slot_of_mem_block l mb with
-      | None -> Alcotest.fail "listed block without slots"
-      | Some (b, pos) ->
-        let a = Layout.addr l ~block:b ~pos in
-        List.iter
-          (fun (b', pos') ->
-            Alcotest.(check bool) "first has smallest address" true
-              (Layout.addr l ~block:b' ~pos:pos' >= a))
-          (Layout.slots_of_mem_block l mb))
-    (Layout.mem_block_ids l)
-
 let test_layout_rejects_bad_block_size () =
   let p = straightline 3 in
   Alcotest.(check bool) "block size multiple of 4" true
@@ -199,11 +183,23 @@ let test_layout_rejects_bad_block_size () =
 
 (* The slot table holds, for every slot, the memory block its address
    maps to and, for a prefetch, the memory block of the slot its target
-   uid names; compute slots and terminators carry no target.  Checked
-   for the suite, its BB-start versions (many prefetches) and a few
-   generated programs, at 16 B and 32 B lines. *)
+   uid names; compute slots and terminators carry no target.  The
+   memory blocks in use ([mem_block_ids], [code_mem_blocks]) are
+   exactly the table's distinct entries.  Checked for the suite, its
+   BB-start versions (many prefetches) and a few generated programs, at
+   16 B and 32 B lines. *)
 let check_slot_table p ~block_bytes =
   let l = Layout.make p ~block_bytes in
+  let entries =
+    List.init (Program.block_count p) (fun block ->
+        Array.to_list (Layout.slot_mem_blocks l block))
+    |> List.concat |> List.sort_uniq compare
+  in
+  Alcotest.(check (list int))
+    (Printf.sprintf "%s memory blocks in use" (Program.name p))
+    entries (Layout.mem_block_ids l);
+  Alcotest.(check int) "code memory blocks" (List.length entries)
+    (Layout.code_mem_blocks l);
   for block = 0 to Program.block_count p - 1 do
     let mem_blocks = Layout.slot_mem_blocks l block in
     let targets = Layout.prefetch_targets l block in
@@ -298,7 +294,6 @@ let () =
           Alcotest.test_case "insertion keeps suffix" `Quick
             test_layout_insertion_keeps_suffix;
           Alcotest.test_case "mem block mapping" `Quick test_layout_mem_block_mapping;
-          Alcotest.test_case "first slot of block" `Quick test_layout_first_slot_of_block;
           Alcotest.test_case "slot table" `Quick test_layout_slot_table;
           Alcotest.test_case "bad block size" `Quick test_layout_rejects_bad_block_size;
           QCheck_alcotest.to_alcotest prop_layout_block_count;

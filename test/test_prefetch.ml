@@ -228,6 +228,107 @@ let prop_bb_start_safe_bound =
       let stats = Simulator.run bb config model in
       Simulator.acet stats <= Wcet.tau_with_residual w)
 
+(* ------------------------------------------------------------------ *)
+(* optimizer output pinned: every field of the result — the insertions
+   with their uids, τ and misses before and after and estimated gains,
+   the trail, the round and rejection tallies, and the final program —
+   digested over the suite below 2000 slots at k4 and k6, both techs
+   and all three policies, each started from the with-may analysis the
+   sweep passes as [~initial], plus one pinned run shaped like
+   [Baselines.lock_hybrid]'s.  A subset re-runs without [~initial] and
+   must give the same results.  Every final program's residual-stall
+   charge must also equal the reference search's.  Any change to how
+   the optimizer computes must leave all of it byte-identical. *)
+
+module Tech = Ucp_energy.Tech
+
+let pin_programs =
+  List.filter (fun (_, p) -> Program.total_slots p < 2000) Ucp_workloads.Suite.all
+
+let digest_result buf (r : Optimizer.result) =
+  List.iter
+    (fun (i : Optimizer.insertion) ->
+      Printf.bprintf buf "ins %d %d %d %d %d %d %d\n" i.target_uid i.prefetch_uid
+        i.tau_before i.tau_after i.misses_before i.misses_after i.est_gain)
+    r.insertions;
+  List.iter
+    (fun (rd : Optimizer.round) ->
+      Buffer.add_string buf "round";
+      List.iter (fun (pf, tgt) -> Printf.bprintf buf " %d:%d" pf tgt) rd.round_insertions;
+      Printf.bprintf buf " %d %d %d %d\n" rd.round_tau_before rd.round_tau_after
+        rd.round_misses_before rd.round_misses_after)
+    r.trail;
+  Printf.bprintf buf "rounds %d rejected %d %d %d tau %d %d\n" r.rounds r.rejected
+    r.rejected_tau r.rejected_miss r.tau_before r.tau_after;
+  Buffer.add_string buf
+    (Format.asprintf "%a@.%a@." Program.pp r.program Program.pp r.original)
+
+(* the final program's charge, against the reference search and the
+   optimizer's own closing claim *)
+let check_final_residual label ?pinned ~policy (r : Optimizer.result) config model =
+  let w = Wcet.compute ~with_may:false ?pinned ~policy r.Optimizer.program config model in
+  Alcotest.(check int) (label ^ " residual stall")
+    (Ucp_testlib.reference_residual_stall w) (Wcet.residual_prefetch_stall w);
+  Alcotest.(check int) (label ^ " tau_after") r.Optimizer.tau_after
+    (Wcet.tau_with_residual w)
+
+let test_optimizer_output_pinned () =
+  let buf = Buffer.create (1 lsl 20) in
+  let same = ref 0 in
+  List.iteri
+    (fun i (name, p) ->
+      List.iter
+        (fun kid ->
+          let config = List.assoc kid Config.paper_configs in
+          List.iter
+            (fun policy ->
+              let a0 = Wcet.analyze ~with_may:true ~policy p config in
+              List.iter
+                (fun tech ->
+                  let model = Cacti.model config tech in
+                  let label =
+                    Printf.sprintf "%s:%s:%s:%s" name kid tech.Tech.label
+                      (Ucp_policy.to_string policy)
+                  in
+                  let w0 = Wcet.of_analysis a0 model in
+                  let r = Optimizer.optimize ~initial:w0 p config model in
+                  Printf.bprintf buf "%s\n" label;
+                  digest_result buf r;
+                  check_final_residual label ~policy r config model;
+                  (* every fifth program, at 45 nm: the run without
+                     [~initial] computes its own first analysis *)
+                  if i mod 5 = 0 && tech == Tech.nm45 then begin
+                    let r' = Optimizer.optimize ~policy p config model in
+                    let b = Buffer.create 4096 and b' = Buffer.create 4096 in
+                    digest_result b r;
+                    digest_result b' r';
+                    Alcotest.(check string) (label ^ " without ~initial")
+                      (Buffer.contents b) (Buffer.contents b');
+                    incr same
+                  end)
+                [ Tech.nm45; Tech.nm32 ])
+            [ Ucp_policy.Lru; Ucp_policy.Fifo; Ucp_policy.Plru ])
+        [ "k4"; "k6" ])
+    pin_programs;
+  Alcotest.(check bool) "some runs without ~initial" true (!same > 0);
+  (* one pinned run: the pinned blocks and unlocked-way configuration
+     of a one-way lock_hybrid at k6 *)
+  let p = Ucp_workloads.Suite.find "fft1" in
+  let config = List.assoc "k6" Config.paper_configs in
+  let model = Cacti.model config Tech.nm45 in
+  let h = Baselines.lock_hybrid ~ways:1 p config model in
+  let pinned mb = List.mem mb h.Baselines.hybrid_pinned in
+  let r = Optimizer.optimize ~pinned p h.Baselines.hybrid_config model in
+  Alcotest.(check bool) "pinned run as lock_hybrid's" true
+    (r.Optimizer.tau_after = h.Baselines.hybrid_tau
+    && r.Optimizer.program = h.Baselines.hybrid_program);
+  Buffer.add_string buf "pinned\n";
+  digest_result buf r;
+  check_final_residual "pinned" ~pinned ~policy:Ucp_policy.Lru r
+    h.Baselines.hybrid_config model;
+  Alcotest.(check string) "digest" "c8ba3f547ee184e0c453aa7792a9cc1c"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 let () =
   Alcotest.run "ucp_prefetch"
     [
@@ -247,6 +348,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_theorem1;
           QCheck_alcotest.to_alcotest prop_optimized_sim_within_wcet;
           QCheck_alcotest.to_alcotest prop_miss_bound_non_increase;
+          Alcotest.test_case "optimizer output pinned" `Quick test_optimizer_output_pinned;
         ] );
       ( "baselines",
         [

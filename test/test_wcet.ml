@@ -149,6 +149,37 @@ let test_residual_stall () =
     (w.Wcet.tau + Wcet.residual_prefetch_stall w)
     (Wcet.tau_with_residual w)
 
+(* The node-level residual-stall search charges what the slot-level
+   reference search ([Ucp_testlib.reference_residual_stall]) charges, on
+   the basic-block-start version of every suite program (a prefetch at
+   each block start, so many of them sit close to their uses) at three
+   geometries and both techs, whose prefetch latencies differ.  The
+   charge reads only the layout, the graph and the latency, so one
+   policy suffices; the optimizer pin in test_prefetch covers the
+   optimizer's outputs under all three. *)
+let test_residual_stall_reference () =
+  let charged = ref 0 in
+  List.iter
+    (fun (name, p) ->
+      List.iter
+        (fun kid ->
+          let config = List.assoc kid Config.paper_configs in
+          let model45 = Cacti.model config Ucp_energy.Tech.nm45 in
+          let bb = Ucp_prefetch.Baselines.bb_start p config model45 in
+          let a = Wcet.analyze ~with_may:false bb config in
+          List.iter
+            (fun tech ->
+              let w = Wcet.of_analysis a (Cacti.model config tech) in
+              let expected = Ucp_testlib.reference_residual_stall w in
+              if expected > 0 then incr charged;
+              Alcotest.(check int)
+                (Printf.sprintf "%s:%s:%s" name kid tech.Ucp_energy.Tech.label)
+                expected (Wcet.residual_prefetch_stall w))
+            [ Ucp_energy.Tech.nm45; Ucp_energy.Tech.nm32 ])
+        [ "k4"; "k6"; "k35" ])
+    Ucp_workloads.Suite.all;
+  Alcotest.(check bool) "some charges are nonzero" true (!charged > 0)
+
 (* ------------------------------------------------------------------ *)
 (* IPET agreement *)
 
@@ -364,6 +395,8 @@ let () =
           Alcotest.test_case "dangling prefetch rejected" `Quick
             test_dangling_prefetch_rejected;
           Alcotest.test_case "fixpoint output pinned" `Quick test_fixpoint_output_pinned;
+          Alcotest.test_case "residual stall reference" `Quick
+            test_residual_stall_reference;
         ] );
       ( "ipet",
         [

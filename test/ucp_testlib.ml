@@ -85,3 +85,75 @@ let contains ~substring s =
   let n = String.length substring and m = String.length s in
   let rec go i = i + n <= m && (String.sub s i n = substring || go (i + 1)) in
   n = 0 || go 0
+
+(* ------------------------------------------------------------------ *)
+(* Reference residual-stall charge: the slot-level bucket search
+   [Ucp_wcet.Wcet.residual_prefetch_stall] ran before it scanned one
+   expanded node at a time.  It walks (node, slot) states in distance
+   buckets, with a hash-table visited set, following DAG and iteration
+   edges alike; the library's search must charge exactly the same. *)
+let reference_residual_stall (w : Ucp_wcet.Wcet.t) =
+  let module Vivu = Ucp_cfg.Vivu in
+  let module Analysis = Ucp_wcet.Analysis in
+  let analysis = w.Ucp_wcet.Wcet.analysis in
+  let vivu = Analysis.vivu analysis in
+  let program = Vivu.program vivu in
+  let lambda = w.Ucp_wcet.Wcet.model.Cacti.prefetch_latency in
+  let slots node = Ucp_isa.Program.slots program (Vivu.node vivu node).Vivu.block in
+  let prefetch_target ~node ~pos =
+    match
+      (Ucp_isa.Layout.prefetch_targets (Analysis.layout analysis)
+         (Vivu.node vivu node).Vivu.block).(pos)
+    with
+    | Ucp_isa.Layout.Target mb -> Some mb
+    | Ucp_isa.Layout.No_target | Ucp_isa.Layout.Dangling _ -> None
+  in
+  let min_distance_to_use ~node0 ~pos0 ~target =
+    let buckets = Array.make (lambda + 1) [] in
+    buckets.(0) <- [ (node0, pos0 + 1) ];
+    let visited = Hashtbl.create 64 in
+    let result = ref None in
+    (try
+       for dist = 0 to lambda do
+         let rec drain () =
+           match buckets.(dist) with
+           | [] -> ()
+           | (node, pos) :: rest ->
+             buckets.(dist) <- rest;
+             if not (Hashtbl.mem visited (node, pos)) then begin
+               Hashtbl.replace visited (node, pos) ();
+               if pos >= slots node then begin
+                 List.iter (fun s -> buckets.(dist) <- (s, 0) :: buckets.(dist))
+                   (Vivu.dag_succ vivu node);
+                 List.iter (fun s -> buckets.(dist) <- (s, 0) :: buckets.(dist))
+                   (Vivu.iter_succ vivu node)
+               end
+               else if Analysis.slot_mem_block analysis ~node ~pos = target then begin
+                 result := Some dist;
+                 raise Exit
+               end
+               else if dist < lambda then
+                 buckets.(dist + 1) <- (node, pos + 1) :: buckets.(dist + 1)
+             end;
+             drain ()
+         in
+         drain ()
+       done
+     with Exit -> ());
+    !result
+  in
+  let total = ref 0 in
+  for node = 0 to Vivu.node_count vivu - 1 do
+    if Vivu.mult vivu node > 0 then
+      for pos = 0 to slots node - 1 do
+        match prefetch_target ~node ~pos with
+        | None -> ()
+        | Some target -> (
+          match min_distance_to_use ~node0:node ~pos0:pos ~target with
+          | None -> ()
+          | Some dist ->
+            let shortfall = lambda - dist in
+            if shortfall > 0 then total := !total + (shortfall * Vivu.mult vivu node))
+      done
+  done;
+  !total
