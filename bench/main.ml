@@ -1,19 +1,12 @@
-(* Benchmark & reproduction harness.
+(* Reproduction harness: regenerates the rows/series of every table
+   and figure of the paper's evaluation (Tables 1-2, Figures 3, 4, 5,
+   7, 8), plus the ablation tables DESIGN.md calls out (placement
+   discipline, overhead budget, baselines).  The sweep defaults to a
+   12-configuration subset; set UCP_FULL=1 for the paper's full
+   36-configuration, 2664-use-case setup.  Performance is measured by
+   the repository benchmark, ucpbench/.
 
-   Two parts, both in this executable:
-
-   1. Reproduction: regenerates the rows/series of every table and
-      figure of the paper's evaluation (Tables 1-2, Figures 3, 4, 5, 7,
-      8), plus the ablation tables DESIGN.md calls out (placement
-      discipline, overhead budget, baselines).  The sweep defaults to a
-      12-configuration subset; set UCP_FULL=1 for the paper's full
-      36-configuration, 2664-use-case setup.
-
-   2. Micro-benchmarks: one Bechamel Test.make per pipeline stage and
-      per reproduced table/figure, measuring the cost of regenerating
-      each from swept records.
-
-     dune exec bench/main.exe             # subset sweep + benchmarks
+     dune exec bench/main.exe             # subset sweep
      UCP_FULL=1 dune exec bench/main.exe  # the full paper sweep
 
    The sweep runs on the Ucp_core.Parallel domain pool; set UCP_JOBS=N
@@ -31,12 +24,9 @@ module Optimizer = Ucp_prefetch.Optimizer
 module Wcet = Ucp_wcet.Wcet
 module Simulator = Ucp_sim.Simulator
 module Table = Ucp_util.Table
+module Clock = Ucp_util.Clock
 
 let full = Sys.getenv_opt "UCP_FULL" = Some "1"
-
-(* monotonic wall-clock seconds: under a domain pool, CPU time
-   (Sys.time) sums across cores and overstates elapsed time *)
-let wall_s () = Int64.to_float (Monotonic_clock.now ()) /. 1e9
 
 let argv_opt name =
   (* --name V / --name=V on the command line *)
@@ -138,7 +128,7 @@ let heartbeat =
 let metrics_on = trace_path <> None || Sys.getenv_opt "UCP_METRICS" = Some "1"
 
 (* ------------------------------------------------------------------ *)
-(* part 1: reproduction *)
+(* reproduction *)
 
 let ablation_placement records_configs =
   let t =
@@ -249,10 +239,10 @@ let reproduce () =
   (* per-policy progress line: completion, throughput and run-rate ETA,
      refreshed every 16 cases (progress now arrives per case) *)
   let make_progress () =
-    let t_start = wall_s () in
+    let t_start = Clock.now_s () in
     fun ~done_ ~total ->
       if done_ = total || done_ mod 16 = 0 then begin
-        let elapsed = wall_s () -. t_start in
+        let elapsed = Clock.now_s () -. t_start in
         let rate = if elapsed > 0.0 then float_of_int done_ /. elapsed else 0.0 in
         let eta =
           if rate > 0.0 then
@@ -280,21 +270,21 @@ let reproduce () =
       exit 1));
   if metrics_on then Ucp_obs.Metrics.enable ();
   if trace_path <> None then Ucp_obs.Trace.start ();
-  let t0 = wall_s () in
+  let t0 = Clock.now_s () in
   (* one sweep per policy so each slice's wall time is observable on its
      own; the concatenation covers the same grid as a single
      multi-policy sweep, in policy-major order *)
   let sweeps =
     List.map
       (fun p ->
-        let tp = wall_s () in
+        let tp = Clock.now_s () in
         let s =
           Parallel.sweep ~configs ~policies:[ p ] ~audit ~jobs
             ~progress:(make_progress ()) ?heartbeat ?timeout ()
         in
         Printf.eprintf "\r%!";
         Printf.printf "  policy %-5s %d use cases in %.1fs wall\n%!"
-          (Ucp_policy.to_string p) s.Parallel.cases (wall_s () -. tp);
+          (Ucp_policy.to_string p) s.Parallel.cases (Clock.now_s () -. tp);
         if metrics_on then
           print_string (Report.worker_table ~wall_s:s.Parallel.wall_s s.Parallel.workers);
         s)
@@ -317,7 +307,7 @@ let reproduce () =
     List.fold_left (fun acc s -> acc +. s.Parallel.wall_s) 0.0 sweeps
   in
   Printf.printf "sweep finished in %.1fs wall on %d worker%s\n"
-    (wall_s () -. t0) some.Parallel.jobs (if some.Parallel.jobs = 1 then "" else "s");
+    (Clock.now_s () -. t0) some.Parallel.jobs (if some.Parallel.jobs = 1 then "" else "s");
   print_string
     (Report.stage_table
        (List.map2
@@ -338,9 +328,6 @@ let reproduce () =
        ~outcomes:results
        ?metrics:(if metrics_dump = [] then None else Some metrics_dump)
        records);
-  (* keep the identity guard and the micro-benchmarks out of the
-     reported counters *)
-  if metrics_on then Ucp_obs.Metrics.disable ();
   Printf.printf "per-use-case summary written to %s (%d records + summary line)\n\n%!"
     summary_path (List.length records);
   print_string (Report.all records);
@@ -353,400 +340,8 @@ let reproduce () =
          ("nsichneu", Config.make ~assoc:4 ~block_bytes:16 ~capacity:2048, Tech.nm32);
        ]);
   print_newline ();
-  print_string (baseline_table ());
-  records
-
-(* The policy refactor must not perturb the default engine: on an
-   LRU-only sub-grid the parallel sweep's Report.record_json stream has
-   to match the sequential reference engine byte for byte. *)
-let lru_identity_guard () =
-  let programs =
-    List.map (fun n -> (n, Ucp_workloads.Suite.find n)) [ "fft1"; "crc" ]
-  in
-  let configs =
-    match Experiments.quick_configs with a :: b :: _ -> [ a; b ] | l -> l
-  in
-  let techs = [ Tech.nm45 ] in
-  let seq =
-    List.map Report.record_json (Experiments.sweep ~programs ~configs ~techs ())
-  in
-  let par =
-    List.map Report.record_json
-      (Parallel.sweep ~programs ~configs ~techs ~jobs ()).Parallel.records
-  in
-  if seq <> par then begin
-    prerr_endline
-      "bench: LRU identity guard FAILED: parallel sweep records differ from \
-       the sequential engine";
-    exit 1
-  end;
-  Printf.printf
-    "LRU identity guard: %d records byte-identical (parallel vs sequential)\n%!"
-    (List.length seq)
-
-(* Audit-cost trajectory: the ci.sh smoke grid swept unaudited and
-   under --audit full, recorded in the tracked BENCH_6.json so future
-   changes can see certification-cost drift.  With the certificate
-   fast path the audit is linear checks only, so the ratio must stay
-   small; ci.sh enforces <= 3x on the same grid. *)
-let audit_speed_trajectory () =
-  let names = [ "fft1"; "crc"; "st"; "fdct" ] in
-  let programs = List.map (fun n -> (n, Ucp_workloads.Suite.find n)) names in
-  let configs =
-    List.filter (fun (id, _) -> List.mem id [ "k2"; "k5"; "k17" ]) Config.paper_configs
-  in
-  let run audit =
-    let s = Parallel.sweep ~programs ~configs ~audit ~jobs () in
-    if s.Parallel.failures <> [] then begin
-      prerr_endline "bench: audit trajectory: sweep had failing cases";
-      exit 1
-    end;
-    s
-  in
-  let plain = run Ucp_verify.Off in
-  let audited = run Ucp_verify.Full in
-  let ratio = audited.Parallel.wall_s /. Float.max 1e-9 plain.Parallel.wall_s in
-  let path =
-    match Sys.getenv_opt "UCP_BENCH_OUT" with
-    | Some p when p <> "" -> p
-    | Some _ | None -> "BENCH_6.json"
-  in
-  Ucp_core.Checkpoint.write_atomic ~path
-    (Printf.sprintf
-       {|{"bench":"audit-speed","grid":"%s x k2,k5,k17 x 2 techs","cases":%d,"jobs":%d,"wall_unaudited_s":%.3f,"wall_audited_s":%.3f,"ratio":%.2f}|}
-       (String.concat "," names) audited.Parallel.cases audited.Parallel.jobs
-       plain.Parallel.wall_s audited.Parallel.wall_s ratio
-    ^ "\n");
-  Printf.printf
-    "audit-speed trajectory: %d cases, unaudited %.2fs vs audited %.2fs (%.2fx) -> %s\n%!"
-    audited.Parallel.cases plain.Parallel.wall_s audited.Parallel.wall_s ratio path;
-  path
-
-(* Refinement-precision trajectory: the ci.sh smoke grid swept across
-   all three replacement policies with --refine nc, recorded in the
-   tracked BENCH_8.json so future changes can see precision drift.
-   The exact exploration must strictly reduce the not-classified slot
-   count for at least two of the three policies on this grid — the
-   refinement's reason to exist. *)
-let refine_precision_trajectory () =
-  let names = [ "fft1"; "crc"; "st"; "fdct" ] in
-  let programs = List.map (fun n -> (n, Ucp_workloads.Suite.find n)) names in
-  let configs =
-    List.filter (fun (id, _) -> List.mem id [ "k2"; "k5"; "k17" ]) Config.paper_configs
-  in
-  let all_policies = [ Ucp_policy.Lru; Ucp_policy.Fifo; Ucp_policy.Plru ] in
-  let s =
-    Parallel.sweep ~programs ~configs ~policies:all_policies
-      ~refine:Ucp_refine.Mode.Nc ~jobs ()
-  in
-  if s.Parallel.failures <> [] then begin
-    prerr_endline "bench: refine trajectory: sweep had failing cases";
-    exit 1
-  end;
-  let rows = Experiments.refine_precision s.Parallel.records in
-  let delta_pct (r : Experiments.refine_row) =
-    if r.Experiments.rr_tau = 0 then 0.0
-    else
-      100.0
-      *. float_of_int (r.Experiments.rr_tau - r.Experiments.rr_tau_refined)
-      /. float_of_int r.Experiments.rr_tau
-  in
-  let row_json (r : Experiments.refine_row) =
-    Printf.sprintf
-      {|{"policy":"%s","cases":%d,"nc_before":%d,"nc_after":%d,"ah_gained":%d,"am_gained":%d,"wcet_delta_pct":%.4f,"quant_cases":%d,"budget_hits":%d}|}
-      (Ucp_policy.to_string r.Experiments.rr_policy)
-      r.Experiments.rr_cases r.Experiments.rr_nc_before
-      r.Experiments.rr_nc_after r.Experiments.rr_ah_gained
-      r.Experiments.rr_am_gained (delta_pct r) r.Experiments.rr_quant_cases
-      r.Experiments.rr_budget_hits
-  in
-  let path =
-    match Sys.getenv_opt "UCP_BENCH8_OUT" with
-    | Some p when p <> "" -> p
-    | Some _ | None -> "BENCH_8.json"
-  in
-  Ucp_core.Checkpoint.write_atomic ~path
-    (Printf.sprintf
-       {|{"bench":"refine-precision","grid":"%s x k2,k5,k17 x 2 techs x lru,fifo,plru","cases":%d,"jobs":%d,"wall_s":%.3f,"policies":[%s]}|}
-       (String.concat "," names) s.Parallel.cases s.Parallel.jobs
-       s.Parallel.wall_s
-       (String.concat "," (List.map row_json rows))
-    ^ "\n");
-  print_string (Report.refinement s.Parallel.records);
-  List.iter
-    (fun (r : Experiments.refine_row) ->
-      Printf.printf
-        "refine-precision %-5s NC %d -> %d (+%d AH, +%d AM), WCET bound -%.2f%%\n"
-        (Ucp_policy.to_string r.Experiments.rr_policy)
-        r.Experiments.rr_nc_before r.Experiments.rr_nc_after
-        r.Experiments.rr_ah_gained r.Experiments.rr_am_gained (delta_pct r))
-    rows;
-  let strictly_reduced =
-    List.length
-      (List.filter
-         (fun (r : Experiments.refine_row) ->
-           r.Experiments.rr_nc_after < r.Experiments.rr_nc_before)
-         rows)
-  in
-  if strictly_reduced < 2 then begin
-    Printf.eprintf
-      "bench: refine trajectory FAILED: NC strictly reduced for only %d of %d \
-       policies\n"
-      strictly_reduced (List.length rows);
-    exit 1
-  end;
-  Printf.printf
-    "refine-precision trajectory: NC strictly reduced for %d/%d policies -> %s\n%!"
-    strictly_reduced (List.length rows) path;
-  path
-
-(* Service-latency trajectory: an in-process daemon on a temp socket
-   answers a deterministic seeded query mix sized so every serving tier
-   populates — two distinct cases against a 1-entry LRU cache give cold
-   computes on first contact, memory hits on the immediate re-ask, and
-   store hits every time the other case has just evicted the cache.
-   Per-tier p50/p95/p99 are then read straight from the
-   serve_latency_s{tier=...} histograms (the same registry the daemon's
-   Metrics query exposes) and recorded in the tracked BENCH_10.json —
-   the baseline --baseline / ucp bench-check gate against.  Every
-   request carries a client trace id derived from a fixed seed, and the
-   leg honours UCP_FAULT, so CI can arm a stall-request fault on one of
-   the case ids and prove the gate actually trips. *)
-let serve_latency_trajectory () =
-  let module Server = Ucp_serve.Server in
-  let module Client = Ucp_serve.Client in
-  let module P = Ucp_serve.Protocol in
-  let module Ctx = Ucp_obs.Ctx in
-  let module Metrics = Ucp_obs.Metrics in
-  let module Expo = Ucp_obs.Expo in
-  (try Ucp_core.Fault.load_env ()
-   with Invalid_argument msg ->
-     prerr_endline ("bench: " ^ msg);
-     exit 124);
-  let pid = Unix.getpid () in
-  let socket =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "ucp-bench-%d.sock" pid)
-  in
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "ucp-bench-store-%d" pid)
-  in
-  let rec rm_rf path =
-    match Unix.lstat path with
-    | exception Unix.Unix_error _ -> ()
-    | { Unix.st_kind = Unix.S_DIR; _ } ->
-      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-      (try Unix.rmdir path with Unix.Unix_error _ -> ())
-    | _ -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
-  in
-  let cfg =
-    {
-      (Server.default_config ~socket ~store_dir:dir) with
-      Server.jobs = 1;
-      cache_capacity = 1;
-      trace_seed = 7;
-    }
-  in
-  let th = Thread.create (fun () -> Server.run ~signals:false cfg) () in
-  let t0 = wall_s () in
-  let seed = 42 in
-  let index = ref 0 in
-  let ids = [ "crc:k1:45nm:lru"; "fft1:k1:45nm:lru" ] in
-  let ask id =
-    let ctx = Ctx.derive ~seed ~index:!index in
-    incr index;
-    match Client.query ~socket (P.Case { id; trace_id = Some (Ctx.trace_hex ctx) }) with
-    | Ok (P.Record _) -> ()
-    | Ok _ ->
-      prerr_endline "bench: serve trajectory: unexpected response";
-      exit 1
-    | Error e ->
-      prerr_endline ("bench: serve trajectory: query failed: " ^ e);
-      exit 1
-  in
-  let rounds = 12 in
-  for _ = 1 to rounds do
-    List.iter
-      (fun id ->
-        ask id;
-        ask id)
-      ids
-  done;
-  (match Client.query ~socket P.Shutdown with Ok _ | Error _ -> ());
-  Thread.join th;
-  rm_rf dir;
-  (try Unix.unlink socket with Unix.Unix_error _ -> ());
-  let wall = wall_s () -. t0 in
-  let tier_stats tier =
-    match Metrics.find (Printf.sprintf "serve_latency_s{tier=%S}" tier) with
-    | Some (Metrics.Histogram { bounds; counts; sum; count }) ->
-      let q p =
-        let v = Expo.quantile ~bounds ~counts p in
-        if Float.is_finite v then v
-        else if count = 0 then 0.0
-          (* quantile landed in the overflow bucket: report a finite
-             stand-in past the last bound so the JSON stays valid and
-             the gate sees the regression *)
-        else 2.0 *. bounds.(Array.length bounds - 1)
-      in
-      (count, sum, q 0.50, q 0.95, q 0.99)
-    | Some _ | None -> (0, 0.0, 0.0, 0.0, 0.0)
-  in
-  let tiers = [ "cache"; "store"; "cold"; "shed" ] in
-  let tier_json tier =
-    let count, sum, p50, p95, p99 = tier_stats tier in
-    Printf.sprintf
-      {|{"tier":"%s","count":%d,"sum_s":%.6f,"p50_s":%.6f,"p95_s":%.6f,"p99_s":%.6f}|}
-      tier count sum p50 p95 p99
-  in
-  let path =
-    match Sys.getenv_opt "UCP_BENCH10_OUT" with
-    | Some p when p <> "" -> p
-    | Some _ | None -> "BENCH_10.json"
-  in
-  Ucp_core.Checkpoint.write_atomic ~path
-    (Printf.sprintf
-       {|{"bench":"serve-latency","mix":"%d rounds x 2 cases x 2 asks, cache_capacity 1","requests":%d,"wall_s":%.3f,"tiers":[%s]}|}
-       rounds !index wall
-       (String.concat "," (List.map tier_json tiers))
-    ^ "\n");
-  List.iter
-    (fun tier ->
-      let count, _, p50, p95, p99 = tier_stats tier in
-      Printf.printf
-        "serve-latency %-5s %4d requests  p50 %.6fs  p95 %.6fs  p99 %.6fs\n"
-        tier count p50 p95 p99)
-    tiers;
-  Printf.printf "serve-latency trajectory: %d requests in %.2fs -> %s\n%!"
-    !index wall path;
-  path
-
-(* --baseline FILE: gate the freshly written trajectory against a
-   checked-in baseline (the Bench_gate tolerance band) and exit nonzero
-   on regression.  Pairs with whichever trajectory leg ran: the
-   standalone --*-trajectory flags gate their own output; a full run
-   gates the serve-latency trajectory. *)
-let apply_baseline ~current =
-  match argv_opt "baseline" with
-  | None -> ()
-  | Some baseline -> (
-    match Ucp_core.Bench_gate.compare_files ~baseline ~current () with
-    | Error msg ->
-      prerr_endline ("bench: --baseline: " ^ msg);
-      exit 124
-    | Ok o ->
-      print_string (Ucp_core.Bench_gate.render o);
-      if not o.Ucp_core.Bench_gate.passed then begin
-        Printf.eprintf "bench: perf-regression gate FAILED against %s\n%!"
-          baseline;
-        exit 5
-      end)
-
-(* ------------------------------------------------------------------ *)
-(* part 2: Bechamel micro-benchmarks *)
-
-let micro_benchmarks records =
-  let open Bechamel in
-  let program = Ucp_workloads.Suite.find "ndes" in
-  let config = Config.make ~assoc:2 ~block_bytes:16 ~capacity:512 in
-  let model = Pipeline.model config Tech.nm45 in
-  let wcet = Wcet.compute ~with_may:false program config model in
-  let staged f = Staged.stage f in
-  let tests =
-    [
-      Test.make ~name:"table1" (staged (fun () -> ignore (Report.table1 ())));
-      Test.make ~name:"table2" (staged (fun () -> ignore (Report.table2 ())));
-      Test.make ~name:"figure3" (staged (fun () -> ignore (Experiments.figure3 records)));
-      Test.make ~name:"figure4" (staged (fun () -> ignore (Experiments.figure4 records)));
-      Test.make ~name:"figure5" (staged (fun () -> ignore (Experiments.figure5 records)));
-      Test.make ~name:"figure7" (staged (fun () -> ignore (Experiments.figure7 records)));
-      Test.make ~name:"figure8" (staged (fun () -> ignore (Experiments.figure8 records)));
-      Test.make ~name:"vivu-expand"
-        (staged (fun () -> ignore (Ucp_cfg.Vivu.expand program)));
-      Test.make ~name:"wcet-analysis"
-        (staged (fun () -> ignore (Wcet.compute ~with_may:false program config model)));
-      Test.make ~name:"ipet-ilp" (staged (fun () -> ignore (Ucp_wcet.Ipet.solve wcet)));
-      Test.make ~name:"optimize"
-        (staged (fun () -> ignore (Optimizer.optimize program config model)));
-      Test.make ~name:"simulate"
-        (staged (fun () -> ignore (Simulator.run program config model)));
-    ]
-  in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.4) ~kde:(Some 500) ()
-  in
-  print_endline "\n== Micro-benchmarks (monotonic clock) ==";
-  List.iter
-    (fun test ->
-      let results =
-        Benchmark.all cfg instances test
-        |> Analyze.all (Analyze.ols ~bootstrap:0 ~r_square:false
-                          ~predictors:[| Measure.run |])
-             Toolkit.Instance.monotonic_clock
-      in
-      Hashtbl.iter
-        (fun name ols ->
-          match Analyze.OLS.estimates ols with
-          | Some [ est ] -> Printf.printf "  %-16s %12.1f ns/run\n" name est
-          | Some _ | None -> Printf.printf "  %-16s (no estimate)\n" name)
-        results)
-    tests
-
-(* ------------------------------------------------------------------ *)
-(* optional fuzzing throughput leg: UCP_FUZZ=N runs an N-case
-   differential campaign (seed 1, the ucp fuzz defaults) on the same
-   domain pool and reports cases/s, so generator and oracle cost
-   regressions show up next to the sweep numbers *)
-
-let fuzz_throughput () =
-  match Sys.getenv_opt "UCP_FUZZ" with
-  | None | Some "" -> ()
-  | Some spec -> (
-    match int_of_string_opt spec with
-    | Some n when n > 0 ->
-      let module Campaign = Ucp_fuzz.Campaign in
-      let t0 = wall_s () in
-      let s = Campaign.run { Campaign.default with Campaign.c_count = n } in
-      let dt = Float.max 1e-9 (wall_s () -. t0) in
-      Printf.printf
-        "\n== Fuzzing throughput (UCP_FUZZ=%d) ==\n\
-        \  %d cases in %.1f s (%.1f cases/s): %d pass, %d findings, %d timeouts, %d failed\n"
-        n s.Campaign.s_cases dt
-        (float_of_int s.Campaign.s_cases /. dt)
-        s.Campaign.s_pass s.Campaign.s_findings s.Campaign.s_timeouts
-        s.Campaign.s_failed;
-      if not (Campaign.clean s) then
-        print_endline "  WARNING: campaign not clean -- run ucp fuzz to triage"
-    | Some _ | None ->
-      prerr_endline ("bench: UCP_FUZZ=" ^ spec ^ ": expected a positive case count");
-      exit 124)
+  print_string (baseline_table ())
 
 let () =
-  (* --audit-trajectory: regenerate BENCH_6.json alone, without the
-     minutes-long reproduction sweep *)
-  if Array.exists (( = ) "--audit-trajectory") Sys.argv then begin
-    apply_baseline ~current:(audit_speed_trajectory ());
-    exit 0
-  end;
-  (* --refine-trajectory: regenerate BENCH_8.json alone *)
-  if Array.exists (( = ) "--refine-trajectory") Sys.argv then begin
-    apply_baseline ~current:(refine_precision_trajectory ());
-    exit 0
-  end;
-  (* --serve-trajectory: regenerate the BENCH_10.json service-latency
-     baseline alone, without the minutes-long reproduction sweep *)
-  if Array.exists (( = ) "--serve-trajectory") Sys.argv then begin
-    apply_baseline ~current:(serve_latency_trajectory ());
-    exit 0
-  end;
-  let records = reproduce () in
-  print_newline ();
-  lru_identity_guard ();
-  ignore (audit_speed_trajectory ());
-  ignore (refine_precision_trajectory ());
-  apply_baseline ~current:(serve_latency_trajectory ());
-  micro_benchmarks records;
-  fuzz_throughput ();
+  reproduce ();
   print_endline "\nbench: done"

@@ -287,12 +287,12 @@ let ipet_cmd =
   let run program config tech =
     let model = Pipeline.model config tech in
     let w = Wcet.compute program config model in
-    let t0 = Sys.time () in
+    let t0 = Ucp_util.Clock.now_s () in
     let expanded = Ucp_wcet.Ipet.solve w in
-    let t_expanded = Sys.time () -. t0 in
-    let t0 = Sys.time () in
+    let t_expanded = Ucp_util.Clock.now_s () -. t0 in
+    let t0 = Ucp_util.Clock.now_s () in
     let cfg_level = Ucp_wcet.Ipet.solve_cfg w in
-    let t_cfg = Sys.time () -. t0 in
+    let t_cfg = Ucp_util.Clock.now_s () -. t0 in
     Printf.printf "longest path (DAG)     : %d cycles
 " w.Wcet.tau;
     Printf.printf "IPET ILP (expanded)    : %d cycles (%.3fs)  agree=%b
@@ -1467,58 +1467,6 @@ let top_cmd =
           the daemon's Prometheus metrics exposition.")
     Term.(const run $ socket_arg $ interval $ iterations)
 
-let bench_check_cmd =
-  let run baseline current factor slack =
-    match
-      Ucp_core.Bench_gate.compare_files ?factor ?slack ~baseline ~current ()
-    with
-    | Error msg ->
-      Printf.eprintf "ucp: bench-check: %s\n" msg;
-      exit 124
-    | exception Invalid_argument msg ->
-      Printf.eprintf "ucp: bench-check: %s\n" msg;
-      exit 124
-    | Ok outcome ->
-      print_string (Ucp_core.Bench_gate.render outcome);
-      if not outcome.Ucp_core.Bench_gate.passed then exit 5
-  in
-  let baseline =
-    Arg.(
-      required
-      & opt (some string) None
-      & info [ "baseline" ] ~docv:"FILE"
-          ~doc:"Checked-in trajectory to gate against (e.g. BENCH_10.json).")
-  in
-  let current =
-    Arg.(
-      required
-      & opt (some string) None
-      & info [ "current" ] ~docv:"FILE" ~doc:"Freshly measured trajectory file.")
-  in
-  let factor =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "factor" ] ~docv:"X"
-          ~doc:"Multiplicative tolerance on time-like fields (default 3.0).")
-  in
-  let slack =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "slack" ] ~docv:"SECS"
-          ~doc:"Absolute slack added to the limit (default 0.25).")
-  in
-  Cmd.v
-    (Cmd.info "bench-check"
-       ~doc:
-         "Perf-regression gate: compare a fresh benchmark JSON against a \
-          checked-in BENCH_*.json baseline.  Fields ending in _s (and ratio) \
-          must satisfy current <= baseline * factor + slack; counts and \
-          precision numbers are informational.  Exits 0 when within band, 5 \
-          on a regression, 124 on unreadable input.")
-    Term.(const run $ baseline $ current $ factor $ slack)
-
 let () =
   let doc = "WCET-safe, energy-oriented instruction-cache prefetching (DAC 2013)" in
   let info = Cmd.info "ucp" ~version:"1.0.0" ~doc in
@@ -1541,6 +1489,5 @@ let () =
             serve_cmd;
             query_cmd;
             top_cmd;
-            bench_check_cmd;
             trace_cmd;
           ]))

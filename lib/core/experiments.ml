@@ -113,7 +113,7 @@ let memoized_analysis ?deadline ?timed memo c =
   match Analysis_memo.find memo k with
   | Some a -> a
   | None ->
-    let t0 = Unix.gettimeofday () in
+    let t0 = Ucp_util.Clock.now_s () in
     let a =
       Ucp_obs.Trace.with_span ~name:"analysis" (fun () ->
           Ucp_wcet.Wcet.analyze ?deadline ~with_may:true ~policy:c.case_policy
@@ -122,7 +122,7 @@ let memoized_analysis ?deadline ?timed memo c =
     Option.iter
       (fun tm ->
         tm.Pipeline.analysis_s <-
-          tm.Pipeline.analysis_s +. (Unix.gettimeofday () -. t0))
+          tm.Pipeline.analysis_s +. (Ucp_util.Clock.now_s () -. t0))
       timed;
     Analysis_memo.add memo k a;
     a

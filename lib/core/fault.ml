@@ -101,8 +101,8 @@ let stall_request id =
   | Some _ | None -> None
 
 let busy_wait ?deadline secs =
-  let t0 = Unix.gettimeofday () in
-  while Unix.gettimeofday () -. t0 < secs do
+  let t0 = Ucp_util.Clock.now_s () in
+  while Ucp_util.Clock.now_s () -. t0 < secs do
     Deadline.check deadline;
     Unix.sleepf 0.002
   done

@@ -1,5 +1,6 @@
 module Tech = Ucp_energy.Tech
 module Deadline = Ucp_util.Deadline
+module Clock = Ucp_util.Clock
 
 (* ------------------------------------------------------------------ *)
 (* fixed-size domain pool with a chunked work queue *)
@@ -56,7 +57,7 @@ let rec worker pool w =
   | None -> Mutex.unlock pool.mutex
   | Some (weight, task) ->
     Mutex.unlock pool.mutex;
-    let t0 = Unix.gettimeofday () in
+    let t0 = Clock.now_s () in
     let outcome =
       match task () with
       | () -> None
@@ -65,7 +66,7 @@ let rec worker pool w =
       | exception (Fault.Killed_worker _ as e) -> raise e
       | exception exn -> Some (exn, Printexc.get_raw_backtrace ())
     in
-    let busy = Unix.gettimeofday () -. t0 in
+    let busy = Clock.now_s () -. t0 in
     Mutex.lock pool.mutex;
     let st = pool.stats.(w) in
     st.w_busy <- st.w_busy +. busy;
@@ -275,6 +276,12 @@ let map ?jobs ?chunk ?progress ?telemetry f items =
         done;
         wait pool;
         Option.iter (fun cb -> cb (worker_stats pool)) telemetry);
+    (* [None] is unreachable: [wait] returns normally only when no
+       task is pending and none failed.  A task that raised left
+       [pool.failure] set, and a worker that died set it to
+       [Worker_died] (this pool never respawns), so [wait] re-raised.
+       Every task that finished normally filled its whole chunk, and
+       the chunks cover [0, n). *)
     Array.map (function Some v -> v | None -> assert false) results
   end
 
@@ -321,7 +328,7 @@ let case_seconds_buckets = [| 0.01; 0.03; 0.1; 0.3; 1.0; 3.0; 10.0; 30.0; 100.0 
 let observed_case f =
   if not (Ucp_obs.Metrics.enabled ()) then f ()
   else begin
-    let t0 = Unix.gettimeofday () in
+    let t0 = Clock.now_s () in
     let g0 = Gc.quick_stat () in
     Fun.protect
       ~finally:(fun () ->
@@ -338,7 +345,7 @@ let observed_case f =
           (g1.Gc.major_collections - g0.Gc.major_collections);
         Ucp_obs.Metrics.observe
           (Ucp_obs.Metrics.histogram "case_duration_seconds" ~buckets:case_seconds_buckets)
-          (Unix.gettimeofday () -. t0))
+          (Clock.now_s () -. t0))
       f
   end
 
@@ -378,7 +385,7 @@ let sweep ?(programs = Ucp_workloads.Suite.all)
   Fun.protect
     ~finally:(fun () -> Option.iter Checkpoint.close journal)
     (fun () ->
-      let t0 = Unix.gettimeofday () in
+      let t0 = Clock.now_s () in
       (* cases already journaled by an interrupted run are replayed, not
          re-evaluated; [final] collects one outcome per input index *)
       let final :
@@ -529,11 +536,11 @@ let sweep ?(programs = Ucp_workloads.Suite.all)
         Option.map
           (fun every ->
             Domain.spawn (fun () ->
-                let started = Unix.gettimeofday () in
+                let started = Clock.now_s () in
                 let rec loop next =
                   if not (Atomic.get hb_stop) then begin
                     Unix.sleepf 0.05;
-                    let now = Unix.gettimeofday () in
+                    let now = Clock.now_s () in
                     if now < next then loop next
                     else begin
                       let done_ = Atomic.get hb_done in
@@ -625,7 +632,7 @@ let sweep ?(programs = Ucp_workloads.Suite.all)
         results;
         failures = List.filter (fun (_, o) -> not (Outcome.is_ok o)) results;
         resumed = !resumed;
-        wall_s = Unix.gettimeofday () -. t0;
+        wall_s = Clock.now_s () -. t0;
         timings;
         jobs;
         cases = n;

@@ -62,9 +62,9 @@ let timed ~name tm add f =
   match tm with
   | None -> f ()
   | Some tm ->
-    let t0 = Unix.gettimeofday () in
+    let t0 = Ucp_util.Clock.now_s () in
     let r = f () in
-    add tm (Unix.gettimeofday () -. t0);
+    add tm (Ucp_util.Clock.now_s () -. t0);
     r
 
 let on_analysis tm d = tm.analysis_s <- tm.analysis_s +. d

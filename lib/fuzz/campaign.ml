@@ -27,6 +27,7 @@ module Tech = Ucp_energy.Tech
 module Rng = Ucp_util.Rng
 module Json = Ucp_util.Json
 module Deadline = Ucp_util.Deadline
+module Clock = Ucp_util.Clock
 module Experiments = Ucp_core.Experiments
 module Parallel = Ucp_core.Parallel
 module Outcome = Ucp_core.Outcome
@@ -491,7 +492,7 @@ let summary_line cfg ~wall_s s =
        ])
 
 let run ?(emit = fun _ -> ()) ?(progress = fun ~done_:_ ~total:_ -> ()) cfg =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Clock.now_s () in
   let plan = plan cfg in
   let pass, findings, caught0, timeouts, failed, exhausted, seen, corpus_paths =
     run_batch cfg ~emit ~progress plan
@@ -534,7 +535,7 @@ let run ?(emit = fun _ -> ()) ?(progress = fun ~done_:_ ~total:_ -> ()) cfg =
       s_chaos_total = chaos_total;
     }
   in
-  emit (summary_line cfg ~wall_s:(Unix.gettimeofday () -. t0) s);
+  emit (summary_line cfg ~wall_s:(Clock.now_s () -. t0) s);
   s
 
 let clean s =

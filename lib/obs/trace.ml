@@ -48,6 +48,7 @@ type dstate = {
 }
 
 let enabled_flag = Atomic.make false
+(* [Clock.now_s] at [start]; span times are microseconds since it *)
 let epoch = Atomic.make 0.0
 
 (* per-domain ring capacity; applied to new domain states immediately
@@ -107,12 +108,12 @@ let clear () =
 
 let start () =
   clear ();
-  Atomic.set epoch (Unix.gettimeofday ());
+  Atomic.set epoch (Ucp_util.Clock.now_s ());
   Atomic.set enabled_flag true
 
 let stop () = Atomic.set enabled_flag false
 
-let now_us () = (Unix.gettimeofday () -. Atomic.get epoch) *. 1e6
+let now_us () = (Ucp_util.Clock.now_s () -. Atomic.get epoch) *. 1e6
 
 (* caller holds [st.dmutex] *)
 let append st s =

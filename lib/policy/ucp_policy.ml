@@ -65,6 +65,11 @@ let order_access ~reorder ~assoc lst mb =
     (lst', true, None)
   | _ when List.length lst < assoc -> (mb :: lst, false, None)
   | _ ->
+    (* [[]] is unreachable: this arm runs only when
+       [List.length lst >= assoc], and every [assoc] is a [Config.t]'s,
+       which [Config.make] keeps [>= 1], so [lst] is non-empty; and
+       [split_last] recurses only past the head of a list of two or
+       more entries, so never onto [[]]. *)
     let rec split_last acc = function
       | [] -> assert false
       | [ last ] -> (List.rev acc, last)

@@ -8,6 +8,7 @@ module Report = Ucp_core.Report
 module Parallel = Ucp_core.Parallel
 module Fault = Ucp_core.Fault
 module Deadline = Ucp_util.Deadline
+module Clock = Ucp_util.Clock
 module Lru = Ucp_util.Lru
 module Ctx = Ucp_obs.Ctx
 module Trace = Ucp_obs.Trace
@@ -311,11 +312,11 @@ let answer_case t ~trace id =
         let key = Store.key ~refine:t.cfg.refine c in
         let from_store =
           Trace.with_span ~name:"store_lookup" (fun () ->
-              let t0 = Unix.gettimeofday () in
+              let t0 = Clock.now_s () in
               let found = Store.find t.store ~key in
               Metrics.observe
                 (Metrics.histogram "store_read_s" ~buckets:store_read_buckets)
-                (Unix.gettimeofday () -. t0);
+                (Clock.now_s () -. t0);
               match found with
               | None -> None
               | Some line -> (
@@ -477,9 +478,9 @@ let serve_case t ~trace_id id =
       Trace.with_span ~name:"request"
         ~args:[ ("id", Trace.Str id) ]
         (fun () ->
-          let t0 = Unix.gettimeofday () in
+          let t0 = Clock.now_s () in
           let resp, tier = answer_case t ~trace:(Some trace) id in
-          let latency = Unix.gettimeofday () -. t0 in
+          let latency = Clock.now_s () -. t0 in
           Trace.set_arg "tier" (Trace.Str tier);
           Ucp_obs.Log.info "[serve] trace=%s id=%s tier=%s outcome=%s %.6fs" trace
             id tier (outcome_of_response resp) latency;

@@ -1,11 +1,13 @@
 (** Cooperative per-task deadlines.
 
-    A deadline is an absolute point in wall-clock time.  Long-running
-    iteration loops (the simplex pivot loop, the abstract-interpretation
-    fixpoint, the optimizer's verify rounds) accept an optional deadline
-    and call {!check} periodically; once the deadline has passed the
-    next check raises {!Deadline_exceeded}, which the sweep engine maps
-    to a [Timed_out] outcome for the offending use case.
+    A deadline is an absolute point on the monotonic {!Clock}, so
+    setting the system time neither fires nor postpones it.
+    Long-running iteration loops (the simplex pivot loop, the
+    abstract-interpretation fixpoint, the optimizer's verify rounds)
+    accept an optional deadline and call {!check} periodically; once
+    the deadline has passed the next check raises {!Deadline_exceeded},
+    which the sweep engine maps to a [Timed_out] outcome for the
+    offending use case.
 
     Checks are cooperative: code that never calls {!check} (e.g. the
     trace simulator's inner loop) cannot be interrupted.  The analysis,

@@ -691,9 +691,9 @@ let audit_case ?deadline ?seed ?(corrupt = false)
       Ucp_obs.Trace.with_span ~name:"audit-obligation"
         ~args:[ ("obligation", Ucp_obs.Trace.Str name) ] (fun () ->
           Ucp_obs.Metrics.incr (Ucp_obs.Metrics.counter "audit_obligations_total");
-          let t0 = Unix.gettimeofday () in
+          let t0 = Ucp_util.Clock.now_s () in
           let res = check () in
-          let d = Unix.gettimeofday () -. t0 in
+          let d = Ucp_util.Clock.now_s () -. t0 in
           elapsed := !elapsed +. d;
           Ucp_obs.Metrics.fadd (Ucp_obs.Metrics.fcounter "audit_seconds_total") d;
           res)

@@ -332,7 +332,9 @@ let compile ?(procs = []) ~name stmts =
         let blk = block b old_id in
         let spec_term =
           match blk.term with
-          | None -> assert false
+          | None ->
+            invalid_arg
+              (Printf.sprintf "Dsl(%s): block %d has no terminator" name old_id)
           | Some (T_fall target) -> Program.S_fallthrough remap.(target)
           | Some (T_jump target) -> Program.S_jump remap.(target)
           | Some (T_cond { taken; fallthrough; model }) ->

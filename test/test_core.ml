@@ -818,95 +818,6 @@ let test_experiments_ratio_degenerate () =
   Alcotest.(check bool) "defined float ratio" true
     (Experiments.fratio 1.0 4.0 = Some 0.25)
 
-(* ------------------------------------------------------------------ *)
-(* perf-regression gate *)
-
-module Bench_gate = Ucp_core.Bench_gate
-
-let gate_json s =
-  match Ucp_util.Json.parse s with
-  | Ok j -> j
-  | Error msg -> Alcotest.failf "gate fixture does not parse: %s" msg
-
-let test_bench_gate_band () =
-  let baseline =
-    gate_json
-      {|{"wall_s":1.0,"cases":10,"tiers":[{"p99_s":0.1,"count":5},{"p99_s":0.2,"count":7}]}|}
-  in
-  (* identical numbers pass *)
-  let o = Bench_gate.compare_json ~baseline ~current:baseline () in
-  Alcotest.(check bool) "identical passes" true o.Bench_gate.passed;
-  Alcotest.(check int) "three gated leaves" 3 o.Bench_gate.gated;
-  (* just inside the band: cur = base*factor + slack *)
-  let inside =
-    gate_json
-      {|{"wall_s":3.25,"cases":99,"tiers":[{"p99_s":0.55,"count":0},{"p99_s":0.85,"count":0}]}|}
-  in
-  let o = Bench_gate.compare_json ~baseline ~current:inside () in
-  Alcotest.(check bool) "band edge passes (counts not gated)" true
-    o.Bench_gate.passed;
-  (* one leaf past the band fails, and the verdict names it *)
-  let regressed =
-    gate_json
-      {|{"wall_s":1.0,"cases":10,"tiers":[{"p99_s":0.1,"count":5},{"p99_s":5.0,"count":7}]}|}
-  in
-  let o = Bench_gate.compare_json ~baseline ~current:regressed () in
-  Alcotest.(check bool) "regression fails" false o.Bench_gate.passed;
-  (match
-     List.find_opt (fun v -> not v.Bench_gate.v_ok) o.Bench_gate.verdicts
-   with
-  | Some v ->
-    Alcotest.(check string) "regressed path" "tiers[1].p99_s" v.Bench_gate.v_path
-  | None -> Alcotest.fail "no failing verdict reported");
-  (* a tighter factor flags what the default band tolerates *)
-  let drifted = gate_json {|{"wall_s":2.0}|} in
-  let loose =
-    Bench_gate.compare_json ~baseline:(gate_json {|{"wall_s":1.0}|})
-      ~current:drifted ()
-  in
-  Alcotest.(check bool) "2x inside default band" true loose.Bench_gate.passed;
-  let tight =
-    Bench_gate.compare_json ~factor:1.1 ~slack:0.0
-      ~baseline:(gate_json {|{"wall_s":1.0}|})
-      ~current:drifted ()
-  in
-  Alcotest.(check bool) "2x outside factor 1.1" false tight.Bench_gate.passed
-
-let test_bench_gate_structure () =
-  (* additive fields on either side are skipped, not regressions; and a
-     document with no time-like leaves gates nothing *)
-  let o =
-    Bench_gate.compare_json
-      ~baseline:(gate_json {|{"wall_s":1.0,"old_s":9.9}|})
-      ~current:(gate_json {|{"wall_s":1.0,"new_s":9.9}|})
-      ()
-  in
-  Alcotest.(check int) "only the common leaf gated" 1 o.Bench_gate.gated;
-  Alcotest.(check bool) "passes" true o.Bench_gate.passed;
-  let o =
-    Bench_gate.compare_json
-      ~baseline:(gate_json {|{"cases":10,"name":"x"}|})
-      ~current:(gate_json {|{"cases":99,"name":"y"}|})
-      ()
-  in
-  Alcotest.(check int) "nothing time-like" 0 o.Bench_gate.gated;
-  Alcotest.(check bool) "vacuously passes" true o.Bench_gate.passed;
-  (* ratio is gated by name even without the _s suffix *)
-  let o =
-    Bench_gate.compare_json
-      ~baseline:(gate_json {|{"ratio":1.0}|})
-      ~current:(gate_json {|{"ratio":10.0}|})
-      ()
-  in
-  Alcotest.(check bool) "ratio regression caught" false o.Bench_gate.passed;
-  Alcotest.check_raises "bad factor rejected"
-    (Invalid_argument "Bench_gate: factor must be a positive number") (fun () ->
-      ignore
-        (Bench_gate.compare_json ~factor:0.0
-           ~baseline:(gate_json {|{}|})
-           ~current:(gate_json {|{}|})
-           ()))
-
 let () =
   Alcotest.run "ucp_core"
     [
@@ -987,10 +898,5 @@ let () =
             test_resume_rewrite_is_atomic;
           Alcotest.test_case "degenerate ratios" `Quick
             test_experiments_ratio_degenerate;
-        ] );
-      ( "bench-gate",
-        [
-          Alcotest.test_case "tolerance band" `Quick test_bench_gate_band;
-          Alcotest.test_case "structural walk" `Quick test_bench_gate_structure;
         ] );
     ]

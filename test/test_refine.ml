@@ -39,8 +39,8 @@ module Outcome = Ucp_core.Outcome
 let model = Ucp_testlib.tiny_model
 let paper_config id = List.assoc id Config.paper_configs
 
-(* The bench grid's configurations, so the NC populations the
-   refinement feeds on here match BENCH_8.json. *)
+(* Two of the ci.sh smoke grid's configurations: caches small enough
+   that the must/may analysis leaves NC references to reclaim. *)
 let test_configs = [ paper_config "k2"; paper_config "k5" ]
 let test_programs = [ "fft1"; "crc" ]
 
@@ -138,8 +138,9 @@ let test_refined_soundness policy () =
         test_configs)
     test_programs
 
-(* The bench grid reclaims NC under every policy; make sure the test
-   grid exercises reclassification rather than vacuously passing. *)
+(* Reclaiming NC is the refinement's reason to exist: it must
+   reclassify under at least two policies on the test grid, so the grid
+   exercises reclassification rather than vacuously passing. *)
 let test_strict_reduction () =
   let reduced =
     List.filter

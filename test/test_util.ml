@@ -1,10 +1,11 @@
 (* Unit and property tests for Ucp_util: deterministic RNG, statistics,
-   table rendering, cooperative deadlines, LRU map, retry backoff,
-   CRC-32, JSON. *)
+   table rendering, the monotonic clock, cooperative deadlines, LRU map,
+   retry backoff, CRC-32, JSON. *)
 
 module Rng = Ucp_util.Rng
 module Stats = Ucp_util.Stats
 module Table = Ucp_util.Table
+module Clock = Ucp_util.Clock
 module Deadline = Ucp_util.Deadline
 module Lru = Ucp_util.Lru
 module Backoff = Ucp_util.Backoff
@@ -195,6 +196,24 @@ let test_table_ragged_rows () =
 let test_cells () =
   Alcotest.(check string) "pct" "11.2%" (Table.cell_pct 0.112);
   Alcotest.(check string) "float" "0.5000" (Table.cell_f 0.5)
+
+(* ------------------------------------------------------------------ *)
+(* Clock *)
+
+let test_clock_never_decreases () =
+  let prev = ref (Clock.now_s ()) in
+  for i = 1 to 100_000 do
+    let t = Clock.now_s () in
+    if t < !prev then Alcotest.failf "read %d went back %.9f s" i (!prev -. t);
+    prev := t
+  done
+
+let test_clock_advances () =
+  let t0 = Clock.now_s () in
+  Unix.sleepf 0.01;
+  let dt = Clock.now_s () -. t0 in
+  Alcotest.(check bool) (Printf.sprintf "slept 0.01 s, clock moved %.6f s" dt) true
+    (dt >= 0.009)
 
 (* ------------------------------------------------------------------ *)
 (* Deadline *)
@@ -545,6 +564,11 @@ let () =
           Alcotest.test_case "render" `Quick test_table_render;
           Alcotest.test_case "ragged rows" `Quick test_table_ragged_rows;
           Alcotest.test_case "cells" `Quick test_cells;
+        ] );
+      ( "clock",
+        [
+          Alcotest.test_case "never decreases" `Quick test_clock_never_decreases;
+          Alcotest.test_case "advances across a sleep" `Quick test_clock_advances;
         ] );
       ( "deadline",
         [
