@@ -392,6 +392,23 @@ if [ "$status" -ne 0 ] \
 fi
 echo "ci: large-program refinement smoke passed"
 
+# The same two programs at the 256 B 4-way cache (4 sets), where the
+# per-set abstract states are longest -- FIFO and PLRU may sets grow
+# without eviction -- and no other step runs them below 8 KiB: full
+# refinement must find no abstract verdict the exploration contradicts.
+status=0
+dune exec --no-build bin/ucp.exe -- experiment \
+  --programs statemate,nsichneu --configs k3 --techs 45nm \
+  --policies lru,fifo,plru --refine full --jobs 2 \
+  >/dev/null 2>"$smoke_err" || status=$?
+if [ "$status" -ne 0 ] \
+  || ! grep -q 'cases: 6 ok, 0 failed, 0 timed out, 0 invariant violations' "$smoke_err"; then
+  echo "ci: small-cache refine smoke: expected exit 0 with 6 cases ok, got $status" >&2
+  cat "$smoke_err" >&2
+  exit 1
+fi
+echo "ci: small-cache large-program refinement smoke passed"
+
 # Serve smoke: the analysis daemon end to end.  Start `ucp serve` with
 # two faults armed -- the worker domain evaluating fft1:k2:45nm:lru is
 # killed mid-request (one-shot), and crc:k5:45nm:lru's store entry is

@@ -1,36 +1,18 @@
 type kind = Ucp_policy.kind = Must | May
 
-(* Two interchangeable representations of the same domains:
-
-   - [Functional]: per set, an association list (memory block, age
-     bound) sorted by block id.  Ages range over [0, assoc); entries
-     reaching [assoc] are evicted from the abstract state.  Retained as
-     the executable reference semantics (qcheck-tested against).
-   - [Flat]: cacheaudit-style packed age vector — one int array over
-     the memory-block universe, [ages.(mb - base)] the block's age
-     bound with absence encoded as the saturation value
-     [Ucp_policy.flat_cap].  [base] makes the indexing dense: code
-     memory blocks sit near the layout's anchor address (ids around
-     2{^20}), so the vector covers only the program's own id range, not
-     the whole address space.  [members.(s)] lists the universe
-     {e offsets} mapping to cache set [s] (shared, immutable).  Joins
-     and the domain order become pointwise max/min and comparisons;
-     updates copy one small int array instead of rebuilding association
-     lists.
-
-   The per-set transfer functions live in Ucp_policy and are dispatched
-   through the policy's first-class module; for functional LRU they are
-   byte-identical to the seed's formulas. *)
-type repr =
-  | Functional of Ucp_policy.aset array
-  | Flat of { base : int; ages : int array; members : int array array }
-
+(* One list of (memory block, age bound) pairs per cache set, sorted by
+   block; ages range over [0, assoc) and entries reaching the policy's
+   eviction threshold leave the state.  A transfer replaces only the
+   list of the set it touches, and the per-set transfers and joins of
+   Ucp_policy hand back their input when nothing changes, so states
+   derived from one another share most sets physically; [join], [leq]
+   and [equal] skip those. *)
 type t = {
   config : Config.t;
   kind : kind;
   policy : Ucp_policy.id;
   pol : (module Ucp_policy.POLICY);
-  repr : repr;
+  sets : Ucp_policy.aset array;
 }
 
 let empty ?(policy = Ucp_policy.Lru) config kind =
@@ -40,228 +22,123 @@ let empty ?(policy = Ucp_policy.Lru) config kind =
     kind;
     policy;
     pol = Ucp_policy.find policy;
-    repr = Functional (Array.make config.Config.sets []);
-  }
-
-let empty_flat ?(policy = Ucp_policy.Lru) ~base ~universe config kind =
-  Ucp_policy.check_assoc policy ~assoc:config.Config.assoc;
-  if universe < 1 then invalid_arg "Abstract.empty_flat: empty universe";
-  let pol = Ucp_policy.find policy in
-  let module P = (val pol : Ucp_policy.POLICY) in
-  let cap = P.flat_cap kind ~assoc:config.Config.assoc in
-  let member_lists = Array.make config.Config.sets [] in
-  (* set membership follows the *raw* block id (the hardware indexes on
-     addresses); the stored member entries are universe offsets because
-     that is what the fset transfers index [ages] with *)
-  for idx = universe - 1 downto 0 do
-    let s = Config.set_of_mem_block config (base + idx) in
-    member_lists.(s) <- idx :: member_lists.(s)
-  done;
-  {
-    config;
-    kind;
-    policy;
-    pol;
-    repr =
-      Flat
-        {
-          base;
-          ages = Array.make universe cap;
-          members = Array.map Array.of_list member_lists;
-        };
+    sets = Array.make config.Config.sets [];
   }
 
 let kind t = t.kind
 let config t = t.config
 let policy t = t.policy
-let is_flat t = match t.repr with Flat _ -> true | Functional _ -> false
-
 let set_idx t mb = Config.set_of_mem_block t.config mb
 
-let cap_of t =
-  let module P = (val t.pol : Ucp_policy.POLICY) in
-  P.flat_cap t.kind ~assoc:t.config.Config.assoc
-
-(* offset of a raw block id into the packed vector *)
-let flat_idx ~base ages mb =
-  let idx = mb - base in
-  if idx < 0 || idx >= Array.length ages then
-    invalid_arg
-      (Printf.sprintf "Abstract: memory block %d outside the flat universe [%d,%d)"
-         mb base
-         (base + Array.length ages));
-  idx
-
-let apply op ?(hint = Ucp_policy.Unknown) t mb =
-  let module P = (val t.pol : Ucp_policy.POLICY) in
-  match t.repr with
-  | Functional sets ->
-    let f = match op with `Update -> P.aset_update | `Fill -> P.aset_fill in
-    let s = set_idx t mb in
-    let sets = Array.copy sets in
-    sets.(s) <- f t.kind ~assoc:t.config.Config.assoc ~hint sets.(s) mb;
-    { t with repr = Functional sets }
-  | Flat f ->
-    let idx = flat_idx ~base:f.base f.ages mb in
-    let g = match op with `Update -> P.fset_update | `Fill -> P.fset_fill in
-    let ages = Array.copy f.ages in
-    g t.kind ~assoc:t.config.Config.assoc ~hint ~ages
-      ~members:f.members.(set_idx t mb) idx;
-    { t with repr = Flat { f with ages } }
-
-let update ?hint t mb = apply `Update ?hint t mb
-let fill ?hint t mb = apply `Fill ?hint t mb
-
 (* Destructive variants for the analysis hot loop: [copy] takes the one
-   defensive copy, then [update_ip]/[fill_ip] mutate it through a whole
-   node transfer — one allocation per node instead of one per
-   instruction slot. *)
-let copy t =
-  match t.repr with
-  | Functional sets -> { t with repr = Functional (Array.copy sets) }
-  | Flat f -> { t with repr = Flat { f with ages = Array.copy f.ages } }
+   defensive copy of the set array, then [update_ip]/[fill_ip] replace
+   set lists in it through a whole node transfer. *)
+let copy t = { t with sets = Array.copy t.sets }
 
 let apply_ip op ?(hint = Ucp_policy.Unknown) t mb =
   let module P = (val t.pol : Ucp_policy.POLICY) in
-  match t.repr with
-  | Functional sets ->
-    let f = match op with `Update -> P.aset_update | `Fill -> P.aset_fill in
-    let s = set_idx t mb in
-    sets.(s) <- f t.kind ~assoc:t.config.Config.assoc ~hint sets.(s) mb
-  | Flat f ->
-    let idx = flat_idx ~base:f.base f.ages mb in
-    let g = match op with `Update -> P.fset_update | `Fill -> P.fset_fill in
-    g t.kind ~assoc:t.config.Config.assoc ~hint ~ages:f.ages
-      ~members:f.members.(set_idx t mb) idx
+  let f = match op with `Update -> P.aset_update | `Fill -> P.aset_fill in
+  let s = set_idx t mb in
+  let before = t.sets.(s) in
+  let after = f t.kind ~assoc:t.config.Config.assoc ~hint before mb in
+  if after != before then t.sets.(s) <- after
 
 let update_ip ?hint t mb = apply_ip `Update ?hint t mb
 let fill_ip ?hint t mb = apply_ip `Fill ?hint t mb
 
+let update ?hint t mb =
+  let t = copy t in
+  update_ip ?hint t mb;
+  t
+
+let fill ?hint t mb =
+  let t = copy t in
+  fill_ip ?hint t mb;
+  t
+
 let check_compatible op a b =
   if a.kind <> b.kind then invalid_arg (Printf.sprintf "Abstract.%s: kind mismatch" op);
-  if not (Config.equal a.config b.config) then
+  if not (a.config == b.config || Config.equal a.config b.config) then
     invalid_arg (Printf.sprintf "Abstract.%s: configuration mismatch" op);
   if a.policy <> b.policy then
     invalid_arg (Printf.sprintf "Abstract.%s: policy mismatch" op)
 
-let repr_mismatch op =
-  invalid_arg (Printf.sprintf "Abstract.%s: mixed flat/functional representations" op)
-
+(* [a] itself when every set's join is [a]'s own list; otherwise one
+   copy of [a]'s set array, taken at the first set whose join differs.
+   Physically equal sets are their own join. *)
 let join a b =
   check_compatible "join" a b;
   let module P = (val a.pol : Ucp_policy.POLICY) in
-  match (a.repr, b.repr) with
-  | Functional sa, Functional sb ->
-    let join_set ea eb = P.aset_join a.kind ea eb |> List.sort compare in
-    {
-      a with
-      repr = Functional (Array.init (Array.length sa) (fun i -> join_set sa.(i) sb.(i)));
-    }
-  | Flat fa, Flat fb ->
-    if Array.length fa.ages <> Array.length fb.ages || fa.base <> fb.base then
-      invalid_arg "Abstract.join: flat universe mismatch";
-    (* must: intersection with maximal age bounds; may: union with
-       minimal bounds — both pointwise thanks to the saturation
-       encoding of absence *)
-    let merge = match a.kind with Must -> max | May -> min in
-    let ages = Array.init (Array.length fa.ages) (fun i -> merge fa.ages.(i) fb.ages.(i)) in
-    { a with repr = Flat { fa with ages } }
-  | Functional _, Flat _ | Flat _, Functional _ -> repr_mismatch "join"
+  let sets = ref a.sets in
+  for i = 0 to Array.length a.sets - 1 do
+    let x = a.sets.(i) and y = b.sets.(i) in
+    if x != y then begin
+      let j = P.aset_join a.kind x y in
+      if j != x then begin
+        if !sets == a.sets then sets := Array.copy a.sets;
+        !sets.(i) <- j
+      end
+    end
+  done;
+  if !sets == a.sets then a else { a with sets = !sets }
 
 let leq a b =
   check_compatible "leq" a b;
   let module P = (val a.pol : Ucp_policy.POLICY) in
-  match (a.repr, b.repr) with
-  | Functional sa, Functional sb ->
-    let n = Array.length sa in
-    let rec go i = i >= n || (P.aset_leq a.kind sa.(i) sb.(i) && go (i + 1)) in
-    go 0
-  | Flat fa, Flat fb ->
-    if Array.length fa.ages <> Array.length fb.ages || fa.base <> fb.base then
-      invalid_arg "Abstract.leq: flat universe mismatch";
-    let n = Array.length fa.ages in
-    let ok i =
-      match a.kind with Must -> fa.ages.(i) <= fb.ages.(i) | May -> fb.ages.(i) <= fa.ages.(i)
-    in
-    let rec go i = i >= n || (ok i && go (i + 1)) in
-    go 0
-  | Functional _, Flat _ | Flat _, Functional _ -> repr_mismatch "leq"
+  Array.for_all2 (fun x y -> x == y || P.aset_leq a.kind x y) a.sets b.sets
 
-let contains t mb =
-  match t.repr with
-  | Functional sets -> List.mem_assoc mb sets.(set_idx t mb)
-  | Flat f ->
-    let idx = flat_idx ~base:f.base f.ages mb in
-    f.ages.(idx) < cap_of t
+let rec age_in (mb : int) : Ucp_policy.aset -> int option = function
+  | [] -> None
+  | (x, a) :: tl -> if x < mb then age_in mb tl else if x = mb then Some a else None
 
-let age t mb =
-  match t.repr with
-  | Functional sets -> List.assoc_opt mb sets.(set_idx t mb)
-  | Flat f ->
-    let idx = flat_idx ~base:f.base f.ages mb in
-    if f.ages.(idx) < cap_of t then Some f.ages.(idx) else None
+let rec mem (mb : int) : Ucp_policy.aset -> bool = function
+  | [] -> false
+  | (x, _) :: tl -> if x < mb then mem mb tl else x = mb
 
-let blocks t =
-  match t.repr with
-  | Functional sets ->
-    Array.to_list sets |> List.concat |> List.map fst |> List.sort compare
-  | Flat f ->
-    let cap = cap_of t in
-    let acc = ref [] in
-    for idx = Array.length f.ages - 1 downto 0 do
-      if f.ages.(idx) < cap then acc := (f.base + idx) :: !acc
-    done;
-    !acc
+let age t mb = age_in mb t.sets.(set_idx t mb)
+let contains t mb = mem mb t.sets.(set_idx t mb)
+let blocks t = Array.to_list t.sets |> List.concat |> List.map fst |> List.sort compare
+
+(* The entries of [before] other than [mb] that [after] lacks, in block
+   order; both lists are sorted by block. *)
+let rec removed (mb : int) (before : Ucp_policy.aset) (after : Ucp_policy.aset) =
+  match (before, after) with
+  | [], _ -> []
+  | (x, _) :: tl, [] -> if x = mb then removed mb tl [] else x :: removed mb tl []
+  | (x, _) :: tl, (y, _) :: tl' ->
+    if x > y then removed mb before tl'
+    else if x = y then removed mb tl tl'
+    else if x = mb then removed mb tl after
+    else x :: removed mb tl after
 
 let victims ?(hint = Ucp_policy.Unknown) t mb =
   let module P = (val t.pol : Ucp_policy.POLICY) in
-  match t.repr with
-  | Functional sets ->
-    let before = sets.(set_idx t mb) in
-    let after = P.aset_update t.kind ~assoc:t.config.Config.assoc ~hint before mb in
-    List.filter_map
-      (fun (x, _) -> if x <> mb && not (List.mem_assoc x after) then Some x else None)
-      before
-  | Flat f ->
-    let idx = flat_idx ~base:f.base f.ages mb in
-    let cap = cap_of t in
-    let ages = Array.copy f.ages in
-    let members = f.members.(set_idx t mb) in
-    P.fset_update t.kind ~assoc:t.config.Config.assoc ~hint ~ages ~members idx;
-    Array.to_list members
-    |> List.filter (fun x -> x <> idx && f.ages.(x) < cap && ages.(x) >= cap)
-    |> List.map (fun x -> f.base + x)
+  let before = t.sets.(set_idx t mb) in
+  let after = P.aset_update t.kind ~assoc:t.config.Config.assoc ~hint before mb in
+  if after == before then [] else removed mb before after
+
+let rec set_equal (l1 : Ucp_policy.aset) l2 =
+  l1 == l2
+  ||
+  match (l1, l2) with
+  | (x, a) :: t1, (y, b) :: t2 -> x = y && a = b && set_equal t1 t2
+  | _ -> false
 
 let equal a b =
   a.kind = b.kind && a.policy = b.policy
-  && Config.equal a.config b.config
-  &&
-  match (a.repr, b.repr) with
-  | Functional sa, Functional sb -> sa = sb
-  | Flat fa, Flat fb -> fa.base = fb.base && fa.ages = fb.ages
-  | Functional _, Flat _ | Flat _, Functional _ -> repr_mismatch "equal"
+  && (a.config == b.config || Config.equal a.config b.config)
+  && (a.sets == b.sets || Array.for_all2 set_equal a.sets b.sets)
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>%s cache (%s):@,"
     (match t.kind with Must -> "must" | May -> "may")
     (Ucp_policy.to_string t.policy);
-  let pp_set i entries =
-    if entries <> [] then begin
-      Format.fprintf ppf "  set %d:" i;
-      List.iter (fun (mb, a) -> Format.fprintf ppf " s%d@%d" mb a) entries;
-      Format.pp_print_cut ppf ()
-    end
-  in
-  (match t.repr with
-  | Functional sets -> Array.iteri pp_set sets
-  | Flat f ->
-    let cap = cap_of t in
-    Array.iteri
-      (fun i members ->
-        pp_set i
-          (Array.to_list members
-          |> List.filter_map (fun idx ->
-                 if f.ages.(idx) < cap then Some (f.base + idx, f.ages.(idx))
-                 else None)))
-      f.members);
+  Array.iteri
+    (fun i entries ->
+      if entries <> [] then begin
+        Format.fprintf ppf "  set %d:" i;
+        List.iter (fun (mb, a) -> Format.fprintf ppf " s%d@%d" mb a) entries;
+        Format.pp_print_cut ppf ()
+      end)
+    t.sets;
   Format.fprintf ppf "@]"

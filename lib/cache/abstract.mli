@@ -14,13 +14,20 @@
       reference to a block absent from the may state is an
       {e always-miss}.
 
-    States are immutable; [update] implements the abstract update Û of
-    the selected policy, and [fill] the prefetch-extended semantics in
-    which a block is installed without a demand access (as in the
-    prefetching extension of the abstract semantics [22]).  Policies
-    whose aging depends on the access outcome (FIFO) additionally take
-    a classification [?hint] for the transferred access; [Unknown] is
-    always sound and LRU/PLRU ignore hints entirely. *)
+    A state holds one {!Ucp_policy.aset} per cache set, so its size
+    follows the cache and the blocks actually seen, not the program.
+    A transfer replaces the one set it touches; states derived from
+    one another share every other set physically, and {!join},
+    {!leq} and {!equal} skip physically equal sets.
+
+    States are immutable except through {!update_ip}/{!fill_ip};
+    [update] implements the abstract update Û of the selected policy,
+    and [fill] the prefetch-extended semantics in which a block is
+    installed without a demand access (as in the prefetching extension
+    of the abstract semantics [22]).  Policies whose aging depends on
+    the access outcome (FIFO) additionally take a classification
+    [?hint] for the transferred access; [Unknown] is always sound and
+    LRU/PLRU ignore hints entirely. *)
 
 type kind = Ucp_policy.kind = Must | May
 
@@ -29,26 +36,8 @@ type t
 val empty : ?policy:Ucp_policy.id -> Config.t -> kind -> t
 (** Cold cache: nothing resident.  For must analysis this is also the
     sound "no guarantees" element used at unknown program points.
-    Functional (per-set association list) representation.
     @raise Invalid_argument if the policy rejects the configuration's
     associativity (PLRU requires a power of two). *)
-
-val empty_flat :
-  ?policy:Ucp_policy.id -> base:int -> universe:int -> Config.t -> kind -> t
-(** Cold cache in the cacheaudit-style flat age-vector representation:
-    one packed int array over the memory blocks
-    [\[base, base + universe)], absence encoded by saturation at the
-    policy's eviction threshold.  [base] keeps the vector dense — code
-    blocks sit near the layout's anchor address, so the array spans the
-    program's id range, not the address space.  Same abstract semantics
-    as {!empty} (qcheck-tested equivalent), cheaper transfers and
-    joins.  All states flowing into {!join}, {!leq} or {!equal}
-    together must share one representation (base and universe);
-    operations on blocks outside the universe raise
-    [Invalid_argument]. *)
-
-val is_flat : t -> bool
-(** Whether this state uses the flat age-vector representation. *)
 
 val kind : t -> kind
 val config : t -> Config.t
@@ -67,20 +56,22 @@ val fill : ?hint:Ucp_policy.hint -> t -> int -> t
     ([Miss]) or unknown. *)
 
 val copy : t -> t
-(** Independent deep copy, for use with the destructive variants
-    below: mutations of the copy never alias the original. *)
+(** Independent copy, for use with the destructive variants below:
+    mutations of the copy never reach the original (the per-set lists
+    themselves are immutable and stay shared). *)
 
 val update_ip : ?hint:Ucp_policy.hint -> t -> int -> unit
-(** Destructive {!update}, for the analysis hot loop: mutates [t] in
-    place.  Only apply to states obtained from {!copy} that no other
-    holder can observe — one copy per node transfer instead of one
-    allocation per instruction slot. *)
+(** Destructive {!update}, for the analysis hot loop: replaces the
+    accessed block's set in [t].  Only apply to states obtained from
+    {!copy} that no other holder can observe — one copy per node
+    transfer instead of one per instruction slot. *)
 
 val fill_ip : ?hint:Ucp_policy.hint -> t -> int -> unit
 (** Destructive {!fill}; same ownership contract as {!update_ip}. *)
 
 val join : t -> t -> t
-(** Must: intersection/max-age.  May: union/min-age.
+(** Must: intersection/max-age.  May: union/min-age.  Returns its
+    first argument itself when the join adds nothing to it.
     @raise Invalid_argument when kinds, configurations or policies
     differ. *)
 

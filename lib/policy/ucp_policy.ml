@@ -89,73 +89,85 @@ let order_age lst mb =
 (* Shared abstract helpers                                          *)
 (* ---------------------------------------------------------------- *)
 
-(* Ferdinand-style LRU set update, byte-for-byte the formula the seed
-   used in [Abstract.update_set]: the accessed block moves to age 0,
-   entries younger than its old age (bound) age by one, entries at or
-   beyond [assoc] fall out.  Identical for must and may sets. *)
+(* Every helper below is one pass over lists sorted by block, and
+   hands back its input list itself, or a shared tail of it, wherever
+   the result would equal it: the per-set states of [Abstract] share
+   untouched sets and tails physically, which its joins and
+   comparisons test first.  The [int] and [aset] annotations make
+   every block comparison an integer compare rather than a call to the
+   polymorphic one.  [Ucp_testlib] keeps the seed's filter-and-sort
+   formulas as the reference they are qcheck-tested against. *)
+
+(* Age bound of [mb] in a set, [absent] if it is not there. *)
+let rec age_in ~absent (mb : int) : aset -> int = function
+  | [] -> absent
+  | (x, a) :: tl -> if x < mb then age_in ~absent mb tl else if x = mb then a else absent
+
+(* The entries other than [mb], each aged by one if its bound is below
+   [below] and dropped once it reaches [cap], with [(mb, 0)] inserted
+   in block order when [ins]. *)
+let rec shift ~cap ~below ~ins (mb : int) : aset -> aset = function
+  | [] -> if ins then [ (mb, 0) ] else []
+  | ((x, a) as e) :: tl as l ->
+    if x = mb then if ins then (mb, 0) :: shift ~cap ~below ~ins:false mb tl
+      else shift ~cap ~below ~ins mb tl
+    else
+      let here = ins && x > mb in
+      let rest = shift ~cap ~below ~ins:(ins && not here) mb tl in
+      let rest =
+        if a >= below then if rest == tl then l else e :: rest
+        else if a + 1 >= cap then rest
+        else (x, a + 1) :: rest
+      in
+      if here then (mb, 0) :: rest else rest
+
+(* Ferdinand-style LRU set update, the seed's [Abstract.update_set]:
+   the accessed block moves to age 0, entries younger than its old age
+   (bound) age by one, entries at or beyond [assoc] fall out.
+   Identical for must and may sets; an access at age 0 changes
+   nothing. *)
 let lru_update_set ~assoc entries mb =
-  let old_age = try List.assoc mb entries with Not_found -> assoc in
-  let aged =
-    List.filter_map
-      (fun (x, a) ->
-        if x = mb then None
-        else
-          let a' = if a < old_age then a + 1 else a in
-          if a' >= assoc then None else Some (x, a'))
-      entries
-  in
-  List.sort compare ((mb, 0) :: aged)
+  let old_age = age_in ~absent:assoc mb entries in
+  if old_age = 0 then entries else shift ~cap:assoc ~below:old_age ~ins:true mb entries
 
-(* Must join: intersection, keeping the maximal (weakest) age bound. *)
-let join_must ea eb =
-  List.filter_map
-    (fun (x, a) ->
-      match List.assoc_opt x eb with
-      | Some b -> Some (x, max a b)
-      | None -> None)
-    ea
+(* Insertion at age 0 that ages no one: the FIFO and PLRU may sets. *)
+let rec insert_young (entries : aset) (mb : int) =
+  match entries with
+  | [] -> [ (mb, 0) ]
+  | ((x, a) as e) :: tl ->
+    if x < mb then
+      let rest = insert_young tl mb in
+      if rest == tl then entries else e :: rest
+    else if x > mb then (mb, 0) :: entries
+    else if a = 0 then entries
+    else (mb, 0) :: tl
 
-(* May join: union, keeping the minimal (weakest) age lower bound. *)
-let join_may ea eb =
-  let merged =
-    List.fold_left
-      (fun acc (x, b) ->
-        match List.assoc_opt x acc with
-        | Some a -> (x, min a b) :: List.remove_assoc x acc
-        | None -> (x, b) :: acc)
-      ea eb
-  in
-  List.sort compare merged
+(* Control-flow join.  Must: intersection, keeping the maximal
+   (weakest) age bound; may: union, keeping the minimal (weakest) age
+   lower bound.  The result is [ea] or [eb] itself where it equals
+   it. *)
+let rec join_sets ~must (ea : aset) (eb : aset) =
+  if ea == eb then ea
+  else
+    match (ea, eb) with
+    | [], _ -> if must then ea else eb
+    | _, [] -> if must then eb else ea
+    | ((x, a) as e) :: ta, ((y, b) as f) :: tb ->
+      if x < y then
+        let rest = join_sets ~must ta eb in
+        if must then rest else if rest == ta then ea else e :: rest
+      else if x > y then
+        let rest = join_sets ~must ea tb in
+        if must then rest else if rest == tb then eb else f :: rest
+      else
+        let rest = join_sets ~must ta tb in
+        if (if must then a > b else a < b) then if rest == ta then ea else e :: rest
+        else if rest == tb then eb
+        else if a = b && rest == ta then ea
+        else f :: rest
 
-(* ---------------------------------------------------------------- *)
-(* Flat age-vector helpers (cacheaudit-style packed domains)        *)
-(* ---------------------------------------------------------------- *)
-
-(* [lru_update_set] on the packed representation: ages are stored in a
-   whole-universe int array with absence encoded as the saturation
-   value [cap]; only the accessed block's set members can change.
-   Entries younger than the accessed block's old age grow by one and
-   saturate at [cap] (eviction); the accessed block moves to 0. *)
-let flat_lru_update ~cap ages members mb =
-  let old_age = ages.(mb) in
-  Array.iter
-    (fun x ->
-      if x <> mb && ages.(x) < old_age then begin
-        let a' = ages.(x) + 1 in
-        ages.(x) <- (if a' >= cap then cap else a')
-      end)
-    members;
-  ages.(mb) <- 0
-
-(* [Fifo_policy.age_others ~drop:true] on the packed representation. *)
-let flat_age_others ~cap ages members mb =
-  Array.iter
-    (fun x ->
-      if x <> mb && ages.(x) < cap then begin
-        let a' = ages.(x) + 1 in
-        ages.(x) <- (if a' >= cap then cap else a')
-      end)
-    members
+let aset_join kind ea eb =
+  join_sets ~must:(match kind with Must -> true | May -> false) ea eb
 
 (* Domain order with [join] as upper bound: [leq a b] iff every
    concrete set state described by [a] is also described by [b].
@@ -163,18 +175,25 @@ let flat_age_others ~cap ages members mb =
    [a] with an age bound no larger).  May: [a]'s possibilities are
    contained in [b]'s (each entry of [a] is in [b] with an age lower
    bound no larger). *)
-let aset_leq kind a b =
-  match kind with
-  | Must ->
-      List.for_all
-        (fun (x, ab) ->
-          match List.assoc_opt x a with Some aa -> aa <= ab | None -> false)
-        b
-  | May ->
-      List.for_all
-        (fun (x, aa) ->
-          match List.assoc_opt x b with Some ab -> ab <= aa | None -> false)
-        a
+let rec leq_must (a : aset) (b : aset) =
+  a == b
+  ||
+  match (a, b) with
+  | _, [] -> true
+  | [], _ :: _ -> false
+  | (x, aa) :: ta, (y, ab) :: tb ->
+    if x < y then leq_must ta b else x = y && aa <= ab && leq_must ta tb
+
+let rec leq_may (a : aset) (b : aset) =
+  a == b
+  ||
+  match (a, b) with
+  | [], _ -> true
+  | _ :: _, [] -> false
+  | (x, aa) :: ta, (y, ab) :: tb ->
+    if x > y then leq_may a tb else x = y && ab <= aa && leq_may ta tb
+
+let aset_leq kind a b = match kind with Must -> leq_must a b | May -> leq_may a b
 
 (* ---------------------------------------------------------------- *)
 (* The policy signature                                             *)
@@ -224,18 +243,6 @@ module type POLICY = sig
 
   val aset_join : kind -> aset -> aset -> aset
   val aset_leq : kind -> aset -> aset -> bool
-
-  (* Flat age-vector view: packed whole-universe [ages] array, absence
-     encoded as [flat_cap]; [members] = universe blocks of the accessed
-     block's set.  Mutates [ages] in place; element-wise equivalent to
-     the aset_* transfers. *)
-  val flat_cap : kind -> assoc:int -> int
-
-  val fset_update :
-    kind -> assoc:int -> hint:hint -> ages:int array -> members:int array -> int -> unit
-
-  val fset_fill :
-    kind -> assoc:int -> hint:hint -> ages:int array -> members:int array -> int -> unit
 end
 
 (* ---------------------------------------------------------------- *)
@@ -271,17 +278,8 @@ module Lru_policy : POLICY = struct
 
   let aset_update _kind ~assoc ~hint:_ entries mb = lru_update_set ~assoc entries mb
   let aset_fill = aset_update
-
-  let aset_join kind ea eb =
-    match kind with Must -> join_must ea eb | May -> join_may ea eb
-
+  let aset_join = aset_join
   let aset_leq = aset_leq
-  let flat_cap _kind ~assoc = assoc
-
-  let fset_update _kind ~assoc ~hint:_ ~ages ~members mb =
-    flat_lru_update ~cap:assoc ages members mb
-
-  let fset_fill = fset_update
 end
 
 (* ---------------------------------------------------------------- *)
@@ -339,48 +337,20 @@ module Fifo_policy : POLICY = struct
     | Order l -> order_age l mb
     | Tree _ -> invalid_arg "Fifo: PLRU tree state"
 
-  let age_others ~assoc ~drop entries mb =
-    List.filter_map
-      (fun (x, a) ->
-        if x = mb then None
-        else
-          let a' = a + 1 in
-          if drop && a' >= assoc then None else Some (x, a'))
-      entries
-
   let aset_update kind ~assoc ~hint entries mb =
     match (kind, hint) with
     | _, Hit -> entries
-    | Must, Miss | May, Miss ->
-        List.sort compare ((mb, 0) :: age_others ~assoc ~drop:true entries mb)
+    | _, Miss -> shift ~cap:assoc ~below:max_int ~ins:true mb entries
     | Must, Unknown ->
-        if List.mem_assoc mb entries then entries
-        else List.sort compare (age_others ~assoc ~drop:true entries mb)
-    | May, Unknown ->
-        let others = List.filter (fun (x, _) -> x <> mb) entries in
-        List.sort compare ((mb, 0) :: others)
+        if age_in ~absent:(-1) mb entries >= 0 then entries
+        else shift ~cap:assoc ~below:max_int ~ins:false mb entries
+    | May, Unknown -> insert_young entries mb
 
   (* A fill of a resident block leaves a FIFO queue unchanged and a
      fill of an absent block inserts it, exactly like an access. *)
   let aset_fill = aset_update
-
-  let aset_join kind ea eb =
-    match kind with Must -> join_must ea eb | May -> join_may ea eb
-
+  let aset_join = aset_join
   let aset_leq = aset_leq
-  let flat_cap _kind ~assoc = assoc
-
-  let fset_update kind ~assoc ~hint ~ages ~members mb =
-    let cap = assoc in
-    match (kind, hint) with
-    | _, Hit -> ()
-    | _, Miss ->
-      flat_age_others ~cap ages members mb;
-      ages.(mb) <- 0
-    | Must, Unknown -> if ages.(mb) >= cap then flat_age_others ~cap ages members mb
-    | May, Unknown -> ages.(mb) <- 0
-
-  let fset_fill = fset_update
 end
 
 (* ---------------------------------------------------------------- *)
@@ -493,26 +463,11 @@ module Plru_policy : POLICY = struct
   let aset_update kind ~assoc ~hint:_ entries mb =
     match kind with
     | Must -> lru_update_set ~assoc:(plru_must_assoc assoc) entries mb
-    | May ->
-        let others = List.filter (fun (x, _) -> x <> mb) entries in
-        List.sort compare ((mb, 0) :: others)
+    | May -> insert_young entries mb
 
   let aset_fill = aset_update
-
-  let aset_join kind ea eb =
-    match kind with Must -> join_must ea eb | May -> join_may ea eb
-
+  let aset_join = aset_join
   let aset_leq = aset_leq
-
-  let flat_cap kind ~assoc =
-    match kind with Must -> plru_must_assoc assoc | May -> assoc
-
-  let fset_update kind ~assoc ~hint:_ ~ages ~members mb =
-    match kind with
-    | Must -> flat_lru_update ~cap:(plru_must_assoc assoc) ages members mb
-    | May -> ages.(mb) <- 0
-
-  let fset_fill = fset_update
 end
 
 (* ---------------------------------------------------------------- *)

@@ -45,7 +45,12 @@ val of_string : string -> (id, string) result
 val pp : Format.formatter -> id -> unit
 
 type aset = (int * int) list
-(** Abstract per-set state: [(block, age bound)] sorted by block. *)
+(** Abstract per-set state: [(block, age bound)] sorted by block.  The
+    [aset_*] operations below are single passes over such lists, and
+    each returns its input list itself (or a shared tail of it) where
+    the result equals it — an access that cannot change the set, a
+    join with nothing to add — so callers may test physical equality
+    first. *)
 
 type cset = Order of int list | Tree of { ways : int array; bits : int }
 (** Concrete per-set state: a recency/insertion queue (youngest first;
@@ -105,30 +110,6 @@ module type POLICY = sig
   val aset_leq : kind -> aset -> aset -> bool
   (** Domain order with [aset_join] as an upper bound: [leq a b] iff
       every concrete set state described by [a] is described by [b]. *)
-
-  (** {2 Flat age-vector view}
-
-      Cacheaudit-style packed representation of the same domains: one
-      [int array] over the whole memory-block universe, [ages.(mb)]
-      holding the block's age bound and absence encoded as the
-      saturation value {!flat_cap} (the policy/kind eviction
-      threshold).  [members] lists the universe blocks mapping to the
-      accessed block's cache set.  The transfers mutate [ages] in
-      place (the caller copies) and are element-wise equivalent to
-      their [aset_*] counterparts — qcheck-tested against them. *)
-
-  val flat_cap : kind -> assoc:int -> int
-  (** Age value that encodes "absent" / "evicted": LRU and FIFO use the
-      associativity, the PLRU must domain its reduced effective
-      associativity {!plru_must_assoc}. *)
-
-  val fset_update :
-    kind -> assoc:int -> hint:hint -> ages:int array -> members:int array -> int -> unit
-  (** Flat counterpart of [aset_update]. *)
-
-  val fset_fill :
-    kind -> assoc:int -> hint:hint -> ages:int array -> members:int array -> int -> unit
-  (** Flat counterpart of [aset_fill]. *)
 end
 
 val find : id -> (module POLICY)

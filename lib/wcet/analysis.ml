@@ -4,8 +4,6 @@ module Layout = Ucp_isa.Layout
 module Abstract = Ucp_cache.Abstract
 module Config = Ucp_cache.Config
 
-type domain = Flat | Functional
-
 type t = {
   vivu : Vivu.t;
   layout : Layout.t;
@@ -88,7 +86,7 @@ let transfer ~vivu ~layout ~with_may ~hw_next_n ~pinned ~classif node_id (must0,
   (must, may)
 
 let run ?deadline ?(with_may = true) ?(hw_next_n = 0) ?pinned
-    ?(policy = Ucp_policy.Lru) ?(domain = Flat) vivu layout config =
+    ?(policy = Ucp_policy.Lru) vivu layout config =
   (* Plain analyses (no pinned/locked ways, no hardware next-N fills)
      are the only ones the witness-replay audit can certify; record the
      modes so the audit can report an honest [Skipped] verdict. *)
@@ -102,24 +100,8 @@ let run ?deadline ?(with_may = true) ?(hw_next_n = 0) ?pinned
   let with_may = with_may || Ucp_policy.needs_may policy in
   let n = Vivu.node_count vivu in
   let program = Vivu.program vivu in
-  let cold_must, cold_may =
-    match domain with
-    | Functional ->
-      ( Abstract.empty ~policy config Abstract.Must,
-        Abstract.empty ~policy config Abstract.May )
-    | Flat ->
-      (* Universe of the packed age vectors: the program's own id range
-         (dense — raw ids sit near the layout's anchor address) plus
-         the overshoot of hardware next-N fills past the program's
-         end. *)
-      let ids = Layout.mem_block_ids layout in
-      let base = match ids with [] -> 0 | mb :: _ -> mb in
-      let universe =
-        List.fold_left max base ids - base + hw_next_n + 2
-      in
-      ( Abstract.empty_flat ~policy ~base ~universe config Abstract.Must,
-        Abstract.empty_flat ~policy ~base ~universe config Abstract.May )
-  in
+  let cold_must = Abstract.empty ~policy config Abstract.Must
+  and cold_may = Abstract.empty ~policy config Abstract.May in
   let classif =
     Array.init n (fun node_id ->
         let nd = Vivu.node vivu node_id in

@@ -9,20 +9,12 @@
 
 type t
 
-type domain = Flat | Functional
-(** Representation of the abstract cache states the fixpoint runs on:
-    packed cacheaudit-style age vectors ([Flat], the default) or the
-    per-set functional association lists ([Functional], the reference
-    semantics the flat domains are qcheck-tested against).  Same
-    classifications either way. *)
-
 val run :
   ?deadline:Ucp_util.Deadline.t ->
   ?with_may:bool ->
   ?hw_next_n:int ->
   ?pinned:(int -> bool) ->
   ?policy:Ucp_policy.id ->
-  ?domain:domain ->
   Ucp_cfg.Vivu.t ->
   Ucp_isa.Layout.t ->
   Ucp_cache.Config.t ->

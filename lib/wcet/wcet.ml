@@ -80,10 +80,10 @@ let of_analysis analysis model =
   let n_w = Array.init n (fun id -> if on_path.(id) then Vivu.mult vivu id else 0) in
   { analysis; model; slot_cycles; node_cycles; n_w; on_path; path; tau }
 
-let analyze ?deadline ?with_may ?hw_next_n ?pinned ?policy ?domain program config =
+let analyze ?deadline ?with_may ?hw_next_n ?pinned ?policy program config =
   let layout = Layout.make program ~block_bytes:config.Ucp_cache.Config.block_bytes in
   let vivu = Vivu.expand program in
-  Analysis.run ?deadline ?with_may ?hw_next_n ?pinned ?policy ?domain vivu layout config
+  Analysis.run ?deadline ?with_may ?hw_next_n ?pinned ?policy vivu layout config
 
 let compute ?deadline ?with_may ?hw_next_n ?pinned ?policy program config model =
   of_analysis (analyze ?deadline ?with_may ?hw_next_n ?pinned ?policy program config) model

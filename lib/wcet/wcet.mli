@@ -41,7 +41,6 @@ val analyze :
   ?hw_next_n:int ->
   ?pinned:(int -> bool) ->
   ?policy:Ucp_policy.id ->
-  ?domain:Analysis.domain ->
   Ucp_isa.Program.t ->
   Ucp_cache.Config.t ->
   Analysis.t

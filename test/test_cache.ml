@@ -274,7 +274,8 @@ let prop_must_age_upper_bound =
         (Abstract.blocks m))
 
 (* Join soundness: the join over-approximates both inputs in the right
-   direction (must: subset of both; may: superset of both). *)
+   direction (must: subset of both; may: superset of both), and is an
+   upper bound of both in the domain order. *)
 let prop_join_direction =
   QCheck2.Test.make ~name:"join keeps must below and may above its inputs" ~count:300
     QCheck2.Gen.(
@@ -291,7 +292,10 @@ let prop_join_direction =
         (fun mb -> Abstract.contains must1 mb && Abstract.contains must2 mb)
         (Abstract.blocks mj)
       && List.for_all (fun mb -> Abstract.contains yj mb) (Abstract.blocks may1)
-      && List.for_all (fun mb -> Abstract.contains yj mb) (Abstract.blocks may2))
+      && List.for_all (fun mb -> Abstract.contains yj mb) (Abstract.blocks may2)
+      && List.for_all
+           (fun (x, j) -> Abstract.leq x j && Abstract.leq j j)
+           [ (must1, mj); (must2, mj); (may1, yj); (may2, yj) ])
 
 (* A must-hit prediction must be a concrete hit for any continuation:
    classify before an access using the must state, then check the
@@ -398,100 +402,122 @@ let prop_policy_fill_sound policy =
       && List.for_all (fun mb -> Abstract.contains !may mb) (Concrete.contents c))
 
 (* ------------------------------------------------------------------ *)
-(* Representation equivalence: the flat age-vector domains must be
-   observationally identical to the functional reference — same
-   membership, ages, victims, joins and ordering after any interleaving
-   of updates and fills under any hints.  Blocks are shifted up to a
-   layout-like anchor so the dense [base] offset translation is on the
-   path. *)
+(* The per-set domains against the reference formulas of
+   [Ucp_testlib.Reference_aset]: updates, fills, joins and the order on
+   random sorted sets, under both kinds and all three hints, and the
+   victims of states reached by random walks.  Blocks sit above 2{^20},
+   where the layout anchors code. *)
 
-let prop_flat_equiv policy =
+let shift = 1 lsl 20
+let hints = [| Ucp_policy.Hit; Ucp_policy.Miss; Ucp_policy.Unknown |]
+
+(* A set of distinct blocks from [shift + [0, 24)] sorted by block, with
+   ages below [cap]. *)
+let gen_aset ~cap =
+  QCheck2.Gen.(
+    map
+      (fun l ->
+        List.sort_uniq (fun (x, _) (y, _) -> compare x y) l
+        |> List.map (fun (x, a) -> (shift + x, a)))
+      (list_size (int_bound 10) (pair (int_bound 23) (int_bound (cap - 1)))))
+
+let prop_aset_reference policy =
   let pname = Ucp_policy.to_string policy in
-  let shift = 1 lsl 20 in
-  let universe = 14 in
-  QCheck2.Test.make
-    ~name:(pname ^ ": flat age vectors match the functional domains")
-    ~count:400
+  let module P = (val Ucp_policy.find policy : Ucp_policy.POLICY) in
+  let module R = Ucp_testlib.Reference_aset in
+  let gen =
     QCheck2.Gen.(
-      triple Ucp_testlib.gen_config Ucp_testlib.gen_access_sequence
-        Ucp_testlib.gen_access_sequence)
-    (fun (config, s1, s2) ->
-      let s1 = List.map (( + ) shift) s1 and s2 = List.map (( + ) shift) s2 in
-      let agree func flat =
-        Abstract.blocks func = Abstract.blocks flat
-        && List.for_all
-             (fun idx ->
-               let mb = shift + idx in
-               Abstract.age func mb = Abstract.age flat mb
-               && Abstract.contains func mb = Abstract.contains flat mb)
-             (List.init universe Fun.id)
+      let* config = Ucp_testlib.gen_config in
+      let assoc = config.Config.assoc in
+      let* kind = oneofl [ Abstract.Must; Abstract.May ] in
+      let cap =
+        match (policy, kind) with
+        | Ucp_policy.Plru, Abstract.Must -> Ucp_policy.plru_must_assoc assoc
+        | _ -> assoc
       in
-      let hints = [| Ucp_policy.Hit; Ucp_policy.Miss; Ucp_policy.Unknown |] in
-      let walk kind seq =
-        let step i (func, flat) mb =
-          let hint = hints.(i mod 3) in
-          let sorted l = List.sort compare l in
-          if
-            sorted (Abstract.victims ~hint func mb)
-            <> sorted (Abstract.victims ~hint flat mb)
-          then failwith "victims diverge";
-          let f = if i mod 2 = 0 then Abstract.update else Abstract.fill in
-          let func = f ~hint func mb and flat = f ~hint flat mb in
-          if not (agree func flat) then failwith "states diverge";
-          (func, flat)
-        in
+      let* a = gen_aset ~cap and* b = gen_aset ~cap in
+      let* mb = map (( + ) shift) (int_bound 23) in
+      let* walk = Ucp_testlib.gen_access_sequence in
+      return (config, kind, a, b, mb, List.map (( + ) shift) walk))
+  in
+  let print (config, kind, a, b, mb, walk) =
+    let set l = String.concat ";" (List.map (fun (x, a) -> Printf.sprintf "%d@%d" x a) l) in
+    Printf.sprintf "%s %s a=[%s] b=[%s] mb=%d walk=[%s]" (Config.id config)
+      (match kind with Abstract.Must -> "must" | Abstract.May -> "may")
+      (set a) (set b) mb
+      (String.concat ";" (List.map string_of_int walk))
+  in
+  QCheck2.Test.make
+    ~name:(pname ^ ": set transfers match the reference formulas")
+    ~count:400 ~print gen
+    (fun (config, kind, a, b, mb, walk) ->
+      let assoc = config.Config.assoc in
+      let transfers_agree =
+        Array.for_all
+          (fun hint ->
+            P.aset_update kind ~assoc ~hint a mb = R.update policy kind ~assoc ~hint a mb
+            && P.aset_fill kind ~assoc ~hint a mb = R.fill policy kind ~assoc ~hint a mb)
+          hints
+      in
+      let j = P.aset_join kind a b in
+      let order_agrees =
+        List.for_all
+          (fun (x, y) -> P.aset_leq kind x y = R.leq kind x y)
+          [ (a, b); (b, a); (a, j); (j, a); (b, j); (a, a) ]
+      in
+      (* victims of every access of a walk, from the state the walk
+         reached, against the reference on that state's set *)
+      let set_of st mb =
+        let s = Config.set_of_mem_block config mb in
+        List.filter_map
+          (fun x ->
+            if Config.set_of_mem_block config x = s then
+              Option.map (fun age -> (x, age)) (Abstract.age st x)
+            else None)
+          (Abstract.blocks st)
+      in
+      let victims_agree, _ =
         List.fold_left
-          (fun (i, st) mb -> (i + 1, step i st mb))
-          ( 0,
-            ( Abstract.empty ~policy config kind,
-              Abstract.empty_flat ~policy ~base:shift ~universe config kind ) )
-          seq
-        |> snd
+          (fun (ok, (i, st)) mb ->
+            let hint = hints.(i mod 3) in
+            let ok =
+              ok
+              && Abstract.victims ~hint st mb
+                 = R.victims policy kind ~assoc ~hint (set_of st mb) mb
+            in
+            let f = if i mod 2 = 0 then Abstract.update else Abstract.fill in
+            (ok, (i + 1, f ~hint st mb)))
+          (true, (0, Abstract.empty ~policy config kind))
+          walk
       in
-      List.for_all
-        (fun kind ->
-          let func1, flat1 = walk kind s1 in
-          let func2, flat2 = walk kind s2 in
-          agree (Abstract.join func1 func2) (Abstract.join flat1 flat2)
-          && Abstract.leq func1 func2 = Abstract.leq flat1 flat2
-          && Abstract.leq func2 func1 = Abstract.leq flat2 flat1)
-        [ Abstract.Must; Abstract.May ])
+      transfers_agree && j = R.join kind a b && order_agrees && victims_agree)
 
 (* the destructive hot-loop variants are the same functions *)
-let prop_flat_inplace_equiv policy =
+let prop_inplace_equiv policy =
   let pname = Ucp_policy.to_string policy in
-  let shift = 1 lsl 20 in
-  let universe = 14 in
   QCheck2.Test.make
     ~name:(pname ^ ": in-place updates match the persistent ones")
     ~count:300
     QCheck2.Gen.(pair Ucp_testlib.gen_config Ucp_testlib.gen_access_sequence)
     (fun (config, seq) ->
       let seq = List.map (( + ) shift) seq in
-      let hints = [| Ucp_policy.Hit; Ucp_policy.Miss; Ucp_policy.Unknown |] in
       List.for_all
         (fun kind ->
-          List.for_all
-            (fun mk ->
-              let pure = ref (mk kind) in
-              let ip = Abstract.copy (mk kind) in
-              List.iteri
-                (fun i mb ->
-                  let hint = hints.(i mod 3) in
-                  if i mod 2 = 0 then begin
-                    pure := Abstract.update ~hint !pure mb;
-                    Abstract.update_ip ~hint ip mb
-                  end
-                  else begin
-                    pure := Abstract.fill ~hint !pure mb;
-                    Abstract.fill_ip ~hint ip mb
-                  end)
-                seq;
-              Abstract.equal !pure ip)
-            [
-              Abstract.empty ~policy config;
-              Abstract.empty_flat ~policy ~base:shift ~universe config;
-            ])
+          let pure = ref (Abstract.empty ~policy config kind) in
+          let ip = Abstract.copy !pure in
+          List.iteri
+            (fun i mb ->
+              let hint = hints.(i mod 3) in
+              if i mod 2 = 0 then begin
+                pure := Abstract.update ~hint !pure mb;
+                Abstract.update_ip ~hint ip mb
+              end
+              else begin
+                pure := Abstract.fill ~hint !pure mb;
+                Abstract.fill_ip ~hint ip mb
+              end)
+            seq;
+          Abstract.equal !pure ip)
         [ Abstract.Must; Abstract.May ])
 
 let () =
@@ -556,8 +582,8 @@ let () =
         List.concat_map
           (fun policy ->
             [
-              QCheck_alcotest.to_alcotest (prop_flat_equiv policy);
-              QCheck_alcotest.to_alcotest (prop_flat_inplace_equiv policy);
+              QCheck_alcotest.to_alcotest (prop_aset_reference policy);
+              QCheck_alcotest.to_alcotest (prop_inplace_equiv policy);
             ])
           Ucp_policy.all );
     ]

@@ -281,8 +281,10 @@ let prop_witness_replay =
    in-must/in-may and the pass count, digested over the suite below
    2000 slots and a fixed set of generated programs at four
    configurations (256 B and 512 B direct-mapped, 8 KiB 2- and
-   4-way).  Any change to how the fixpoint iterates must leave all of
-   it byte-identical. *)
+   4-way), and over the two largest programs at the 4-set and 2-set
+   256 B 4-way caches, where FIFO and PLRU may sets grow longest.
+   Any change to how the fixpoint iterates or how the abstract states
+   are represented must leave all of it byte-identical. *)
 
 let pin_programs =
   List.filter_map
@@ -293,8 +295,10 @@ let pin_programs =
         List.init 4 (fun seed -> Ucp_workloads.Generate.program ~seed:(seed + 1) ~cls))
       [ "s"; "m"; "l" ]
 
-let pin_configs =
-  List.map (fun id -> List.assoc id Config.paper_configs) [ "k4"; "k10"; "k35"; "k36" ]
+let paper_configs ids = List.map (fun id -> List.assoc id Config.paper_configs) ids
+let pin_configs = paper_configs [ "k4"; "k10"; "k35"; "k36" ]
+let large_programs = List.map Ucp_workloads.Suite.find [ "nsichneu"; "statemate" ]
+let small_configs = paper_configs [ "k3"; "k6" ]
 
 let digest_analysis buf a =
   let vivu = Analysis.vivu a in
@@ -318,59 +322,70 @@ let digest_analysis buf a =
     Buffer.add_char buf '\n'
   done
 
-let pin_digest analyze =
+let pin_digest ~programs ~configs analyze =
   let buf = Buffer.create (1 lsl 20) in
   List.iter
-    (fun p -> List.iter (fun c -> digest_analysis buf (analyze p c)) pin_configs)
-    pin_programs;
+    (fun p -> List.iter (fun c -> digest_analysis buf (analyze p c)) configs)
+    programs;
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
 let test_fixpoint_output_pinned () =
-  let runs =
+  let policies =
+    [ ("lru", Ucp_policy.Lru); ("fifo", Ucp_policy.Fifo); ("plru", Ucp_policy.Plru) ]
+  in
+  let per_policy prefix programs configs =
     List.concat_map
       (fun (label, policy) ->
-        List.concat_map
-          (fun (dlabel, domain) ->
-            List.map
-              (fun with_may ->
-                ( Printf.sprintf "%s %s with_may=%b" label dlabel with_may,
-                  fun p c -> Wcet.analyze ~with_may ~policy ~domain p c ))
-              [ true; false ])
-          [ ("flat", Analysis.Flat); ("functional", Analysis.Functional) ])
-      [ ("lru", Ucp_policy.Lru); ("fifo", Ucp_policy.Fifo); ("plru", Ucp_policy.Plru) ]
+        List.map
+          (fun with_may ->
+            ( Printf.sprintf "%s%s with_may=%b" prefix label with_may,
+              (programs, configs, fun p c -> Wcet.analyze ~with_may ~policy p c) ))
+          [ true; false ])
+      policies
+  in
+  let runs =
+    per_policy "" pin_programs pin_configs
     @ [
-        ("lru hw next-2", fun p c -> Wcet.analyze ~hw_next_n:2 p c);
-        ("lru pinned", fun p c -> Wcet.analyze ~pinned:(fun mb -> mb mod 5 = 0) p c);
+        ("lru hw next-2", (pin_programs, pin_configs, fun p c -> Wcet.analyze ~hw_next_n:2 p c));
+        ( "lru pinned",
+          ( pin_programs,
+            pin_configs,
+            fun p c -> Wcet.analyze ~pinned:(fun mb -> mb mod 5 = 0) p c ) );
       ]
+    @ per_policy "nsichneu+statemate k3,k6 " large_programs small_configs
   in
   let lru = "6689f7d915ce7fc0ced5c2c050059381"
   and lru_must = "43f988d10c96d9c9e534631555ab16e0"
   and fifo = "ac0a083b4e130a2cfc18635d25cc2585"
   and plru = "269b870223573c250fb938fecb55ff58"
   and plru_must = "0877bfa7a80a0268de56194353047705" in
-  (* the two domains agree state for state; FIFO forces the may
-     analysis on, so its two [with_may] runs agree too *)
+  (* FIFO forces the may analysis on, so its two [with_may] runs
+     agree *)
+  let large_fifo = "81cae4f8164bbac55e7fa46acf945036" in
   let expected =
     [
-      ("lru flat with_may=true", lru);
-      ("lru flat with_may=false", lru_must);
-      ("lru functional with_may=true", lru);
-      ("lru functional with_may=false", lru_must);
-      ("fifo flat with_may=true", fifo);
-      ("fifo flat with_may=false", fifo);
-      ("fifo functional with_may=true", fifo);
-      ("fifo functional with_may=false", fifo);
-      ("plru flat with_may=true", plru);
-      ("plru flat with_may=false", plru_must);
-      ("plru functional with_may=true", plru);
-      ("plru functional with_may=false", plru_must);
+      ("lru with_may=true", lru);
+      ("lru with_may=false", lru_must);
+      ("fifo with_may=true", fifo);
+      ("fifo with_may=false", fifo);
+      ("plru with_may=true", plru);
+      ("plru with_may=false", plru_must);
       ("lru hw next-2", "408dfe4aa5a8882be9bffb3c4fd3ac93");
       ("lru pinned", "fd8383fe52d19e03d65c6879c31a4a90");
+      ("nsichneu+statemate k3,k6 lru with_may=true", "962bc247ba86284e26e8e74e13e2a7c1");
+      ("nsichneu+statemate k3,k6 lru with_may=false", "02772447abfd7083ab4e867aaccd66b4");
+      ("nsichneu+statemate k3,k6 fifo with_may=true", large_fifo);
+      ("nsichneu+statemate k3,k6 fifo with_may=false", large_fifo);
+      ("nsichneu+statemate k3,k6 plru with_may=true", "e46a2fcb47a0553b587e681c2adb814b");
+      ("nsichneu+statemate k3,k6 plru with_may=false", "48e6a8cc83ff8b86fa0adfc83e5fc401");
     ]
   in
   Alcotest.(check (list (pair string string)))
     "digests" expected
-    (List.map (fun (label, analyze) -> (label, pin_digest analyze)) runs)
+    (List.map
+       (fun (label, (programs, configs, analyze)) ->
+         (label, pin_digest ~programs ~configs analyze))
+       runs)
 
 let () =
   Alcotest.run "ucp_wcet"

@@ -157,3 +157,96 @@ let reference_residual_stall (w : Ucp_wcet.Wcet.t) =
       done
   done;
   !total
+
+(* ------------------------------------------------------------------ *)
+(* Reference abstract-set transfers: the filter-and-sort formulas the
+   per-set domains of [Ucp_policy] used before they became single
+   passes over sorted lists.  [Ucp_policy]'s [aset_*] operations and
+   [Ucp_cache.Abstract.victims] must agree with them on every sorted
+   set. *)
+module Reference_aset = struct
+  (* Ferdinand-style LRU: the accessed block moves to age 0, entries
+     younger than its old age (bound) age by one, entries at or beyond
+     [assoc] fall out. *)
+  let lru_update ~assoc entries mb =
+    let old_age = try List.assoc mb entries with Not_found -> assoc in
+    let aged =
+      List.filter_map
+        (fun (x, a) ->
+          if x = mb then None
+          else
+            let a' = if a < old_age then a + 1 else a in
+            if a' >= assoc then None else Some (x, a'))
+        entries
+    in
+    List.sort compare ((mb, 0) :: aged)
+
+  let fifo_age_others ~assoc ~drop entries mb =
+    List.filter_map
+      (fun (x, a) ->
+        if x = mb then None
+        else
+          let a' = a + 1 in
+          if drop && a' >= assoc then None else Some (x, a'))
+      entries
+
+  (* insertion at age 0 without aging: the FIFO unknown-outcome and the
+     PLRU may insertion *)
+  let insert entries mb =
+    List.sort compare ((mb, 0) :: List.filter (fun (x, _) -> x <> mb) entries)
+
+  let update policy kind ~assoc ~hint entries mb =
+    match (policy, kind, hint) with
+    | Ucp_policy.Lru, _, _ -> lru_update ~assoc entries mb
+    | Ucp_policy.Fifo, _, Ucp_policy.Hit -> entries
+    | Ucp_policy.Fifo, _, Ucp_policy.Miss ->
+      List.sort compare ((mb, 0) :: fifo_age_others ~assoc ~drop:true entries mb)
+    | Ucp_policy.Fifo, Ucp_policy.Must, Ucp_policy.Unknown ->
+      if List.mem_assoc mb entries then entries
+      else List.sort compare (fifo_age_others ~assoc ~drop:true entries mb)
+    | Ucp_policy.Fifo, Ucp_policy.May, Ucp_policy.Unknown -> insert entries mb
+    | Ucp_policy.Plru, Ucp_policy.Must, _ ->
+      lru_update ~assoc:(Ucp_policy.plru_must_assoc assoc) entries mb
+    | Ucp_policy.Plru, Ucp_policy.May, _ -> insert entries mb
+
+  (* every policy fills a block as it accesses it *)
+  let fill = update
+
+  (* must: intersection with maximal ages; may: union with minimal
+     ages *)
+  let join kind ea eb =
+    let joined =
+      match kind with
+      | Ucp_policy.Must ->
+        List.filter_map
+          (fun (x, a) ->
+            match List.assoc_opt x eb with Some b -> Some (x, max a b) | None -> None)
+          ea
+      | Ucp_policy.May ->
+        List.fold_left
+          (fun acc (x, b) ->
+            match List.assoc_opt x acc with
+            | Some a -> (x, min a b) :: List.remove_assoc x acc
+            | None -> (x, b) :: acc)
+          ea eb
+    in
+    List.sort compare joined
+
+  let leq kind a b =
+    match kind with
+    | Ucp_policy.Must ->
+      List.for_all
+        (fun (x, ab) -> match List.assoc_opt x a with Some aa -> aa <= ab | None -> false)
+        b
+    | Ucp_policy.May ->
+      List.for_all
+        (fun (x, aa) -> match List.assoc_opt x b with Some ab -> ab <= aa | None -> false)
+        a
+
+  (* the blocks of [mb]'s set that the update removes *)
+  let victims policy kind ~assoc ~hint entries mb =
+    let after = update policy kind ~assoc ~hint entries mb in
+    List.filter_map
+      (fun (x, _) -> if x <> mb && not (List.mem_assoc x after) then Some x else None)
+      entries
+end
