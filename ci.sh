@@ -32,6 +32,32 @@ then
 fi
 echo "ci: one-clock lint passed"
 
+# Lint: failwith / assert false ratchet.  No input may reach a bare
+# failwith or assert false.  The allowance lists, per file, the sites
+# that remain: the typed-error work left in Checkpoint.start,
+# Ipet.solve/solve_cfg and Analysis.run, and three assert falses whose
+# comments prove them unreachable.  A new site fails the lint, and so
+# does a removed one until its allowance is lowered: the count only
+# falls.
+failure_allowance='lib/core/checkpoint.ml 4
+lib/core/parallel.ml 1
+lib/lp/simplex.ml 1
+lib/policy/ucp_policy.ml 1
+lib/wcet/analysis.ml 1
+lib/wcet/ipet.ml 4'
+failure_sites=$(grep -rnwE 'failwith|assert false' lib bin bench --include='*.ml' \
+  | cut -d: -f1 | LC_ALL=C sort | uniq -c | awk '{ print $2, $1 }')
+if [ "$failure_sites" != "$failure_allowance" ]; then
+  echo "ci: lint: failwith/assert false sites per file differ from the allowance" >&2
+  echo "found:" >&2
+  echo "$failure_sites" >&2
+  echo "allowed:" >&2
+  echo "$failure_allowance" >&2
+  echo "ci: raise a typed exception instead; lower the allowance when a site goes" >&2
+  exit 1
+fi
+echo "ci: failwith ratchet lint passed"
+
 # Robustness smoke: run a tiny sweep (2 programs x 12 quick configs x
 # 2 techs = 48 use cases) with two injected faults -- one case raises,
 # one stalls past the 1s per-case deadline -- and check the engine

@@ -111,10 +111,11 @@ let rec removed (mb : int) (before : Ucp_policy.aset) (after : Ucp_policy.aset) 
     else if x = mb then removed mb tl after
     else x :: removed mb tl after
 
-let victims ?(hint = Ucp_policy.Unknown) t mb =
-  let module P = (val t.pol : Ucp_policy.POLICY) in
-  let before = t.sets.(set_idx t mb) in
-  let after = P.aset_update t.kind ~assoc:t.config.Config.assoc ~hint before mb in
+let transfer_ip ?hint op t mb =
+  let s = set_idx t mb in
+  let before = t.sets.(s) in
+  apply_ip op ?hint t mb;
+  let after = t.sets.(s) in
   if after == before then [] else removed mb before after
 
 let rec set_equal (l1 : Ucp_policy.aset) l2 =

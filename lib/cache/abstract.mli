@@ -20,14 +20,14 @@
     one another share every other set physically, and {!join},
     {!leq} and {!equal} skip physically equal sets.
 
-    States are immutable except through {!update_ip}/{!fill_ip};
-    [update] implements the abstract update Û of the selected policy,
-    and [fill] the prefetch-extended semantics in which a block is
-    installed without a demand access (as in the prefetching extension
-    of the abstract semantics [22]).  Policies whose aging depends on
-    the access outcome (FIFO) additionally take a classification
-    [?hint] for the transferred access; [Unknown] is always sound and
-    LRU/PLRU ignore hints entirely. *)
+    States are immutable except through {!update_ip}, {!fill_ip} and
+    {!transfer_ip}; [update] implements the abstract update Û of the
+    selected policy, and [fill] the prefetch-extended semantics in
+    which a block is installed without a demand access (as in the
+    prefetching extension of the abstract semantics [22]).  Policies
+    whose aging depends on the access outcome (FIFO) additionally take
+    a classification [?hint] for the transferred access; [Unknown] is
+    always sound and LRU/PLRU ignore hints entirely. *)
 
 type kind = Ucp_policy.kind = Must | May
 
@@ -91,12 +91,14 @@ val age : t -> int -> int option
 val blocks : t -> int list
 (** Resident blocks, ascending (the paper's [B(ĉ)], Definition 9). *)
 
-val victims : ?hint:Ucp_policy.hint -> t -> int -> int list
-(** [victims t mb] lists the blocks that [update t mb] (under the same
-    hint) removes from the state — for must analysis, the references
-    that lose their cached guarantee.  This implements the replacement
-    detection of Property 3 that drives prefetch-candidate discovery,
-    and asks the policy domain who can be evicted. *)
+val transfer_ip : ?hint:Ucp_policy.hint -> [ `Update | `Fill ] -> t -> int -> int list
+(** [transfer_ip op t mb] is {!update_ip} ([`Update]) or {!fill_ip}
+    ([`Fill]) of [mb], under the same ownership contract, and returns
+    the blocks other than [mb] that the transfer removed from the
+    state, ascending — for must analysis, the references that lose
+    their cached guarantee.  This implements the replacement detection
+    of Property 3 that drives prefetch-candidate discovery, in the
+    same pass as the transfer the discovery's chain walk applies. *)
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

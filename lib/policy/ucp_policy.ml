@@ -221,7 +221,11 @@ module type POLICY = sig
   (* Concrete per-set machine *)
   val cset_empty : assoc:int -> cset
   val cset_access : assoc:int -> cset -> int -> cset * bool * int option
-  (** [(state', hit, evicted)] after a demand access. *)
+  (** [(state', hit, evicted)] after a demand access.  Obligation: a
+      re-access of the block the previous access touched hits, evicts
+      nothing and leaves the state equal (LRU: the block is already
+      youngest; FIFO: hits never reorder; PLRU: touching the same way
+      twice sets the same bits). *)
 
   val cset_fill : assoc:int -> cset -> int -> cset * int option
   (** Prefetch fill: like an access, without a hit/miss verdict. *)

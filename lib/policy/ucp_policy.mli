@@ -87,7 +87,12 @@ module type POLICY = sig
   val cset_empty : assoc:int -> cset
 
   val cset_access : assoc:int -> cset -> int -> cset * bool * int option
-  (** [(state', hit, evicted)] after a demand access. *)
+  (** [(state', hit, evicted)] after a demand access.  Obligation: an
+      access of the block that produced the state, by an access and
+      not a fill, hits, evicts nothing and returns a state equal to its
+      input.  A caller that knows it repeats that access may therefore
+      count a hit and skip the call, as the trace simulator does
+      (DESIGN.md §22). *)
 
   val cset_fill : assoc:int -> cset -> int -> cset * int option
   (** Prefetch fill: like an access, without a hit/miss verdict. *)

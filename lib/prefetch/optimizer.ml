@@ -147,16 +147,13 @@ let discover_with ~placement ~dom (w : Wcet.t) =
     if Abstract.contains st tb then Ucp_policy.Hit else Ucp_policy.Unknown
   in
   for i = 0 to view.len - 1 do
-    let hint = demand_hint i in
-    let demand_victims = Abstract.victims ~hint st view.mem_block.(i) in
-    Abstract.update_ip ~hint st view.mem_block.(i);
+    let demand_victims =
+      Abstract.transfer_ip ~hint:(demand_hint i) `Update st view.mem_block.(i)
+    in
     let fill_victims =
-      if view.is_pf.(i) then begin
-        let hint = fill_hint view.pf_target.(i) in
-        let v = Abstract.victims ~hint st view.pf_target.(i) in
-        Abstract.fill_ip ~hint st view.pf_target.(i);
-        v
-      end
+      if view.is_pf.(i) then
+        let tb = view.pf_target.(i) in
+        Abstract.transfer_ip ~hint:(fill_hint tb) `Fill st tb
       else []
     in
     victims.(i) <- demand_victims @ fill_victims

@@ -6,6 +6,23 @@ module Account = Ucp_energy.Account
 module Cacti = Ucp_energy.Cacti
 module Rng = Ucp_util.Rng
 
+exception Step_limit_exceeded of { program : string; limit : int }
+exception Dangling_prefetch_target of int
+
+let () =
+  Printexc.register_printer (function
+    | Step_limit_exceeded { program; limit } ->
+      Some
+        (Printf.sprintf "Simulator.Step_limit_exceeded: %s exceeded %d instructions"
+           program limit)
+    | Dangling_prefetch_target uid ->
+      Some
+        (Printf.sprintf
+           "Simulator.Dangling_prefetch_target: a prefetch targets uid %d, absent from \
+            the program"
+           uid)
+    | _ -> None)
+
 type stats = {
   counts : Account.counts;
   executed : int;
@@ -21,6 +38,9 @@ type state = {
   rng : Rng.t;
   in_flight : (int, int) Hashtbl.t;  (* mem block -> ready cycle *)
   branch_counts : int array;  (* block id -> cond executions *)
+  mutable last_block : int;
+      (* memory block of the last demand access, -1 once a fill may
+         have changed the cache since *)
   mutable cycles : int;
   mutable fetches : int;
   mutable hits : int;
@@ -38,8 +58,10 @@ type state = {
    evolution matches the abstract semantics, which applies the fill at
    the prefetch point; the data only becomes usable Λ cycles later —
    an earlier demand access stalls for the remainder.  Returns true
-   when a DRAM read was started. *)
+   when a DRAM read was started.  Every fill forgets the last demand
+   access's block: the fill may have reordered or evicted it. *)
 let issue_prefetch st mb =
+  st.last_block <- -1;
   if Concrete.contains st.cache mb then begin
     (* resident target: no memory traffic, but the prefetch still
        refreshes the line's recency (matching the abstract fill) *)
@@ -70,10 +92,12 @@ let fetch_locked st locked mb =
     false
   end
 
-let fetch_demand st mb =
-  st.fetches <- st.fetches + 1;
-  (* the line's prefetch, if one is in flight: a hit waits for it; on a
-     miss the entry is stale, the line was re-evicted before use *)
+(* A demand access through the cache; returns whether it hit.  The
+   line's prefetch, if one is in flight, is taken out: a hit waits for
+   it; on a miss the entry is stale, the line was re-evicted before
+   use. *)
+let access_cache st mb =
+  st.last_block <- mb;
   let ready =
     if Hashtbl.length st.in_flight = 0 then None else Hashtbl.find_opt st.in_flight mb
   in
@@ -86,13 +110,25 @@ let fetch_demand st mb =
       st.cycles <- st.cycles + stall;
       st.late_stalls <- st.late_stalls + stall
     | None -> ());
-    st.hits <- st.hits + 1;
-    st.cycles <- st.cycles + st.model.Cacti.hit_cycles;
     true
-  | Concrete.Miss _ ->
+  | Concrete.Miss _ -> false
+
+(* A re-access of [st.last_block] is a hit that leaves the cache as it
+   is (the re-access obligation of [Ucp_policy.POLICY.cset_access]),
+   and the access before it already took the line's in-flight entry
+   out, so it skips the cache (DESIGN.md §22). *)
+let fetch_demand st mb =
+  st.fetches <- st.fetches + 1;
+  let hit = mb = st.last_block || access_cache st mb in
+  if hit then begin
+    st.hits <- st.hits + 1;
+    st.cycles <- st.cycles + st.model.Cacti.hit_cycles
+  end
+  else begin
     st.misses <- st.misses + 1;
-    st.cycles <- st.cycles + st.model.Cacti.hit_cycles + st.model.Cacti.miss_penalty;
-    false
+    st.cycles <- st.cycles + st.model.Cacti.hit_cycles + st.model.Cacti.miss_penalty
+  end;
+  hit
 
 let cond_decision st block model =
   let count = st.branch_counts.(block) in
@@ -126,6 +162,7 @@ let run ?(seed = 42) ?(max_steps = 3_000_000) ?(policy = Concrete.Lru) ?hw ?lock
       rng = Rng.create seed;
       in_flight = Hashtbl.create 8;
       branch_counts = Array.make (Program.block_count program) 0;
+      last_block = -1;
       cycles = 0;
       fetches = 0;
       hits = 0;
@@ -192,9 +229,7 @@ let run ?(seed = 42) ?(max_steps = 3_000_000) ?(policy = Concrete.Lru) ?hw ?lock
   in
   let rec exec_block block =
     if st.executed > max_steps then
-      failwith
-        (Printf.sprintf "Simulator.run: %s exceeded %d instructions"
-           (Program.name program) max_steps);
+      raise (Step_limit_exceeded { program = Program.name program; limit = max_steps });
     let mem_blocks = Layout.slot_mem_blocks layout block in
     let targets = Layout.prefetch_targets layout block in
     let b = Program.block program block in
@@ -210,9 +245,9 @@ let run ?(seed = 42) ?(max_steps = 3_000_000) ?(policy = Concrete.Lru) ?hw ?lock
         st.executed_prefetches <- st.executed_prefetches + 1;
         if locked_tbl = None && not (is_pinned target) then
           ignore (issue_prefetch st target)
-      | Layout.Dangling _ ->
+      | Layout.Dangling uid ->
         st.executed_prefetches <- st.executed_prefetches + 1;
-        if locked_tbl = None then failwith "Simulator.run: dangling prefetch target");
+        if locked_tbl = None then raise (Dangling_prefetch_target uid));
       hw_observe ~block ~pos mb hit
     done;
     (* terminator *)

@@ -15,6 +15,14 @@
     from the program's {!Ucp_isa.Layout} slot table, and makes one
     cache access per demand fetch. *)
 
+exception Step_limit_exceeded of { program : string; limit : int }
+(** {!run} executed more than [limit] instructions of the program
+    named [program]: its branch models diverge. *)
+
+exception Dangling_prefetch_target of int
+(** {!run} reached a prefetch whose target uid, the argument, is absent
+    from the program. *)
+
 type stats = {
   counts : Ucp_energy.Account.counts;
   executed : int;  (** dynamically executed instructions (Figure 8) *)
@@ -61,9 +69,10 @@ val run :
     the hybrid locking+prefetching mode [16, 2].  Without [~hw] no
     hardware prefetcher runs, as with {!Hw_prefetch.none}, and no
     fetch is described to one.
-    @raise Failure if [max_steps] (default 3,000,000) instructions are
-    exceeded — a diverging branch model — or, unless [~locked], when a
-    prefetch targets a uid absent from the program. *)
+    @raise Step_limit_exceeded if [max_steps] (default 3,000,000)
+    instructions are exceeded — a diverging branch model.
+    @raise Dangling_prefetch_target unless [~locked], when a prefetch
+    targets a uid absent from the program. *)
 
 val acet : stats -> int
 (** Memory contribution to the average-case execution time, cycles. *)

@@ -437,7 +437,8 @@ let replay_witness ?(seed = 42) (w : Wcet.t) =
     with
     | Replay_abort ->
       Error (match !err with Some m -> m | None -> "witness-replay: aborted")
-    | Failure msg -> Error ("witness-replay: " ^ msg)
+    | (Simulator.Step_limit_exceeded _ | Simulator.Dangling_prefetch_target _) as e ->
+      Error ("witness-replay: " ^ Printexc.to_string e)
   in
   let* stats = stats in
   let* () = match !err with Some msg -> Error msg | None -> Ok () in

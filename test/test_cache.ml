@@ -132,8 +132,15 @@ let test_may_join_unions () =
 let test_victims () =
   let config = cfg ~assoc:2 ~block:16 ~cap:32 () in
   let m = Abstract.update (Abstract.update (Abstract.empty config Abstract.Must) 0) 2 in
-  Alcotest.(check (list int)) "victim is the oldest" [ 0 ] (Abstract.victims m 4);
-  Alcotest.(check (list int)) "no victim on refresh" [] (Abstract.victims m 2)
+  let transfer mb =
+    let st = Abstract.copy m in
+    let v = Abstract.transfer_ip `Update st mb in
+    Alcotest.(check bool) "state is the update's" true
+      (Abstract.equal st (Abstract.update m mb));
+    v
+  in
+  Alcotest.(check (list int)) "victim is the oldest" [ 0 ] (transfer 4);
+  Alcotest.(check (list int)) "no victim on refresh" [] (transfer 2)
 
 let test_join_kind_mismatch () =
   let config = cfg () in
@@ -465,8 +472,9 @@ let prop_aset_reference policy =
           (fun (x, y) -> P.aset_leq kind x y = R.leq kind x y)
           [ (a, b); (b, a); (a, j); (j, a); (b, j); (a, a) ]
       in
-      (* victims of every access of a walk, from the state the walk
-         reached, against the reference on that state's set *)
+      (* the victims [transfer_ip] reports at every step of a walk,
+         against the reference on the set of the state the walk
+         reached, and its state against the persistent transfer's *)
       let set_of st mb =
         let s = Config.set_of_mem_block config mb in
         List.filter_map
@@ -480,13 +488,17 @@ let prop_aset_reference policy =
         List.fold_left
           (fun (ok, (i, st)) mb ->
             let hint = hints.(i mod 3) in
+            let op, f =
+              if i mod 2 = 0 then (`Update, Abstract.update) else (`Fill, Abstract.fill)
+            in
+            let st' = Abstract.copy st in
+            let v = Abstract.transfer_ip ~hint op st' mb in
             let ok =
               ok
-              && Abstract.victims ~hint st mb
-                 = R.victims policy kind ~assoc ~hint (set_of st mb) mb
+              && v = R.victims policy kind ~assoc ~hint (set_of st mb) mb
+              && Abstract.equal st' (f ~hint st mb)
             in
-            let f = if i mod 2 = 0 then Abstract.update else Abstract.fill in
-            (ok, (i + 1, f ~hint st mb)))
+            (ok, (i + 1, st')))
           (true, (0, Abstract.empty ~policy config kind))
           walk
       in

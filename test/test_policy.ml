@@ -256,6 +256,37 @@ let test_classification_counts () =
         (ah >= 0 && am >= 0 && nc >= 0 && ah + am + nc > 0))
     Policy.all
 
+(* The re-access obligation of [POLICY.cset_access], on which the
+   simulator's re-access shortcut rests: from any state reached by
+   demand accesses and fills, an access of the block just accessed
+   hits, evicts nothing and returns a state equal to its input. *)
+let prop_reaccess_changes_nothing policy =
+  let module P = (val Policy.find policy : Policy.POLICY) in
+  let print (assoc, ops) =
+    Printf.sprintf "assoc %d: %s" assoc
+      (String.concat " "
+         (List.map
+            (fun (fill, mb) -> Printf.sprintf "%s%d" (if fill then "fill " else "") mb)
+            ops))
+  in
+  QCheck2.Test.make
+    ~name:(Policy.to_string policy ^ ": a re-access hits and changes nothing")
+    ~count:300 ~print
+    QCheck2.Gen.(
+      pair (oneofl [ 1; 2; 4; 8 ]) (list_size (int_range 1 60) (pair bool (int_bound 12))))
+    (fun (assoc, ops) ->
+      let _, ok =
+        List.fold_left
+          (fun (cs, ok) (fill, mb) ->
+            if fill then (fst (P.cset_fill ~assoc cs mb), ok)
+            else
+              let cs, _, _ = P.cset_access ~assoc cs mb in
+              let cs', hit, evicted = P.cset_access ~assoc cs mb in
+              (cs', ok && hit && evicted = None && cs' = cs))
+          (P.cset_empty ~assoc, true) ops
+      in
+      ok)
+
 let () =
   Alcotest.run "ucp_policy"
     [
@@ -272,7 +303,10 @@ let () =
             test_fifo_fill_is_insertion_only;
           Alcotest.test_case "plru fill and victims" `Quick test_plru_fill_and_victims;
           Alcotest.test_case "plru hit protects" `Quick test_plru_hit_protects;
-        ] );
+        ]
+        @ List.map
+            (fun p -> QCheck_alcotest.to_alcotest (prop_reaccess_changes_nothing p))
+            Policy.all );
       ( "abstract",
         [
           Alcotest.test_case "join/leq laws" `Quick test_join_leq_laws;

@@ -84,7 +84,9 @@ let test_max_steps_guard () =
     (try
        ignore (Simulator.run ~max_steps:1000 p config model);
        false
-     with Failure _ -> true)
+     with Simulator.Step_limit_exceeded { program = "inf"; limit = 1000 } as e ->
+       Ucp_testlib.contains ~substring:"Step_limit_exceeded: inf exceeded 1000"
+         (Printexc.to_string e))
 
 (* ------------------------------------------------------------------ *)
 (* software prefetch port *)
@@ -145,13 +147,71 @@ let test_dangling_prefetch_target () =
   let p = Dsl.compile ~name:"dg" [ Dsl.compute 8 ] in
   let p, _ = Program.insert_prefetch p ~block:0 ~pos:1 ~target_uid:5 in
   let p = Program.remove_uid p 5 in
-  Alcotest.(check bool) "Failure" true
+  Alcotest.(check bool) "Dangling_prefetch_target" true
     (try
        ignore (Simulator.run p config model);
        false
-     with Failure msg -> Ucp_testlib.contains ~substring:"dangling prefetch target" msg);
+     with Simulator.Dangling_prefetch_target 5 as e ->
+       Ucp_testlib.contains ~substring:"Dangling_prefetch_target: a prefetch targets uid 5"
+         (Printexc.to_string e));
   let s = Simulator.run ~locked:[] p config model in
   Alcotest.(check int) "locked run counts the prefetch" 1 s.Simulator.executed_prefetches
+
+(* ------------------------------------------------------------------ *)
+(* the re-access shortcut: a fetch of the line the previous demand
+   fetch read counts a hit without touching the cache, so a fill
+   between the two fetches must make the simulator forget that line.
+   In a one-set direct-mapped cache every fill of another line evicts
+   the one resident line, and the fetch after it misses. *)
+
+let one_line = Config.make ~assoc:1 ~block_bytes:16 ~capacity:16
+
+(* [(block, pos), hit] of every demand fetch of a run, in order *)
+let fetch_verdicts run =
+  let verdicts = ref [] in
+  let on_fetch ~block ~pos ~hit = verdicts := ((block, pos), hit) :: !verdicts in
+  ignore (run ~on_fetch);
+  List.rev !verdicts
+
+let test_sw_prefetch_between_fetches_of_a_line () =
+  let p = Dsl.compile ~name:"refill" [ Dsl.compute 12 ] in
+  let last_uid = 12 in
+  (* the first slot [k] for a prefetch of the return whose successor
+     [k + 1] shares its line, a line the return is not in *)
+  let p', k =
+    let rec find k =
+      let p', _ = Program.insert_prefetch p ~block:0 ~pos:k ~target_uid:last_uid in
+      let layout = Ucp_isa.Layout.make p' ~block_bytes:one_line.Config.block_bytes in
+      let line pos = Ucp_isa.Layout.mem_block layout ~block:0 ~pos in
+      if line k = line (k + 1) && line k <> line (Program.slots p' 0 - 1) then (p', k)
+      else find (k + 1)
+    in
+    find 0
+  in
+  let verdicts =
+    fetch_verdicts (fun ~on_fetch -> Simulator.run ~on_fetch p' one_line model)
+  in
+  Alcotest.(check (option bool)) "the fetch after the fill misses" (Some false)
+    (List.assoc_opt (0, k + 1) verdicts)
+
+let test_hw_prefetch_between_fetches_of_a_line () =
+  let p = Dsl.compile ~name:"refill" [ Dsl.compute 12 ] in
+  let layout = Ucp_isa.Layout.make p ~block_bytes:one_line.Config.block_bytes in
+  let line (_, pos) = Ucp_isa.Layout.mem_block layout ~block:0 ~pos in
+  (* next-line prefetches line b + 1 at every fetch of line b, and its
+     fill evicts b: the first fetch of a line hits, having been
+     prefetched, and every later fetch of it misses *)
+  let verdicts =
+    fetch_verdicts (fun ~on_fetch ->
+        Simulator.run ~hw:(Hw.next_line_always ()) ~on_fetch p one_line model)
+  in
+  let rec repeats = function
+    | (a, _) :: ((b, hit) :: _ as tl) ->
+      if line a = line b then hit :: repeats tl else repeats tl
+    | _ -> []
+  in
+  Alcotest.(check (list bool)) "re-reads of a line miss" (List.init 9 (fun _ -> false))
+    (repeats verdicts)
 
 (* ------------------------------------------------------------------ *)
 (* locked mode *)
@@ -457,6 +517,13 @@ let () =
           Alcotest.test_case "dangling target" `Quick test_dangling_prefetch_target;
           Alcotest.test_case "resident target" `Quick
             test_prefetch_of_resident_block_is_free;
+        ] );
+      ( "re-access",
+        [
+          Alcotest.test_case "sw prefetch between fetches of a line" `Quick
+            test_sw_prefetch_between_fetches_of_a_line;
+          Alcotest.test_case "hw prefetch between fetches of a line" `Quick
+            test_hw_prefetch_between_fetches_of_a_line;
         ] );
       ("locked", [ Alcotest.test_case "locked mode" `Quick test_locked_mode ]);
       ( "hardware",

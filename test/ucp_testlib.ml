@@ -162,8 +162,8 @@ let reference_residual_stall (w : Ucp_wcet.Wcet.t) =
 (* Reference abstract-set transfers: the filter-and-sort formulas the
    per-set domains of [Ucp_policy] used before they became single
    passes over sorted lists.  [Ucp_policy]'s [aset_*] operations and
-   [Ucp_cache.Abstract.victims] must agree with them on every sorted
-   set. *)
+   the victims [Ucp_cache.Abstract.transfer_ip] reports must agree
+   with them on every sorted set. *)
 module Reference_aset = struct
   (* Ferdinand-style LRU: the accessed block moves to age 0, entries
      younger than its old age (bound) age by one, entries at or beyond
@@ -243,7 +243,7 @@ module Reference_aset = struct
         (fun (x, aa) -> match List.assoc_opt x b with Some ab -> ab <= aa | None -> false)
         a
 
-  (* the blocks of [mb]'s set that the update removes *)
+  (* the blocks of [mb]'s set that the update (or the fill) removes *)
   let victims policy kind ~assoc ~hint entries mb =
     let after = update policy kind ~assoc ~hint entries mb in
     List.filter_map
