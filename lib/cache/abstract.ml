@@ -31,29 +31,20 @@ let policy t = t.policy
 let set_idx t mb = Config.set_of_mem_block t.config mb
 
 (* Destructive variants for the analysis hot loop: [copy] takes the one
-   defensive copy of the set array, then [update_ip]/[fill_ip] replace
-   set lists in it through a whole node transfer. *)
+   defensive copy of the set array, then [update_ip] replaces set lists
+   in it through a whole node transfer. *)
 let copy t = { t with sets = Array.copy t.sets }
 
-let apply_ip op ?(hint = Ucp_policy.Unknown) t mb =
+let update_ip ?(hint = Ucp_policy.Unknown) t mb =
   let module P = (val t.pol : Ucp_policy.POLICY) in
-  let f = match op with `Update -> P.aset_update | `Fill -> P.aset_fill in
   let s = set_idx t mb in
   let before = t.sets.(s) in
-  let after = f t.kind ~assoc:t.config.Config.assoc ~hint before mb in
+  let after = P.aset_update t.kind ~assoc:t.config.Config.assoc ~hint before mb in
   if after != before then t.sets.(s) <- after
-
-let update_ip ?hint t mb = apply_ip `Update ?hint t mb
-let fill_ip ?hint t mb = apply_ip `Fill ?hint t mb
 
 let update ?hint t mb =
   let t = copy t in
   update_ip ?hint t mb;
-  t
-
-let fill ?hint t mb =
-  let t = copy t in
-  fill_ip ?hint t mb;
   t
 
 let check_compatible op a b =
@@ -111,10 +102,10 @@ let rec removed (mb : int) (before : Ucp_policy.aset) (after : Ucp_policy.aset) 
     else if x = mb then removed mb tl after
     else x :: removed mb tl after
 
-let transfer_ip ?hint op t mb =
+let transfer_ip ?hint t mb =
   let s = set_idx t mb in
   let before = t.sets.(s) in
-  apply_ip op ?hint t mb;
+  update_ip ?hint t mb;
   let after = t.sets.(s) in
   if after == before then [] else removed mb before after
 

@@ -20,14 +20,16 @@
     one another share every other set physically, and {!join},
     {!leq} and {!equal} skip physically equal sets.
 
-    States are immutable except through {!update_ip}, {!fill_ip} and
+    States are immutable except through {!update_ip} and
     {!transfer_ip}; [update] implements the abstract update Û of the
-    selected policy, and [fill] the prefetch-extended semantics in
-    which a block is installed without a demand access (as in the
-    prefetching extension of the abstract semantics [22]).  Policies
-    whose aging depends on the access outcome (FIFO) additionally take
-    a classification [?hint] for the transferred access; [Unknown] is
-    always sound and LRU/PLRU ignore hints entirely. *)
+    selected policy.  The prefetch-extended semantics (as in the
+    prefetching extension of the abstract semantics [22]) installs a
+    prefetched block by the same update: under every supported policy
+    a fill changes a set exactly as an access of the block does
+    (DESIGN.md §23).  Policies whose aging depends on the access
+    outcome (FIFO) additionally take a classification [?hint] for the
+    transferred access; [Unknown] is always sound and LRU/PLRU ignore
+    hints entirely. *)
 
 type kind = Ucp_policy.kind = Must | May
 
@@ -46,14 +48,11 @@ val policy : t -> Ucp_policy.id
 (** The replacement policy this state models. *)
 
 val update : ?hint:Ucp_policy.hint -> t -> int -> t
-(** Abstract update for a demand reference to a memory block.  [?hint]
-    (default [Unknown]) is the classification of this very access, when
-    the caller knows it. *)
-
-val fill : ?hint:Ucp_policy.hint -> t -> int -> t
-(** Abstract effect of a completed prefetch of a memory block; [?hint]
-    says whether the block is known resident ([Hit]), known absent
-    ([Miss]) or unknown. *)
+(** Abstract update for an access to a memory block, a demand
+    reference or a prefetch fill.  [?hint] (default [Unknown]) is the
+    classification of this very access, when the caller knows it:
+    whether the block is known resident ([Hit]), known absent ([Miss])
+    or unknown. *)
 
 val copy : t -> t
 (** Independent copy, for use with the destructive variants below:
@@ -65,9 +64,6 @@ val update_ip : ?hint:Ucp_policy.hint -> t -> int -> unit
     accessed block's set in [t].  Only apply to states obtained from
     {!copy} that no other holder can observe — one copy per node
     transfer instead of one per instruction slot. *)
-
-val fill_ip : ?hint:Ucp_policy.hint -> t -> int -> unit
-(** Destructive {!fill}; same ownership contract as {!update_ip}. *)
 
 val join : t -> t -> t
 (** Must: intersection/max-age.  May: union/min-age.  Returns its
@@ -91,14 +87,14 @@ val age : t -> int -> int option
 val blocks : t -> int list
 (** Resident blocks, ascending (the paper's [B(ĉ)], Definition 9). *)
 
-val transfer_ip : ?hint:Ucp_policy.hint -> [ `Update | `Fill ] -> t -> int -> int list
-(** [transfer_ip op t mb] is {!update_ip} ([`Update]) or {!fill_ip}
-    ([`Fill]) of [mb], under the same ownership contract, and returns
-    the blocks other than [mb] that the transfer removed from the
-    state, ascending — for must analysis, the references that lose
-    their cached guarantee.  This implements the replacement detection
-    of Property 3 that drives prefetch-candidate discovery, in the
-    same pass as the transfer the discovery's chain walk applies. *)
+val transfer_ip : ?hint:Ucp_policy.hint -> t -> int -> int list
+(** [transfer_ip t mb] is {!update_ip} of [mb], under the same
+    ownership contract, and returns the blocks other than [mb] that
+    the transfer removed from the state, ascending — for must
+    analysis, the references that lose their cached guarantee.  This
+    implements the replacement detection of Property 3 that drives
+    prefetch-candidate discovery, in the same pass as the transfer the
+    discovery's chain walk applies. *)
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -38,13 +38,6 @@ let access t mb =
   t.sets.(s) <- cs';
   if hit then Hit else Miss victim
 
-let fill t mb =
-  let module P = (val t.pol : Ucp_policy.POLICY) in
-  let s = set_idx t mb in
-  let cs', victim = P.cset_fill ~assoc:t.config.Config.assoc t.sets.(s) mb in
-  t.sets.(s) <- cs';
-  victim
-
 let contains t mb = Ucp_policy.cset_contains t.sets.(set_idx t mb) mb
 
 let age t mb =

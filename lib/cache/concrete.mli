@@ -33,13 +33,9 @@ val access : t -> int -> outcome
     replacement state per the policy (LRU: block becomes most recently
     used; FIFO: position unchanged; PLRU: tree bits point away from the
     block); a miss inserts it, evicting the policy's victim when the
-    set is full (PLRU fills invalid ways first). *)
-
-val fill : t -> int -> int option
-(** [fill t mb] inserts [mb] without counting as a demand access (a
-    completed prefetch); returns the evicted block, if any.  Filling a
-    resident block refreshes the replacement state exactly like a hit
-    (a no-op under FIFO). *)
+    set is full (PLRU fills invalid ways first).  A prefetch fill is
+    the same access, whose outcome says whether the block was already
+    resident (DESIGN.md §23). *)
 
 val contains : t -> int -> bool
 (** Is the memory block currently cached? *)

@@ -102,8 +102,8 @@ val optimize :
     and at what cost?  A {e failed} audit never produces a value — it
     raises {!Outcome.Invariant} instead (see [compare_optimized]).
     [Audit_skipped] is an audit that could not run (non-plain analysis:
-    pinned/locked ways or a hardware prefetcher) — surfaced explicitly
-    so such records cannot claim a certification they never had. *)
+    pinned/locked ways) — surfaced explicitly so such records cannot
+    claim a certification they never had. *)
 type audit =
   | Not_audited
   | Audited of { checks : int; seconds : float }

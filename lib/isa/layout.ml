@@ -1,4 +1,16 @@
-type target = No_target | Target of int | Dangling of int
+type target = No_target | Target of int
+
+exception Dangling_prefetch_target of int
+
+let () =
+  Printexc.register_printer (function
+    | Dangling_prefetch_target uid ->
+      Some
+        (Printf.sprintf
+           "Layout.Dangling_prefetch_target: a prefetch targets uid %d, absent from the \
+            program"
+           uid)
+    | _ -> None)
 
 type t = {
   program : Program.t;
@@ -42,8 +54,8 @@ let make program ~block_bytes =
             match (Program.slot_instr program ~block:id ~pos).Instr.kind with
             | Instr.Compute -> No_target
             | Instr.Prefetch uid ->
-              if mem_block_of_uid.(uid) < 0 then Dangling uid
-              else Target mem_block_of_uid.(uid)))
+              if mem_block_of_uid.(uid) < 0 then raise (Dangling_prefetch_target uid);
+              Target mem_block_of_uid.(uid)))
   in
   { program; block_bytes; base; starts; total; slot_blocks; targets }
 

@@ -15,8 +15,10 @@ type t
 type target =
   | No_target  (** a compute instruction or a terminator *)
   | Target of int  (** a prefetch, with the memory block it loads *)
-  | Dangling of int
-      (** a prefetch whose target uid is absent from the program *)
+
+exception Dangling_prefetch_target of int
+(** {!make} met a prefetch whose target uid, the argument, is absent
+    from the program. *)
 
 val end_addr : int
 (** The fixed anchor address (a multiple of every supported memory-block
@@ -29,8 +31,12 @@ val make : Program.t -> block_bytes:int -> t
     Every analysis and simulation makes one, so it builds no hash
     table: slot memory blocks are arithmetic on the slot's position,
     and prefetch targets resolve through an array indexed by uid.
+    Every slot walker reads its prefetch targets from here, so none
+    checks them again.
     @raise Invalid_argument if [block_bytes] is not a positive multiple
-    of {!Instr.bytes}. *)
+    of {!Instr.bytes}.
+    @raise Dangling_prefetch_target if a prefetch targets a uid absent
+    from the program (only {!Program.remove_uid} can orphan one). *)
 
 val program : t -> Program.t
 val block_bytes : t -> int

@@ -221,14 +221,11 @@ module type POLICY = sig
   (* Concrete per-set machine *)
   val cset_empty : assoc:int -> cset
   val cset_access : assoc:int -> cset -> int -> cset * bool * int option
-  (** [(state', hit, evicted)] after a demand access.  Obligation: a
-      re-access of the block the previous access touched hits, evicts
-      nothing and leaves the state equal (LRU: the block is already
-      youngest; FIFO: hits never reorder; PLRU: touching the same way
-      twice sets the same bits). *)
-
-  val cset_fill : assoc:int -> cset -> int -> cset * int option
-  (** Prefetch fill: like an access, without a hit/miss verdict. *)
+  (** [(state', hit, evicted)] after an access, a demand fetch or a
+      prefetch fill.  Obligation: a re-access of the block the previous
+      access touched hits, evicts nothing and leaves the state equal
+      (LRU: the block is already youngest; FIFO: hits never reorder;
+      PLRU: touching the same way twice sets the same bits). *)
 
   val cset_age : assoc:int -> cset -> int -> int option
   (** Policy-specific replacement age of a resident block (LRU/FIFO:
@@ -236,14 +233,10 @@ module type POLICY = sig
 
   (* Abstract must/may domain *)
   val aset_update : kind -> assoc:int -> hint:hint -> aset -> int -> aset
-  (** Transfer a demand access.  [hint] is the classification of this
-      very access (from the analysis): policies whose aging depends on
-      hit/miss (FIFO) exploit it; LRU and PLRU ignore it.  Must be sound
-      for [Unknown] regardless. *)
-
-  val aset_fill : kind -> assoc:int -> hint:hint -> aset -> int -> aset
-  (** Transfer a prefetch fill; [hint] says whether the filled block is
-      known resident ([Hit]), known absent ([Miss]), or unknown. *)
+  (** Transfer an access, a demand fetch or a prefetch fill.  [hint] is
+      the classification of this very access (from the analysis):
+      policies whose aging depends on hit/miss (FIFO) exploit it; LRU
+      and PLRU ignore it.  Must be sound for [Unknown] regardless. *)
 
   val aset_join : kind -> aset -> aset -> aset
   val aset_leq : kind -> aset -> aset -> bool
@@ -271,17 +264,12 @@ module Lru_policy : POLICY = struct
         (Order l', hit, v)
     | Tree _ -> invalid_arg "Lru: PLRU tree state"
 
-  let cset_fill ~assoc cs mb =
-    let cs', _, v = cset_access ~assoc cs mb in
-    (cs', v)
-
   let cset_age ~assoc:_ cs mb =
     match cs with
     | Order l -> order_age l mb
     | Tree _ -> invalid_arg "Lru: PLRU tree state"
 
   let aset_update _kind ~assoc ~hint:_ entries mb = lru_update_set ~assoc entries mb
-  let aset_fill = aset_update
   let aset_join = aset_join
   let aset_leq = aset_leq
 end
@@ -332,10 +320,6 @@ module Fifo_policy : POLICY = struct
         (Order l', hit, v)
     | Tree _ -> invalid_arg "Fifo: PLRU tree state"
 
-  let cset_fill ~assoc cs mb =
-    let cs', _, v = cset_access ~assoc cs mb in
-    (cs', v)
-
   let cset_age ~assoc:_ cs mb =
     match cs with
     | Order l -> order_age l mb
@@ -350,9 +334,6 @@ module Fifo_policy : POLICY = struct
         else shift ~cap:assoc ~below:max_int ~ins:false mb entries
     | May, Unknown -> insert_young entries mb
 
-  (* A fill of a resident block leaves a FIFO queue unchanged and a
-     fill of an absent block inserts it, exactly like an access. *)
-  let aset_fill = aset_update
   let aset_join = aset_join
   let aset_leq = aset_leq
 end
@@ -436,10 +417,6 @@ module Plru_policy : POLICY = struct
             (Tree { ways; bits = touch ~assoc t.bits v }, false, victim))
     | Order _ -> invalid_arg "Plru: queue state"
 
-  let cset_fill ~assoc cs mb =
-    let cs', _, v = cset_access ~assoc cs mb in
-    (cs', v)
-
   (* "Age" of a resident block: how many tree levels on its path point
      toward it — 0 means fully protected, [log2 assoc] means it is the
      next victim. *)
@@ -469,7 +446,6 @@ module Plru_policy : POLICY = struct
     | Must -> lru_update_set ~assoc:(plru_must_assoc assoc) entries mb
     | May -> insert_young entries mb
 
-  let aset_fill = aset_update
   let aset_join = aset_join
   let aset_leq = aset_leq
 end

@@ -87,26 +87,22 @@ module type POLICY = sig
   val cset_empty : assoc:int -> cset
 
   val cset_access : assoc:int -> cset -> int -> cset * bool * int option
-  (** [(state', hit, evicted)] after a demand access.  Obligation: an
-      access of the block that produced the state, by an access and
-      not a fill, hits, evicts nothing and returns a state equal to its
-      input.  A caller that knows it repeats that access may therefore
-      count a hit and skip the call, as the trace simulator does
+  (** [(state', hit, evicted)] after an access: a demand fetch, or a
+      prefetch fill, whose verdict the caller drops (DESIGN.md §23).
+      Obligation: an access of the block the previous access touched
+      hits, evicts nothing and returns a state equal to its input.  A
+      caller that knows it repeats that access may therefore count a
+      hit and skip the call, as the trace simulator does
       (DESIGN.md §22). *)
-
-  val cset_fill : assoc:int -> cset -> int -> cset * int option
-  (** Prefetch fill: like an access, without a hit/miss verdict. *)
 
   val cset_age : assoc:int -> cset -> int -> int option
   (** Policy-specific replacement age of a resident block (LRU/FIFO:
       queue position; PLRU: tree levels currently pointing at it). *)
 
   val aset_update : kind -> assoc:int -> hint:hint -> aset -> int -> aset
-  (** Transfer a demand access under the given classification hint. *)
-
-  val aset_fill : kind -> assoc:int -> hint:hint -> aset -> int -> aset
-  (** Transfer a prefetch fill; the hint says whether the filled block
-      is known resident ([Hit]), known absent ([Miss]) or unknown. *)
+  (** Transfer an access, a demand fetch or a prefetch fill, under the
+      given classification hint: whether the block is known resident
+      ([Hit]), known absent ([Miss]) or unknown. *)
 
   val aset_join : kind -> aset -> aset -> aset
   (** Control-flow join: must = intersection with maximal age bounds,

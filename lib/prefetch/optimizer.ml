@@ -88,12 +88,11 @@ let view_of_path (w : Wcet.t) =
           node.(!k) <- nid;
           pos.(!k) <- p;
           mem_block.(!k) <- mb;
-          (* [Analysis.run] rejects dangling targets *)
           (match targets.(p) with
           | Layout.Target tb ->
             is_pf.(!k) <- true;
             pf_target.(!k) <- tb
-          | Layout.No_target | Layout.Dangling _ -> ());
+          | Layout.No_target -> ());
           cum.(!k + 1) <- cum.(!k) + w.Wcet.slot_cycles.(nid).(p);
           incr k)
         (Layout.slot_mem_blocks layout block))
@@ -147,13 +146,11 @@ let discover_with ~placement ~dom (w : Wcet.t) =
     if Abstract.contains st tb then Ucp_policy.Hit else Ucp_policy.Unknown
   in
   for i = 0 to view.len - 1 do
-    let demand_victims =
-      Abstract.transfer_ip ~hint:(demand_hint i) `Update st view.mem_block.(i)
-    in
+    let demand_victims = Abstract.transfer_ip ~hint:(demand_hint i) st view.mem_block.(i) in
     let fill_victims =
       if view.is_pf.(i) then
         let tb = view.pf_target.(i) in
-        Abstract.transfer_ip ~hint:(fill_hint tb) `Fill st tb
+        Abstract.transfer_ip ~hint:(fill_hint tb) st tb
       else []
     in
     victims.(i) <- demand_victims @ fill_victims

@@ -276,9 +276,9 @@ let run ?deadline ?budget ?(corrupt = false) ~mode (w : Wcet.t) =
   | Mode.Off -> None
   | Mode.Nc | Mode.Full ->
     if not (Analysis.is_plain w.Wcet.analysis) then
-      (* pinned ways / hardware prefetchers change the concrete
-         semantics the product models; refinement honestly declines
-         rather than silently assuming plain transfer *)
+      (* pinned ways change the concrete semantics the product
+         models; refinement honestly declines rather than silently
+         assuming plain transfer *)
       None
     else
       Ucp_obs.Trace.with_span ~name:"refine"

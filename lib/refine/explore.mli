@@ -50,10 +50,9 @@ val run :
   Ucp_wcet.Wcet.t ->
   (summary * Ucp_wcet.Wcet.t) option
 (** Refine a computed WCET.  [None] for {!Mode.Off} or a non-plain
-    analysis (pinned ways / hardware prefetcher: the product would
-    model the wrong concrete semantics).  The returned [Wcet.t] is
-    re-derived from the refined classifications; the caller's original
-    is untouched.  [?budget] caps product pairs per cache set
+    analysis (pinned ways: the product would model the wrong concrete
+    semantics).  The returned [Wcet.t] is re-derived from the refined
+    classifications; the caller's original is untouched.  [?budget] caps product pairs per cache set
     ({!Product.default_budget}); exhaustion degrades the whole set to
     [Genuinely_unknown], deterministically.  [?corrupt] injects the
     [corrupt-refine] fault: the first focus reference not proven

@@ -36,9 +36,7 @@ let default_budget = 32768
 (* One pass over the layout's slot table, in the slot order of
    [Analysis.transfer] and the simulator: each slot's demand access,
    then its prefetch fill.  Events of sets not asked for are dropped —
-   a set-partitioned policy never lets them touch the tracked state.
-   A dangling prefetch fills nothing here; the analysis that produced
-   the classifications has already rejected it. *)
+   a set-partitioned policy never lets them touch the tracked state. *)
 let events layout config sets =
   let n = Program.block_count (Layout.program layout) in
   let per_set = Hashtbl.create 16 in
@@ -55,7 +53,7 @@ let events layout config sets =
         add block mb (Access { pos; mb });
         match targets.(pos) with
         | Layout.Target tb -> add block tb (Fill tb)
-        | Layout.No_target | Layout.Dangling _ -> ())
+        | Layout.No_target -> ())
       (Layout.slot_mem_blocks layout block)
   done;
   List.map
@@ -63,7 +61,8 @@ let events layout config sets =
       (set, Array.map (fun evs -> Array.of_list (List.rev evs)) (Hashtbl.find per_set set)))
     sets
 
-(* Thread one set's concrete state through a block's events.
+(* Thread one set's concrete state through a block's events, one
+   access each: a fill is an access whose verdict nobody reads.
    [on_access] sees the hit verdict of each demand access — the
    explorer replays converged in-states through this very function,
    so the reachability sweep and the verdict pass can never
@@ -77,7 +76,7 @@ let transfer (module P : Ucp_policy.POLICY) ~assoc ?on_access events cs0 =
       (match on_access with Some f -> f ~pos ~hit | None -> ());
       cs := cs'
     | Fill mb ->
-      let cs', _ = P.cset_fill ~assoc !cs mb in
+      let cs', _, _ = P.cset_access ~assoc !cs mb in
       cs := cs'
   done;
   !cs

@@ -33,9 +33,10 @@ val transfer :
   event array ->
   Ucp_policy.cset ->
   Ucp_policy.cset
-(** Thread one set's state through a block's events; a block without
-    events returns its in-state unchanged.  [on_access] observes the
-    hit verdict of every demand access. *)
+(** Thread one set's state through a block's events, each one
+    {!Ucp_policy.POLICY.cset_access}; a block without events returns
+    its in-state unchanged.  [on_access] observes the hit verdict of
+    every demand access, and of no fill. *)
 
 val reachable :
   ?deadline:Ucp_util.Deadline.t ->

@@ -7,7 +7,6 @@ module Cacti = Ucp_energy.Cacti
 module Rng = Ucp_util.Rng
 
 exception Step_limit_exceeded of { program : string; limit : int }
-exception Dangling_prefetch_target of int
 
 let () =
   Printexc.register_printer (function
@@ -15,12 +14,6 @@ let () =
       Some
         (Printf.sprintf "Simulator.Step_limit_exceeded: %s exceeded %d instructions"
            program limit)
-    | Dangling_prefetch_target uid ->
-      Some
-        (Printf.sprintf
-           "Simulator.Dangling_prefetch_target: a prefetch targets uid %d, absent from \
-            the program"
-           uid)
     | _ -> None)
 
 type stats = {
@@ -53,28 +46,24 @@ type state = {
   mutable late_stalls : int;
 }
 
-(* Launch a prefetch of [mb] unless it is resident.  The cache line is
-   allocated immediately (as an MSHR would), so the concrete content
-   evolution matches the abstract semantics, which applies the fill at
-   the prefetch point; the data only becomes usable Λ cycles later —
-   an earlier demand access stalls for the remainder.  Returns true
-   when a DRAM read was started.  Every fill forgets the last demand
-   access's block: the fill may have reordered or evicted it. *)
+(* A prefetch of [mb] is one cache access (DESIGN.md §23).  A resident
+   target costs no memory traffic, though the access still refreshes
+   its line as a hit would.  An absent one is allocated immediately (as
+   an MSHR would), so the concrete content evolution matches the
+   abstract semantics, which applies the fill at the prefetch point;
+   the data only becomes usable Λ cycles later — an earlier demand
+   access stalls for the remainder.  Returns true when a DRAM read was
+   started.  Every fill forgets the last demand access's block: the
+   fill may have reordered or evicted it. *)
 let issue_prefetch st mb =
   st.last_block <- -1;
-  if Concrete.contains st.cache mb then begin
-    (* resident target: no memory traffic, but the prefetch still
-       refreshes the line's recency (matching the abstract fill) *)
-    ignore (Concrete.fill st.cache mb);
-    false
-  end
-  else begin
-    ignore (Concrete.fill st.cache mb);
+  match Concrete.access st.cache mb with
+  | Concrete.Hit -> false
+  | Concrete.Miss _ ->
     Hashtbl.replace st.in_flight mb (st.cycles + st.model.Cacti.prefetch_latency);
     st.prefetch_dram_reads <- st.prefetch_dram_reads + 1;
     st.prefetch_fills <- st.prefetch_fills + 1;
     true
-  end
 
 (* Fetch the instruction at [addr]'s block: accounts time and energy
    events; returns whether it hit without any stall. *)
@@ -244,10 +233,7 @@ let run ?(seed = 42) ?(max_steps = 3_000_000) ?(policy = Concrete.Lru) ?hw ?lock
       | Layout.Target target ->
         st.executed_prefetches <- st.executed_prefetches + 1;
         if locked_tbl = None && not (is_pinned target) then
-          ignore (issue_prefetch st target)
-      | Layout.Dangling uid ->
-        st.executed_prefetches <- st.executed_prefetches + 1;
-        if locked_tbl = None then raise (Dangling_prefetch_target uid));
+          ignore (issue_prefetch st target));
       hw_observe ~block ~pos mb hit
     done;
     (* terminator *)

@@ -13,15 +13,11 @@
 
     The slot loop reads each slot's memory block and prefetch target
     from the program's {!Ucp_isa.Layout} slot table, and makes one
-    cache access per demand fetch. *)
+    cache access per demand fetch and per prefetch. *)
 
 exception Step_limit_exceeded of { program : string; limit : int }
 (** {!run} executed more than [limit] instructions of the program
     named [program]: its branch models diverge. *)
-
-exception Dangling_prefetch_target of int
-(** {!run} reached a prefetch whose target uid, the argument, is absent
-    from the program. *)
 
 type stats = {
   counts : Ucp_energy.Account.counts;
@@ -71,7 +67,7 @@ val run :
     fetch is described to one.
     @raise Step_limit_exceeded if [max_steps] (default 3,000,000)
     instructions are exceeded — a diverging branch model.
-    @raise Dangling_prefetch_target unless [~locked], when a prefetch
+    @raise Ucp_isa.Layout.Dangling_prefetch_target if a prefetch
     targets a uid absent from the program. *)
 
 val acet : stats -> int

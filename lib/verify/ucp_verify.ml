@@ -437,8 +437,7 @@ let replay_witness ?(seed = 42) (w : Wcet.t) =
     with
     | Replay_abort ->
       Error (match !err with Some m -> m | None -> "witness-replay: aborted")
-    | (Simulator.Step_limit_exceeded _ | Simulator.Dangling_prefetch_target _) as e ->
-      Error ("witness-replay: " ^ Printexc.to_string e)
+    | Simulator.Step_limit_exceeded _ as e -> Error ("witness-replay: " ^ Printexc.to_string e)
   in
   let* stats = stats in
   let* () = match !err with Some msg -> Error msg | None -> Ok () in
@@ -669,14 +668,13 @@ let audit_case ?deadline ?seed ?(corrupt = false)
       && Analysis.is_plain optimized.Wcet.analysis)
   then
     (* The witness replay cannot drive the simulator through pinned
-       (locked-way) or hardware-prefetching semantics; an honest
-       Skipped verdict beats a silent pass. *)
+       (locked-way) semantics; an honest Skipped verdict beats a
+       silent pass. *)
     Ok
       (Skipped
          {
            reason =
-             "non-plain analysis (pinned/locked ways or hardware prefetcher): \
-              witness replay unsupported";
+             "non-plain analysis (pinned/locked ways): witness replay unsupported";
          })
   else begin
     (* Fault-injection hook: perturb one certificate field (the claimed

@@ -89,7 +89,7 @@ val replay_witness :
     simulator under the analysis' replacement policy and check the
     classifications, the cost bound and the prefetch-effectiveness
     residual.  Only supports plain analyses (no [~pinned]/[~locked]
-    modes and no hardware prefetcher); {!audit_case} returns an
+    modes); {!audit_case} returns an
     explicit {!Skipped} verdict for non-plain analyses instead of a
     silent pass. *)
 
@@ -119,7 +119,7 @@ type verdict =
     }
   | Skipped of { reason : string }
       (** the case could not be audited (non-plain analysis: pinned /
-          locked ways or a hardware prefetcher) — surfaced explicitly
+          locked ways) — surfaced explicitly
           so such records cannot claim a clean audit they never had *)
 
 val verdict_seconds : verdict -> float

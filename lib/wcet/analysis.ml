@@ -4,6 +4,16 @@ module Layout = Ucp_isa.Layout
 module Abstract = Ucp_cache.Abstract
 module Config = Ucp_cache.Config
 
+exception Fixpoint_diverged of { program : string; cap : int }
+
+let () =
+  Printexc.register_printer (function
+    | Fixpoint_diverged { program; cap } ->
+      Some
+        (Printf.sprintf "Analysis.Fixpoint_diverged: %s reached no fixpoint in %d passes"
+           program cap)
+    | _ -> None)
+
 type t = {
   vivu : Vivu.t;
   layout : Layout.t;
@@ -17,22 +27,35 @@ type t = {
   transfers : int;
 }
 
-let target_block = function
-  | Layout.No_target -> None
-  | Layout.Target mb -> Some mb
-  | Layout.Dangling uid ->
-    invalid_arg (Printf.sprintf "Analysis: prefetch targets unknown uid %d" uid)
+(* One access of [mb]: classify it from the states before it, then
+   apply it.  A pinned block is a guaranteed hit in a locked way and
+   leaves the replacement state alone.  Otherwise the classification
+   is fed back into the abstract update as a hint: policies with
+   outcome-dependent aging (FIFO) need it, LRU/PLRU ignore it. *)
+let step ~with_may ~pinned must may mb =
+  if pinned mb then Classification.Always_hit
+  else begin
+    let cls =
+      if Abstract.contains must mb then Classification.Always_hit
+      else if with_may && not (Abstract.contains may mb) then Classification.Always_miss
+      else Classification.Not_classified
+    in
+    let hint =
+      match cls with
+      | Classification.Always_hit -> Ucp_policy.Hit
+      | Classification.Always_miss -> Ucp_policy.Miss
+      | Classification.Not_classified -> Ucp_policy.Unknown
+    in
+    Abstract.update_ip ~hint must mb;
+    if with_may then Abstract.update_ip ~hint may mb;
+    cls
+  end
 
-(* Residency hint for a prefetch/hardware fill: known resident, known
-   absent, or unknown — from the states right before the fill. *)
-let fill_hint ~with_may must may tb =
-  if Abstract.contains must tb then Ucp_policy.Hit
-  else if with_may && not (Abstract.contains may tb) then Ucp_policy.Miss
-  else Ucp_policy.Unknown
-
-(* Transfer one node: thread both states through its slots, recording
-   per-slot classifications into [classif]. *)
-let transfer ~vivu ~layout ~with_may ~hw_next_n ~pinned ~classif node_id (must0, may0) =
+(* Transfer one node: thread both states through its slots, one step
+   for each slot's demand access, whose classification [classif]
+   records, then one for its prefetch's target, a fill being an access
+   whose classification nobody reads (DESIGN.md §23). *)
+let transfer ~vivu ~layout ~with_may ~pinned ~classif node_id (must0, may0) =
   let block = (Vivu.node vivu node_id).Vivu.block in
   let mem_blocks = Layout.slot_mem_blocks layout block in
   let targets = Layout.prefetch_targets layout block in
@@ -40,57 +63,18 @@ let transfer ~vivu ~layout ~with_may ~hw_next_n ~pinned ~classif node_id (must0,
      the inputs stay usable as the node's recorded in-states *)
   let must = Abstract.copy must0 and may = Abstract.copy may0 in
   for pos = 0 to Array.length mem_blocks - 1 do
-    let s = mem_blocks.(pos) in
-    if pinned s then begin
-      (* locked way: guaranteed hit, no replacement-state effect *)
-      classif.(node_id).(pos) <- Classification.Always_hit
-    end
-    else begin
-      let cls =
-        if Abstract.contains must s then Classification.Always_hit
-        else if with_may && not (Abstract.contains may s) then
-          Classification.Always_miss
-        else Classification.Not_classified
-      in
-      classif.(node_id).(pos) <- cls;
-      (* The classification of this very access is fed back into the
-         abstract update as a hint: policies with outcome-dependent
-         aging (FIFO) need it, LRU/PLRU ignore it. *)
-      let hint =
-        match cls with
-        | Classification.Always_hit -> Ucp_policy.Hit
-        | Classification.Always_miss -> Ucp_policy.Miss
-        | Classification.Not_classified -> Ucp_policy.Unknown
-      in
-      Abstract.update_ip ~hint must s;
-      if with_may then Abstract.update_ip ~hint may s;
-      (* next-N-line-always hardware prefetching [22]: every reference
-         also installs the sequentially following blocks *)
-      for k = 1 to hw_next_n do
-        if not (pinned (s + k)) then begin
-          let hint = fill_hint ~with_may must may (s + k) in
-          Abstract.fill_ip ~hint must (s + k);
-          if with_may then Abstract.fill_ip ~hint may (s + k)
-        end
-      done
-    end;
-    match target_block targets.(pos) with
-    | None -> ()
-    | Some tb ->
-      if not (pinned tb) then begin
-        let hint = fill_hint ~with_may must may tb in
-        Abstract.fill_ip ~hint must tb;
-        if with_may then Abstract.fill_ip ~hint may tb
-      end
+    classif.(node_id).(pos) <- step ~with_may ~pinned must may mem_blocks.(pos);
+    match targets.(pos) with
+    | Layout.No_target -> ()
+    | Layout.Target tb -> ignore (step ~with_may ~pinned must may tb)
   done;
   (must, may)
 
-let run ?deadline ?(with_may = true) ?(hw_next_n = 0) ?pinned
-    ?(policy = Ucp_policy.Lru) vivu layout config =
-  (* Plain analyses (no pinned/locked ways, no hardware next-N fills)
-     are the only ones the witness-replay audit can certify; record the
-     modes so the audit can report an honest [Skipped] verdict. *)
-  let plain = Option.is_none pinned && hw_next_n = 0 in
+let run ?deadline ?(with_may = true) ?pinned ?(policy = Ucp_policy.Lru) vivu layout config =
+  (* Plain analyses (no pinned/locked ways) are the only ones the
+     witness-replay audit can certify; record the mode so the audit can
+     report an honest [Skipped] verdict. *)
+  let plain = Option.is_none pinned in
   let pinned = match pinned with Some f -> f | None -> fun _ -> false in
   (* Policies whose must domain only gains precision from definite
      misses (FIFO) force the may analysis on regardless of the caller's
@@ -131,7 +115,7 @@ let run ?deadline ?(with_may = true) ?(hw_next_n = 0) ?pinned
   let transfers = ref 0 in
   let transfer node_id input =
     incr transfers;
-    transfer ~vivu ~layout ~with_may ~hw_next_n ~pinned ~classif node_id input
+    transfer ~vivu ~layout ~with_may ~pinned ~classif node_id input
   in
   (* Topological sweeps until one changes no out-state.  A node is
      transferred only when some predecessor's out-state changed since
@@ -148,7 +132,8 @@ let run ?deadline ?(with_may = true) ?(hw_next_n = 0) ?pinned
   let changed = ref true in
   while !changed do
     incr passes;
-    if !passes > n + 1000 then failwith "Analysis.run: fixpoint did not converge";
+    if !passes > n + 1000 then
+      raise (Fixpoint_diverged { program = Program.name program; cap = n + 1000 });
     Ucp_util.Deadline.check deadline;
     changed := false;
     Ucp_obs.Trace.with_span ~name:"fixpoint-pass"

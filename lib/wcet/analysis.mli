@@ -4,15 +4,19 @@
     of rest contexts included) and classifies every instruction slot of
     every expanded node.  Prefetch instructions apply the
     prefetch-extended abstract semantics: their own fetch is classified
-    like any reference, and the targeted memory block is installed as
-    most-recently-used. *)
+    like any reference, and the targeted memory block is then installed
+    by the same classify-and-update step as a demand access of it, its
+    classification dropped (DESIGN.md §23). *)
+
+exception Fixpoint_diverged of { program : string; cap : int }
+(** {!run} made [cap] passes over the expanded graph of the program
+    named [program] without reaching a fixpoint. *)
 
 type t
 
 val run :
   ?deadline:Ucp_util.Deadline.t ->
   ?with_may:bool ->
-  ?hw_next_n:int ->
   ?pinned:(int -> bool) ->
   ?policy:Ucp_policy.id ->
   Ucp_cfg.Vivu.t ->
@@ -33,19 +37,14 @@ val run :
     classifications may then appear where the caller expected
     [Not_classified] — the WCET bound treats the two identically.
 
-    [~hw_next_n:n] enables the next-N-line-always hardware prefetcher
-    in the abstract semantics (the extension of the classical update
-    the paper cites as [22]): every demand reference additionally
-    installs the [n] sequentially following memory blocks.
-
     [~pinned] marks memory blocks held in locked ways (the hybrid
     locking+prefetching schemes [16, 2] of the paper's perspectives):
     pinned references are always-hits and never enter the replacement
     state — pass the configuration of the {e unlocked} ways.
-    @raise Invalid_argument if a prefetch instruction targets a uid
-    absent from the program.
     @raise Ucp_util.Deadline.Deadline_exceeded if [?deadline] passes
-    (checked once per fixpoint pass). *)
+    (checked once per fixpoint pass).
+    @raise Fixpoint_diverged if the passes exceed the node count plus
+    1000. *)
 
 val vivu : t -> Ucp_cfg.Vivu.t
 val layout : t -> Ucp_isa.Layout.t
@@ -55,10 +54,9 @@ val policy : t -> Ucp_policy.id
 (** The replacement policy the analysis modelled. *)
 
 val is_plain : t -> bool
-(** Whether the analysis ran without [~pinned] ways and without a
-    hardware prefetcher ([hw_next_n = 0]) — the only modes the
-    witness-replay audit supports.  Non-plain analyses get an explicit
-    [Skipped] audit verdict instead of a silent pass. *)
+(** Whether the analysis ran without [~pinned] ways — the only mode
+    the witness-replay audit supports.  Non-plain analyses get an
+    explicit [Skipped] audit verdict instead of a silent pass. *)
 
 val classif : t -> node:int -> pos:int -> Classification.t
 (** Classification of an instruction slot of an expanded node. *)

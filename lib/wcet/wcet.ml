@@ -80,13 +80,13 @@ let of_analysis analysis model =
   let n_w = Array.init n (fun id -> if on_path.(id) then Vivu.mult vivu id else 0) in
   { analysis; model; slot_cycles; node_cycles; n_w; on_path; path; tau }
 
-let analyze ?deadline ?with_may ?hw_next_n ?pinned ?policy program config =
+let analyze ?deadline ?with_may ?pinned ?policy program config =
   let layout = Layout.make program ~block_bytes:config.Ucp_cache.Config.block_bytes in
   let vivu = Vivu.expand program in
-  Analysis.run ?deadline ?with_may ?hw_next_n ?pinned ?policy vivu layout config
+  Analysis.run ?deadline ?with_may ?pinned ?policy vivu layout config
 
-let compute ?deadline ?with_may ?hw_next_n ?pinned ?policy program config model =
-  of_analysis (analyze ?deadline ?with_may ?hw_next_n ?pinned ?policy program config) model
+let compute ?deadline ?with_may ?pinned ?policy program config model =
+  of_analysis (analyze ?deadline ?with_may ?pinned ?policy program config) model
 
 let path_refs t =
   let vivu = Analysis.vivu t.analysis in
@@ -191,14 +191,12 @@ let residual_prefetch_stall t =
   for node = 0 to Vivu.node_count vivu - 1 do
     let mult = Vivu.mult vivu node in
     if mult > 0 then
-      (* [Analysis.run] rejects dangling targets, so every prefetch
-         here has one *)
       Array.iteri
         (fun pos -> function
           | Layout.Target target ->
             let shortfall = lambda - min_distance_to_use ~node0:node ~pos0:pos ~target in
             total := !total + (shortfall * mult)
-          | Layout.No_target | Layout.Dangling _ -> ())
+          | Layout.No_target -> ())
         (Layout.prefetch_targets layout (Vivu.node vivu node).Vivu.block)
   done;
   !total

@@ -23,7 +23,6 @@ type t = {
 val compute :
   ?deadline:Ucp_util.Deadline.t ->
   ?with_may:bool ->
-  ?hw_next_n:int ->
   ?pinned:(int -> bool) ->
   ?policy:Ucp_policy.id ->
   Ucp_isa.Program.t ->
@@ -31,14 +30,15 @@ val compute :
   Ucp_energy.Cacti.t ->
   t
 (** Full pipeline: layout, VIVU expansion, abstract interpretation,
-    timing, longest path.  [~deadline], [~with_may], [~hw_next_n],
-    [~pinned] and [~policy] (replacement policy, default LRU) are
-    forwarded to {!Analysis.run}. *)
+    timing, longest path.  [~deadline], [~with_may], [~pinned] and
+    [~policy] (replacement policy, default LRU) are forwarded to
+    {!Analysis.run}.
+    @raise Ucp_isa.Layout.Dangling_prefetch_target if a prefetch
+    targets a uid absent from the program. *)
 
 val analyze :
   ?deadline:Ucp_util.Deadline.t ->
   ?with_may:bool ->
-  ?hw_next_n:int ->
   ?pinned:(int -> bool) ->
   ?policy:Ucp_policy.id ->
   Ucp_isa.Program.t ->

@@ -67,15 +67,6 @@ let test_set_isolation () =
   Alcotest.(check bool) "different sets coexist" true
     (Concrete.contains c 0 && Concrete.contains c 1)
 
-let test_fill_refresh () =
-  let c = Concrete.create (cfg ~assoc:2 ~block:16 ~cap:32 ()) in
-  ignore (Concrete.access c 0);
-  ignore (Concrete.access c 1);
-  ignore (Concrete.fill c 0);
-  (* 0 is MRU again; inserting 2 must evict 1 *)
-  Alcotest.(check bool) "fill refreshed recency" true
-    (Concrete.access c 2 = Concrete.Miss (Some 1))
-
 let test_age_tracking () =
   let c = Concrete.create (cfg ~assoc:4 ~block:16 ~cap:64 ()) in
   ignore (Concrete.access c 0);
@@ -134,7 +125,7 @@ let test_victims () =
   let m = Abstract.update (Abstract.update (Abstract.empty config Abstract.Must) 0) 2 in
   let transfer mb =
     let st = Abstract.copy m in
-    let v = Abstract.transfer_ip `Update st mb in
+    let v = Abstract.transfer_ip st mb in
     Alcotest.(check bool) "state is the update's" true
       (Abstract.equal st (Abstract.update m mb));
     v
@@ -381,8 +372,9 @@ let prop_policy_fill_sound policy =
       triple Ucp_testlib.gen_config Ucp_testlib.gen_access_sequence
         (list_size (int_range 1 20) (int_bound 12)))
     (fun (config, seq, fills) ->
-      (* interleave demand accesses and prefetch fills; the abstract
-         fill transfer must keep the sandwich *)
+      (* interleave demand accesses and prefetch fills, each fill an
+         access of its block under its residency hint; the abstract
+         transfer must keep the sandwich *)
       let c = Concrete.create ~policy config in
       let must = ref (Abstract.empty ~policy config Abstract.Must) in
       let may = ref (Abstract.empty ~policy config Abstract.May) in
@@ -396,9 +388,9 @@ let prop_policy_fill_sound policy =
           if i mod 3 = 2 && fills <> [] then begin
             let fb = List.nth fills (i mod List.length fills) in
             let fhint = hint_for fb in
-            ignore (Concrete.fill c fb);
-            must := Abstract.fill ~hint:fhint !must fb;
-            may := Abstract.fill ~hint:fhint !may fb
+            ignore (Concrete.access c fb);
+            must := Abstract.update ~hint:fhint !must fb;
+            may := Abstract.update ~hint:fhint !may fb
           end;
           let hint = hint_for mb in
           ignore (Concrete.access c mb);
@@ -410,7 +402,7 @@ let prop_policy_fill_sound policy =
 
 (* ------------------------------------------------------------------ *)
 (* The per-set domains against the reference formulas of
-   [Ucp_testlib.Reference_aset]: updates, fills, joins and the order on
+   [Ucp_testlib.Reference_aset]: updates, joins and the order on
    random sorted sets, under both kinds and all three hints, and the
    victims of states reached by random walks.  Blocks sit above 2{^20},
    where the layout anchors code. *)
@@ -462,8 +454,7 @@ let prop_aset_reference policy =
       let transfers_agree =
         Array.for_all
           (fun hint ->
-            P.aset_update kind ~assoc ~hint a mb = R.update policy kind ~assoc ~hint a mb
-            && P.aset_fill kind ~assoc ~hint a mb = R.fill policy kind ~assoc ~hint a mb)
+            P.aset_update kind ~assoc ~hint a mb = R.update policy kind ~assoc ~hint a mb)
           hints
       in
       let j = P.aset_join kind a b in
@@ -488,15 +479,12 @@ let prop_aset_reference policy =
         List.fold_left
           (fun (ok, (i, st)) mb ->
             let hint = hints.(i mod 3) in
-            let op, f =
-              if i mod 2 = 0 then (`Update, Abstract.update) else (`Fill, Abstract.fill)
-            in
             let st' = Abstract.copy st in
-            let v = Abstract.transfer_ip ~hint op st' mb in
+            let v = Abstract.transfer_ip ~hint st' mb in
             let ok =
               ok
               && v = R.victims policy kind ~assoc ~hint (set_of st mb) mb
-              && Abstract.equal st' (f ~hint st mb)
+              && Abstract.equal st' (Abstract.update ~hint st mb)
             in
             (ok, (i + 1, st')))
           (true, (0, Abstract.empty ~policy config kind))
@@ -520,14 +508,8 @@ let prop_inplace_equiv policy =
           List.iteri
             (fun i mb ->
               let hint = hints.(i mod 3) in
-              if i mod 2 = 0 then begin
-                pure := Abstract.update ~hint !pure mb;
-                Abstract.update_ip ~hint ip mb
-              end
-              else begin
-                pure := Abstract.fill ~hint !pure mb;
-                Abstract.fill_ip ~hint ip mb
-              end)
+              pure := Abstract.update ~hint !pure mb;
+              Abstract.update_ip ~hint ip mb)
             seq;
           Abstract.equal !pure ip)
         [ Abstract.Must; Abstract.May ])
@@ -546,7 +528,6 @@ let () =
         [
           Alcotest.test_case "lru eviction" `Quick test_lru_eviction_order;
           Alcotest.test_case "set isolation" `Quick test_set_isolation;
-          Alcotest.test_case "fill refresh" `Quick test_fill_refresh;
           Alcotest.test_case "age tracking" `Quick test_age_tracking;
           Alcotest.test_case "copy" `Quick test_copy_independent;
         ] );

@@ -213,10 +213,9 @@ let check_slot_table p ~block_bytes =
         let expected =
           match (Program.slot_instr p ~block ~pos).Instr.kind with
           | Instr.Compute -> Layout.No_target
-          | Instr.Prefetch uid -> (
-            match Program.find_uid p uid with
-            | Some (b, q) -> Layout.Target (Layout.mem_block l ~block:b ~pos:q)
-            | None -> Layout.Dangling uid)
+          | Instr.Prefetch uid ->
+            let b, q = Option.get (Program.find_uid p uid) in
+            Layout.Target (Layout.mem_block l ~block:b ~pos:q)
         in
         Alcotest.(check bool)
           (Printf.sprintf "%s b%d:%d target" (Program.name p) block pos)
@@ -242,11 +241,17 @@ let test_layout_slot_table () =
   List.iter
     (fun p -> List.iter (fun block_bytes -> check_slot_table p ~block_bytes) [ 16; 32 ])
     programs;
-  (* a prefetch whose target was removed stays in the table, marked *)
+  (* a prefetch whose target was removed has no table *)
   let p, _ = Program.insert_prefetch (straightline 8) ~block:0 ~pos:1 ~target_uid:5 in
   let p = Program.remove_uid p 5 in
-  Alcotest.(check bool) "dangling target marked" true
-    ((Layout.prefetch_targets (Layout.make p ~block_bytes:16) 0).(1) = Layout.Dangling 5)
+  Alcotest.(check bool) "dangling target rejected" true
+    (try
+       ignore (Layout.make p ~block_bytes:16);
+       false
+     with Layout.Dangling_prefetch_target 5 as e ->
+       Ucp_testlib.contains
+         ~substring:"Layout.Dangling_prefetch_target: a prefetch targets uid 5"
+         (Printexc.to_string e))
 
 (* property: layout occupies ceil(total*4/bs) or that +1 memory blocks *)
 let prop_layout_block_count =

@@ -73,18 +73,6 @@ let test_fifo_hit_does_not_reorder () =
   | Concrete.Miss (Some v) -> Alcotest.(check int) "lru evicts least-recent" 1 v
   | _ -> Alcotest.fail "expected an evicting miss"
 
-let test_fifo_fill_is_insertion_only () =
-  let config = one_set_config ~assoc:2 in
-  let c = Concrete.create ~policy:Concrete.Fifo config in
-  ignore (Concrete.access c 0);
-  ignore (Concrete.access c 1);
-  (* filling a resident block must not refresh its insertion position *)
-  Alcotest.(check bool) "fill of resident evicts nothing" true
-    (Concrete.fill c 0 = None);
-  match Concrete.access c 2 with
-  | Concrete.Miss (Some v) -> Alcotest.(check int) "0 still first-in" 0 v
-  | _ -> Alcotest.fail "expected an evicting miss"
-
 let test_plru_fill_and_victims () =
   let config = one_set_config ~assoc:4 in
   let c = Concrete.create ~policy:Concrete.Plru config in
@@ -258,31 +246,25 @@ let test_classification_counts () =
 
 (* The re-access obligation of [POLICY.cset_access], on which the
    simulator's re-access shortcut rests: from any state reached by
-   demand accesses and fills, an access of the block just accessed
-   hits, evicts nothing and returns a state equal to its input. *)
+   accesses, demand fetches and fills alike, an access of the block
+   just accessed hits, evicts nothing and returns a state equal to its
+   input. *)
 let prop_reaccess_changes_nothing policy =
   let module P = (val Policy.find policy : Policy.POLICY) in
   let print (assoc, ops) =
-    Printf.sprintf "assoc %d: %s" assoc
-      (String.concat " "
-         (List.map
-            (fun (fill, mb) -> Printf.sprintf "%s%d" (if fill then "fill " else "") mb)
-            ops))
+    Printf.sprintf "assoc %d: %s" assoc (String.concat " " (List.map string_of_int ops))
   in
   QCheck2.Test.make
     ~name:(Policy.to_string policy ^ ": a re-access hits and changes nothing")
     ~count:300 ~print
-    QCheck2.Gen.(
-      pair (oneofl [ 1; 2; 4; 8 ]) (list_size (int_range 1 60) (pair bool (int_bound 12))))
+    QCheck2.Gen.(pair (oneofl [ 1; 2; 4; 8 ]) (list_size (int_range 1 60) (int_bound 12)))
     (fun (assoc, ops) ->
       let _, ok =
         List.fold_left
-          (fun (cs, ok) (fill, mb) ->
-            if fill then (fst (P.cset_fill ~assoc cs mb), ok)
-            else
-              let cs, _, _ = P.cset_access ~assoc cs mb in
-              let cs', hit, evicted = P.cset_access ~assoc cs mb in
-              (cs', ok && hit && evicted = None && cs' = cs))
+          (fun (cs, ok) mb ->
+            let cs, _, _ = P.cset_access ~assoc cs mb in
+            let cs', hit, evicted = P.cset_access ~assoc cs mb in
+            (cs', ok && hit && evicted = None && cs' = cs))
           (P.cset_empty ~assoc, true) ops
       in
       ok)
@@ -299,8 +281,6 @@ let () =
         [
           Alcotest.test_case "fifo hits do not reorder" `Quick
             test_fifo_hit_does_not_reorder;
-          Alcotest.test_case "fifo fill is insertion-only" `Quick
-            test_fifo_fill_is_insertion_only;
           Alcotest.test_case "plru fill and victims" `Quick test_plru_fill_and_victims;
           Alcotest.test_case "plru hit protects" `Quick test_plru_hit_protects;
         ]

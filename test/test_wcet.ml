@@ -104,37 +104,27 @@ let test_with_may_same_tau () =
 (* ------------------------------------------------------------------ *)
 (* residual stall for unchecked prefetches *)
 
-let test_hw_next_line_analysis () =
-  (* next-N-line-always abstract semantics [22]: on straight-line code
-     the sequential prefetcher hides every interior block boundary, so
-     the WCET drops accordingly *)
-  let p = Dsl.compile ~name:"nl" [ Dsl.compute 39 ] in
-  let w0 = Wcet.compute p config model in
-  let w1 = Wcet.compute ~hw_next_n:1 p config model in
-  Alcotest.(check bool) "next-line lowers the bound" true (w1.Wcet.tau < w0.Wcet.tau);
-  (* only the first block's cold miss remains *)
-  Alcotest.(check int) "one cold miss" 1 (Wcet.wcet_misses w1)
-
 (* A prefetch whose target uid is gone from the program is rejected by
-   the analysis. *)
+   the layout the analysis reads. *)
 let test_dangling_prefetch_rejected () =
   let p = Dsl.compile ~name:"dg" [ Dsl.compute 8 ] in
   let p, _ = Program.insert_prefetch p ~block:0 ~pos:1 ~target_uid:5 in
   let p = Program.remove_uid p 5 in
-  Alcotest.(check bool) "Invalid_argument" true
+  Alcotest.(check bool) "Dangling_prefetch_target" true
     (try
        ignore (Wcet.compute p config model);
        false
-     with Invalid_argument msg -> Ucp_testlib.contains ~substring:"unknown uid 5" msg)
+     with Ucp_isa.Layout.Dangling_prefetch_target 5 as e ->
+       Ucp_testlib.contains
+         ~substring:"Layout.Dangling_prefetch_target: a prefetch targets uid 5"
+         (Printexc.to_string e))
 
-let test_hw_next_n_monotone () =
-  let p = Ucp_workloads.Suite.find "crc" in
-  let w0 = Wcet.compute p config model in
-  let w1 = Wcet.compute ~hw_next_n:1 p config model in
-  let w2 = Wcet.compute ~hw_next_n:2 p config model in
-  ignore w2;
-  Alcotest.(check bool) "hw prefetch never raises the bound on this case" true
-    (w1.Wcet.tau <= w0.Wcet.tau)
+(* The fixpoint is monotone over finite domains, so no program reaches
+   the pass cap; this is what a divergence would print. *)
+let test_fixpoint_diverged_printed () =
+  Alcotest.(check string) "printed"
+    "Analysis.Fixpoint_diverged: crc reached no fixpoint in 1042 passes"
+    (Printexc.to_string (Analysis.Fixpoint_diverged { program = "crc"; cap = 1042 }))
 
 let test_residual_stall () =
   (* prefetch immediately before its use: the latency cannot be hidden *)
@@ -346,13 +336,22 @@ let test_fixpoint_output_pinned () =
   let runs =
     per_policy "" pin_programs pin_configs
     @ [
-        ("lru hw next-2", (pin_programs, pin_configs, fun p c -> Wcet.analyze ~hw_next_n:2 p c));
         ( "lru pinned",
           ( pin_programs,
             pin_configs,
             fun p c -> Wcet.analyze ~pinned:(fun mb -> mb mod 5 = 0) p c ) );
       ]
     @ per_policy "nsichneu+statemate k3,k6 " large_programs small_configs
+    @ List.map
+        (fun (label, policy) ->
+          ( "bb-start " ^ label,
+            ( pin_programs,
+              pin_configs,
+              fun p c ->
+                Wcet.analyze ~policy
+                  (Ucp_prefetch.Baselines.bb_start p c (Cacti.model c Ucp_energy.Tech.nm45))
+                  c ) ))
+        policies
   in
   let lru = "6689f7d915ce7fc0ced5c2c050059381"
   and lru_must = "43f988d10c96d9c9e534631555ab16e0"
@@ -370,7 +369,6 @@ let test_fixpoint_output_pinned () =
       ("fifo with_may=false", fifo);
       ("plru with_may=true", plru);
       ("plru with_may=false", plru_must);
-      ("lru hw next-2", "408dfe4aa5a8882be9bffb3c4fd3ac93");
       ("lru pinned", "fd8383fe52d19e03d65c6879c31a4a90");
       ("nsichneu+statemate k3,k6 lru with_may=true", "962bc247ba86284e26e8e74e13e2a7c1");
       ("nsichneu+statemate k3,k6 lru with_may=false", "02772447abfd7083ab4e867aaccd66b4");
@@ -378,6 +376,9 @@ let test_fixpoint_output_pinned () =
       ("nsichneu+statemate k3,k6 fifo with_may=false", large_fifo);
       ("nsichneu+statemate k3,k6 plru with_may=true", "e46a2fcb47a0553b587e681c2adb814b");
       ("nsichneu+statemate k3,k6 plru with_may=false", "48e6a8cc83ff8b86fa0adfc83e5fc401");
+      ("bb-start lru", "5804602e9153c64bdb76fba208fbb784");
+      ("bb-start fifo", "6c853241a2b068917ee376630222c736");
+      ("bb-start plru", "d04e805c1d60446aa35e3cbf6ba99293");
     ]
   in
   Alcotest.(check (list (pair string string)))
@@ -405,10 +406,10 @@ let () =
           Alcotest.test_case "cache size monotone" `Quick
             test_cache_size_monotone_on_suite_case;
           Alcotest.test_case "residual stall" `Quick test_residual_stall;
-          Alcotest.test_case "hw next-line analysis" `Quick test_hw_next_line_analysis;
-          Alcotest.test_case "hw next-n monotone" `Quick test_hw_next_n_monotone;
           Alcotest.test_case "dangling prefetch rejected" `Quick
             test_dangling_prefetch_rejected;
+          Alcotest.test_case "fixpoint divergence printed" `Quick
+            test_fixpoint_diverged_printed;
           Alcotest.test_case "fixpoint output pinned" `Quick test_fixpoint_output_pinned;
           Alcotest.test_case "residual stall reference" `Quick
             test_residual_stall_reference;

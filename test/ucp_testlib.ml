@@ -106,7 +106,7 @@ let reference_residual_stall (w : Ucp_wcet.Wcet.t) =
          (Vivu.node vivu node).Vivu.block).(pos)
     with
     | Ucp_isa.Layout.Target mb -> Some mb
-    | Ucp_isa.Layout.No_target | Ucp_isa.Layout.Dangling _ -> None
+    | Ucp_isa.Layout.No_target -> None
   in
   let min_distance_to_use ~node0 ~pos0 ~target =
     let buckets = Array.make (lambda + 1) [] in
@@ -209,9 +209,6 @@ module Reference_aset = struct
       lru_update ~assoc:(Ucp_policy.plru_must_assoc assoc) entries mb
     | Ucp_policy.Plru, Ucp_policy.May, _ -> insert entries mb
 
-  (* every policy fills a block as it accesses it *)
-  let fill = update
-
   (* must: intersection with maximal ages; may: union with minimal
      ages *)
   let join kind ea eb =
@@ -243,7 +240,7 @@ module Reference_aset = struct
         (fun (x, aa) -> match List.assoc_opt x b with Some ab -> ab <= aa | None -> false)
         a
 
-  (* the blocks of [mb]'s set that the update (or the fill) removes *)
+  (* the blocks of [mb]'s set that the update removes *)
   let victims policy kind ~assoc ~hint entries mb =
     let after = update policy kind ~assoc ~hint entries mb in
     List.filter_map
