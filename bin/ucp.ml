@@ -14,6 +14,7 @@ module Analysis = Ucp_wcet.Analysis
 module Optimizer = Ucp_prefetch.Optimizer
 module Baselines = Ucp_prefetch.Baselines
 module Simulator = Ucp_sim.Simulator
+module Table = Ucp_util.Table
 
 (* ------------------------------------------------------------------ *)
 (* argument converters *)
@@ -111,13 +112,119 @@ let list_cmd =
   Cmd.v (Cmd.info "list" ~doc:"List the 37 workload programs.")
     Term.(const run $ const ())
 
+(* The ablations of DESIGN.md §4 that need no sweep: insertion
+   discipline and overhead budget on three use cases, and the baseline
+   comparison on two. *)
+let ablation_placement records_configs =
+  let t =
+    Table.create
+      [ "use case"; "discipline"; "prefetches"; "WCET ratio"; "ACET ratio"; "exec ratio" ]
+  in
+  List.iter
+    (fun (name, config, tech) ->
+      let program = Ucp_workloads.Suite.find name in
+      let model = Pipeline.model config tech in
+      let base = Simulator.run program config model in
+      List.iter
+        (fun (label, placement, budget) ->
+          let r = Optimizer.optimize ~placement ?overhead_budget:budget program config model in
+          let s = Simulator.run r.Optimizer.program config model in
+          Table.add_row t
+            [
+              Printf.sprintf "%s@%s" name (Config.id config);
+              label;
+              string_of_int (List.length r.Optimizer.insertions);
+              Table.cell_f
+                (float_of_int r.Optimizer.tau_after /. float_of_int r.Optimizer.tau_before);
+              Table.cell_f
+                (float_of_int (Simulator.acet s) /. float_of_int (Simulator.acet base));
+              Table.cell_f
+                (float_of_int s.Simulator.executed /. float_of_int base.Simulator.executed);
+            ])
+        [
+          ("at-eviction (paper)", Optimizer.At_eviction, None);
+          ("latest-effective", Optimizer.Latest_effective, None);
+          ("at-eviction, no budget", Optimizer.At_eviction, Some 1000.0);
+        ])
+    records_configs;
+  "== Ablation: insertion discipline and overhead budget ==\n" ^ Table.render t
+
+let baseline_table () =
+  let t =
+    Table.create [ "use case"; "scheme"; "WCET ratio"; "ACET ratio"; "energy ratio"; "miss after" ]
+  in
+  List.iter
+    (fun (name, config, tech) ->
+      let program = Ucp_workloads.Suite.find name in
+      let model = Pipeline.model config tech in
+      let base_stats = Simulator.run program config model in
+      let base_b = Ucp_energy.Account.energy model base_stats.Simulator.counts in
+      let base_wcet =
+        Wcet.tau_with_residual (Wcet.compute ~with_may:false program config model)
+      in
+      let row label wcet stats =
+        let b = Ucp_energy.Account.energy model stats.Simulator.counts in
+        Table.add_row t
+          [
+            Printf.sprintf "%s@%s" name (Config.id config);
+            label;
+            (match wcet with
+            | Some x -> Table.cell_f (float_of_int x /. float_of_int base_wcet)
+            | None -> "n/a");
+            Table.cell_f
+              (float_of_int (Simulator.acet stats) /. float_of_int (Simulator.acet base_stats));
+            Table.cell_f (b.Ucp_energy.Account.total_pj /. base_b.Ucp_energy.Account.total_pj);
+            Printf.sprintf "%.2f%%" (100.0 *. stats.Simulator.miss_rate);
+          ]
+      in
+      let wcet_of p = Wcet.tau_with_residual (Wcet.compute ~with_may:false p config model) in
+      let opt = (Optimizer.optimize program config model).Optimizer.program in
+      row "this paper" (Some (wcet_of opt)) (Simulator.run opt config model);
+      let bb = Ucp_prefetch.Baselines.bb_start program config model in
+      row "bb-start [5]" (Some (wcet_of bb)) (Simulator.run bb config model);
+      let lock = Ucp_prefetch.Baselines.lock_greedy program config model in
+      row "locked [4,14]"
+        (Some lock.Ucp_prefetch.Baselines.tau_locked)
+        (Simulator.run ~locked:lock.Ucp_prefetch.Baselines.locked_blocks program config model);
+      (if config.Config.assoc > 1 then
+         let h = Ucp_prefetch.Baselines.lock_hybrid ~ways:1 program config model in
+         row "hybrid lock+prefetch [16,2]"
+           (Some h.Ucp_prefetch.Baselines.hybrid_tau)
+           (Simulator.run ~pinned:h.Ucp_prefetch.Baselines.hybrid_pinned
+              ~cache_config:h.Ucp_prefetch.Baselines.hybrid_config
+              h.Ucp_prefetch.Baselines.hybrid_program config model));
+      List.iter
+        (fun (hw_name, mk) ->
+          if hw_name <> "none" then
+            row ("hw " ^ hw_name) None (Simulator.run ~hw:(mk ()) program config model))
+        (Ucp_sim.Hw_prefetch.all_schemes ~block_bytes:config.Config.block_bytes))
+    [
+      ("fft1", Config.make ~assoc:2 ~block_bytes:16 ~capacity:256, Tech.nm32);
+      ("st", Config.make ~assoc:2 ~block_bytes:16 ~capacity:1024, Tech.nm32);
+    ];
+  "== Baseline comparison (ratios vs on-demand fetching) ==\n" ^ Table.render t
+
 let tables_cmd =
   let run () =
     print_string (Report.table1 ());
     print_newline ();
-    print_string (Report.table2 ())
+    print_string (Report.table2 ());
+    print_newline ();
+    print_string
+      (ablation_placement
+         [
+           ("fft1", Config.make ~assoc:2 ~block_bytes:16 ~capacity:256, Tech.nm45);
+           ("st", Config.make ~assoc:2 ~block_bytes:16 ~capacity:1024, Tech.nm45);
+           ("nsichneu", Config.make ~assoc:4 ~block_bytes:16 ~capacity:2048, Tech.nm32);
+         ]);
+    print_newline ();
+    print_string (baseline_table ())
   in
-  Cmd.v (Cmd.info "tables" ~doc:"Print Tables 1 and 2 of the paper.")
+  Cmd.v
+    (Cmd.info "tables"
+       ~doc:
+         "Print Tables 1 and 2 of the paper, the insertion-discipline and \
+          overhead-budget ablation, and the baseline comparison.")
     Term.(const run $ const ())
 
 let analyze_cmd =
@@ -311,41 +418,6 @@ let ipet_cmd =
        ~doc:"Compare the longest-path WCET with the expanded and block-level IPET ILPs.")
     Term.(const run $ program_arg $ config_arg $ tech_arg)
 
-let persistence_cmd =
-  let run program config =
-    (* per loop of the program: which memory blocks are persistent
-       within its body, judged from the concrete per-iteration
-       reference trace of the loop body *)
-    let layout =
-      Ucp_isa.Layout.make program ~block_bytes:config.Config.block_bytes
-    in
-    let forest = Ucp_cfg.Loops.analyze program in
-    Array.iter
-      (fun (l : Ucp_cfg.Loops.loop) ->
-        let trace = ref [] in
-        Array.iteri
-          (fun b inside ->
-            if inside then
-              for pos = 0 to Ucp_isa.Program.slots program b - 1 do
-                trace := Ucp_isa.Layout.mem_block layout ~block:b ~pos :: !trace
-              done)
-          l.Ucp_cfg.Loops.body;
-        let persistent =
-          Ucp_cache.Persistence.analyze_scope config (List.rev !trace)
-        in
-        Printf.printf
-          "loop header b%d (bound %d): %d blocks referenced, %d persistent
-"
-          l.Ucp_cfg.Loops.header l.Ucp_cfg.Loops.bound
-          (List.length (List.sort_uniq compare !trace))
-          (List.length persistent))
-      forest.Ucp_cfg.Loops.loops
-  in
-  Cmd.v
-    (Cmd.info "persistence"
-       ~doc:"Per-loop persistence analysis: blocks that miss at most once per entry.")
-    Term.(const run $ program_arg $ config_arg)
-
 let verify_cmd =
   let run program config tech policy seed =
     let model = Pipeline.model config tech in
@@ -477,9 +549,8 @@ let experiment_cmd =
       try
         Ucp_core.Parallel.sweep ~programs ~configs ?techs ~policies ~audit
           ~refine ~jobs ~progress ?heartbeat ?timeout ?checkpoint ~resume ()
-      with Failure msg ->
-        (* e.g. resuming against a journal for a different grid *)
-        Printf.eprintf "ucp: %s\n" msg;
+      with Ucp_core.Checkpoint.Bad_journal _ as e ->
+        Printf.eprintf "ucp: %s\n" (Printexc.to_string e);
         exit 2
     in
     Ucp_obs.Trace.stop ();
@@ -1370,103 +1441,6 @@ let trace_cmd =
           individual spans.")
     Term.(const run $ file $ top)
 
-let top_cmd =
-  let run socket interval iterations =
-    if iterations < 0 then begin
-      Printf.eprintf "ucp: top: iterations must be >= 0\n";
-      exit 124
-    end;
-    let module P = Ucp_serve.Protocol in
-    let module E = Ucp_obs.Expo in
-    let fetch () =
-      match
-        ( Ucp_serve.Client.query ~retries:4 ~socket P.Health,
-          Ucp_serve.Client.query ~retries:4 ~socket P.Metrics )
-      with
-      | Ok (P.Health_stats h), Ok (P.Metrics_text text) -> (
-        match E.parse text with
-        | Ok samples -> Ok (h, samples)
-        | Error msg -> Error (Printf.sprintf "unparseable exposition: %s" msg))
-      | Error msg, _ | _, Error msg -> Error msg
-      | Ok _, Ok _ -> Error "unexpected response kind"
-    in
-    let render (h : P.health) samples =
-      let stat k = Option.value ~default:0 (List.assoc_opt k h.P.counters) in
-      Printf.printf "ucp top — %s\n" socket;
-      Printf.printf
-        "requests %d | cache %d | store %d | computed %d | shed %d | queue %d | \
-         worker restarts %d | slow %d\n\n"
-        (stat "requests_total") (stat "cache_hits") (stat "store_hits")
-        (stat "computed_total") (stat "shed_total") (stat "queue_depth")
-        (stat "worker_restarts")
-        (stat "serve_slow_requests_total");
-      let table =
-        Ucp_util.Table.create
-          [ "tier"; "count"; "p50 (s)"; "p95 (s)"; "p99 (s)"; "mean (s)" ]
-      in
-      let hists = E.histograms samples in
-      List.iter
-        (fun (hist : E.hist) ->
-          if hist.E.h_base = "serve_latency_s" then begin
-            let tier =
-              Option.value ~default:"?" (List.assoc_opt "tier" hist.E.h_labels)
-            in
-            let q p =
-              E.fmt_float (E.quantile ~bounds:hist.E.h_bounds ~counts:hist.E.h_counts p)
-            in
-            let mean =
-              if hist.E.h_count = 0 then "-"
-              else E.fmt_float (hist.E.h_sum /. float_of_int hist.E.h_count)
-            in
-            Ucp_util.Table.add_row table
-              [ tier; string_of_int hist.E.h_count; q 0.50; q 0.95; q 0.99; mean ]
-          end)
-        hists;
-      print_string (Ucp_util.Table.render table);
-      let dropped =
-        List.assoc_opt "trace_spans_dropped_total" h.P.counters
-      in
-      (match dropped with
-      | Some n when n > 0 -> Printf.printf "\ntrace spans dropped: %d\n" n
-      | _ -> ());
-      print_newline ();
-      flush stdout
-    in
-    let rec loop n =
-      (* refresh in place after the first paint; a single iteration
-         (the CI smoke) stays plain printable text *)
-      if n > 1 then print_string "\027[2J\027[H";
-      (match fetch () with
-      | Ok (h, samples) -> render h samples
-      | Error msg ->
-        Printf.eprintf "ucp: top: %s\n" msg;
-        exit 1);
-      if iterations = 0 || n < iterations then begin
-        Unix.sleepf interval;
-        loop (n + 1)
-      end
-    in
-    loop 1
-  in
-  let interval =
-    Arg.(
-      value & opt float 2.0
-      & info [ "interval" ] ~docv:"SECS" ~doc:"Refresh interval (default 2.0).")
-  in
-  let iterations =
-    Arg.(
-      value & opt int 0
-      & info [ "iterations" ] ~docv:"N"
-          ~doc:"Stop after N refreshes; 0 (default) refreshes until interrupted.")
-  in
-  Cmd.v
-    (Cmd.info "top"
-       ~doc:
-         "Live health and latency view of a running daemon: request/tier \
-          counters plus per-tier p50/p95/p99 service latency, computed from \
-          the daemon's Prometheus metrics exposition.")
-    Term.(const run $ socket_arg $ interval $ iterations)
-
 let () =
   let doc = "WCET-safe, energy-oriented instruction-cache prefetching (DAC 2013)" in
   let info = Cmd.info "ucp" ~version:"1.0.0" ~doc in
@@ -1482,12 +1456,10 @@ let () =
             baselines_cmd;
             dump_cmd;
             ipet_cmd;
-            persistence_cmd;
             verify_cmd;
             experiment_cmd;
             fuzz_cmd;
             serve_cmd;
             query_cmd;
-            top_cmd;
             trace_cmd;
           ]))

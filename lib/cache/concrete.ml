@@ -38,8 +38,6 @@ let access t mb =
   t.sets.(s) <- cs';
   if hit then Hit else Miss victim
 
-let contains t mb = Ucp_policy.cset_contains t.sets.(set_idx t mb) mb
-
 let age t mb =
   let module P = (val t.pol : Ucp_policy.POLICY) in
   P.cset_age ~assoc:t.config.Config.assoc t.sets.(set_idx t mb) mb

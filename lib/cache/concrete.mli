@@ -37,9 +37,6 @@ val access : t -> int -> outcome
     the same access, whose outcome says whether the block was already
     resident (DESIGN.md §23). *)
 
-val contains : t -> int -> bool
-(** Is the memory block currently cached? *)
-
 val age : t -> int -> int option
 (** Replacement age of a cached block within its set; 0 = most recently
     used (LRU) / most recently inserted (FIFO) / fully protected

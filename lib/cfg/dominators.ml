@@ -57,7 +57,3 @@ let dominates t a b =
     if x = a then true else if x = t.entry then a = t.entry else walk t.idom.(x)
   in
   walk b
-
-let dominator_chain t b =
-  let rec up x acc = if x = t.entry then x :: acc else up t.idom.(x) (x :: acc) in
-  List.rev (up b [])

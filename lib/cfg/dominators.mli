@@ -14,6 +14,3 @@ val idom : t -> int -> int
 
 val dominates : t -> int -> int -> bool
 (** [dominates t a b]: does [a] dominate [b] (reflexively)? *)
-
-val dominator_chain : t -> int -> int list
-(** Dominators of a block from the block itself up to the entry. *)

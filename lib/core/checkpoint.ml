@@ -6,6 +6,31 @@ module Json = Ucp_util.Json
    carry the (additive) refine_* fields *)
 let format_version = 3
 
+type problem =
+  | Unreadable_header
+  | Unsupported_version
+  | Fingerprint_mismatch of { journal : string; grid : string }
+  | Corrupt_line of int
+
+exception Bad_journal of { path : string; problem : problem }
+
+let () =
+  Printexc.register_printer (function
+    | Bad_journal { path; problem } ->
+      let what =
+        match problem with
+        | Unreadable_header -> "unreadable journal header"
+        | Unsupported_version -> "unsupported journal version"
+        | Fingerprint_mismatch { journal; grid } ->
+          Printf.sprintf
+            "sweep fingerprint mismatch (journal %s, grid %s) — the checkpoint \
+             belongs to a different suite/config/tech grid"
+            journal grid
+        | Corrupt_line n -> Printf.sprintf "corrupt journal line %d" n
+      in
+      Some (Printf.sprintf "Checkpoint.start: %s: %s" path what)
+    | _ -> None)
+
 (* ------------------------------------------------------------------ *)
 (* decoding: a missing or ill-typed field makes the whole line
    unreadable *)
@@ -215,26 +240,20 @@ let read_lines path =
       go [])
 
 let replay path ~fingerprint tbl =
+  let bad problem = raise (Bad_journal { path; problem }) in
   match read_lines path with
   | [] | (exception Sys_error _) -> ()
   | header :: rest ->
     (match Json.parse header with
-    | Error _ ->
-      failwith (Printf.sprintf "Checkpoint.start: %s: unreadable journal header" path)
+    | Error _ -> bad Unreadable_header
     | Ok j ->
       if Option.bind (Json.member "ucp_checkpoint" j) Json.to_int <> Some format_version
-      then
-        failwith
-          (Printf.sprintf "Checkpoint.start: %s: unsupported journal version" path);
+      then bad Unsupported_version;
       let fp =
         Option.value ~default:"" (Option.bind (Json.member "fingerprint" j) Json.to_str)
       in
       if fp <> fingerprint then
-        failwith
-          (Printf.sprintf
-             "Checkpoint.start: %s: sweep fingerprint mismatch (journal %s, grid %s) \
-              — the checkpoint belongs to a different suite/config/tech grid"
-             path fp fingerprint));
+        bad (Fingerprint_mismatch { journal = fp; grid = fingerprint }));
     let n = List.length rest in
     List.iteri
       (fun i line ->
@@ -243,10 +262,7 @@ let replay path ~fingerprint tbl =
         | None ->
           (* a torn final line is the expected crash artifact; anything
              malformed earlier means real corruption *)
-          if i < n - 1 then
-            failwith
-              (Printf.sprintf "Checkpoint.start: %s: corrupt journal line %d" path
-                 (i + 2)))
+          if i < n - 1 then bad (Corrupt_line (i + 2)))
       rest
 
 (* durability: [flush] alone hands the bytes to the kernel page cache,

@@ -23,6 +23,22 @@
 
 type t
 
+(** Why {!start} refused a journal.  A journal is a file from outside
+    the program: it may be hand-edited, truncated or written for
+    another grid. *)
+type problem =
+  | Unreadable_header  (** the first line is not a JSON object *)
+  | Unsupported_version  (** the header's format version is not this one *)
+  | Fingerprint_mismatch of { journal : string; grid : string }
+      (** the journal was written for a different sweep grid *)
+  | Corrupt_line of int
+      (** this 1-based line, before the last, is not a record line *)
+
+exception Bad_journal of { path : string; problem : problem }
+(** {!start} refused to resume the journal at [path].  Its printer
+    reads [Checkpoint.start: <path>: <problem>], e.g.
+    [Checkpoint.start: j.jsonl: corrupt journal line 2]. *)
+
 val fingerprint :
   ?policies:Ucp_policy.id list ->
   ?refine:Ucp_refine.Mode.t ->
@@ -40,14 +56,15 @@ val start :
   path:string -> fingerprint:string -> resume:bool -> t
 (** Open a journal.  With [resume:false] the file is replaced by a
     fresh header.  With [resume:true] an existing journal is replayed
-    first: its header fingerprint must match (otherwise [Failure]),
-    complete record lines populate {!completed}, and a torn trailing
-    line is dropped; a missing or empty file degrades to a fresh start.
+    first: its header fingerprint must match, complete record lines
+    populate {!completed}, and a torn trailing line is dropped; a
+    missing or empty file degrades to a fresh start.
     The header and the replayed records are then rewritten through
     {!write_atomic}, so a crash during [start] leaves the old journal
     whole, and the file is reopened for appending.
-    @raise Failure on a fingerprint mismatch or a corrupt line in the
-    middle of the journal;
+    @raise Bad_journal on an unreadable header, another format version,
+    a fingerprint mismatch or a corrupt line in the middle of the
+    journal;
     @raise Sys_error if the path cannot be opened. *)
 
 val completed : t -> (string, Experiments.record) Hashtbl.t

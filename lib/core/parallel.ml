@@ -158,6 +158,8 @@ let submit ?(weight = 1) pool task =
   Condition.signal pool.work;
   Mutex.unlock pool.mutex
 
+(* snapshot of every worker's telemetry; stats are committed when a
+   task finishes, so call after [wait] for complete numbers *)
 let worker_stats pool =
   Mutex.lock pool.mutex;
   let snap =

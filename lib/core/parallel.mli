@@ -53,10 +53,6 @@ val submit : ?weight:int -> pool -> (unit -> unit) -> unit
     {!Telemetry.worker_stat.cases}.
     @raise Invalid_argument on a pool that was shut down. *)
 
-val worker_stats : pool -> Telemetry.worker_stat array
-(** Snapshot of every worker's telemetry; stats are committed when a
-    task finishes, so call after {!wait} for complete numbers. *)
-
 val wait : pool -> unit
 (** Block until every submitted task has finished.  If any task raised,
     re-raises the first such exception with the backtrace captured at
@@ -218,4 +214,5 @@ val sweep :
     and the [gc_*_total] allocation/collection counters.
     @raise Invalid_argument if [?timeout] or [?heartbeat] is not
     positive;
-    @raise Failure on a checkpoint fingerprint mismatch. *)
+    @raise Checkpoint.Bad_journal if the checkpoint journal cannot be
+    resumed. *)

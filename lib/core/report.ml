@@ -410,29 +410,6 @@ let worker_table ~wall_s (stats : Telemetry.worker_stat array) =
     stats;
   section "Worker telemetry" (Table.render t)
 
-let stage_table rows =
-  let t =
-    Table.create
-      [
-        "slice"; "analysis (s)"; "refine (s)"; "optimize (s)"; "simulate (s)";
-        "audit (s)"; "total (s)";
-      ]
-  in
-  List.iter
-    (fun (label, tm) ->
-      Table.add_row t
-        [
-          label;
-          Printf.sprintf "%.2f" tm.Pipeline.analysis_s;
-          Printf.sprintf "%.2f" tm.Pipeline.refine_s;
-          Printf.sprintf "%.2f" tm.Pipeline.optimize_s;
-          Printf.sprintf "%.2f" tm.Pipeline.simulate_s;
-          Printf.sprintf "%.2f" tm.Pipeline.audit_s;
-          Printf.sprintf "%.2f" (Pipeline.total_timings tm);
-        ])
-    rows;
-  section "Per-stage wall-clock (summed over workers)" (Table.render t)
-
 let sweep_jsonl ~wall_s ~jobs ~timings ?(outcomes = []) ?metrics records =
   let buf = Buffer.create 4096 in
   List.iter

@@ -107,10 +107,6 @@ val worker_table : wall_s:float -> Telemetry.worker_stat array -> string
 (** Per-worker telemetry table: cases and tasks executed, busy seconds,
     and busy/wall utilization. *)
 
-val stage_table : (string * Pipeline.timings) list -> string
-(** Per-stage wall-clock breakdown, one row per labelled slice (e.g.
-    one per replacement policy) plus the per-stage totals. *)
-
 val sweep_jsonl :
   wall_s:float ->
   jobs:int ->
@@ -119,8 +115,8 @@ val sweep_jsonl :
   ?metrics:(string * Ucp_obs.Metrics.value) list ->
   Experiments.record list ->
   string
-(** The machine-readable sweep summary the bench harness writes: one
-    {!record_json} line per use case, then one
+(** The machine-readable sweep summary [ucp experiment --sweep-out]
+    writes: one {!record_json} line per use case, then one
     [{"case":..,"outcome":..,"detail":..}] line per non-[Ok] outcome,
     terminated by a summary line [{"summary":true,"cases":..,
     "failed":..,"timed_out":..,"invariant_violations":..,"audited":..,

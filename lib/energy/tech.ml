@@ -31,6 +31,4 @@ let nm32 =
 
 let all = [ nm45; nm32 ]
 
-let of_node = function Nm45 -> nm45 | Nm32 -> nm32
-
 let pp ppf t = Format.pp_print_string ppf t.label

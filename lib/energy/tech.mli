@@ -25,5 +25,4 @@ val nm32 : t
 val all : t list
 (** Both technologies, 45 nm first. *)
 
-val of_node : node -> t
 val pp : Format.formatter -> t -> unit

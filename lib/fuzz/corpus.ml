@@ -164,6 +164,7 @@ let find_config id =
 
 let find_tech label = List.find_opt (fun t -> t.Tech.label = label) Tech.all
 
+(* rebuild the oracle target from the shrunk DSL stored in the entry *)
 let target_of_entry e =
   match Dsl.parse e.e_dsl with
   | Error msg -> Error (Printf.sprintf "bad dsl: %s" msg)

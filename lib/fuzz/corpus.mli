@@ -53,12 +53,6 @@ val list : dir:string -> string list
 (** All [.json] entries under [dir], sorted by name ([[]] if the
     directory does not exist). *)
 
-val target_of_entry : entry -> (Oracle.target, string) result
-(** Rebuild the oracle target from the {e shrunk} DSL stored in the
-    entry (axes resolved against
-    {!Ucp_core.Experiments.default_configs} and
-    {!Ucp_energy.Tech.all}). *)
-
 val replay : ?deadline:Ucp_util.Deadline.t -> entry -> (unit, string) result
 (** Re-run the stored oracle on the stored program.  [Ok] when the
     recorded signature reproduces — [Caught] for fault entries,

@@ -83,8 +83,11 @@ val insert_prefetch : t -> block:int -> pos:int -> target_uid:int -> t * int
     @raise Invalid_argument on bad coordinates or unknown target uid. *)
 
 val remove_uid : t -> int -> t
-(** Remove the (prefetch) instruction with the given uid — the
-    optimizer's rollback path.
+(** Remove the instruction with the given uid.  Nothing in the tool
+    flow calls it (the optimizer discards a rejected candidate's
+    program rather than rolling it back); it is kept because it is the
+    only way to orphan a prefetch, which the tests of
+    {!Layout.Dangling_prefetch_target} need.
     @raise Invalid_argument if the uid names a terminator or is absent. *)
 
 val find_uid : t -> int -> (int * int) option

@@ -85,5 +85,3 @@ let with_ctx c f =
       | None -> Hashtbl.remove ambient k);
       Mutex.unlock amutex)
     f
-
-let with_ctx_opt c f = match c with None -> f () | Some c -> with_ctx c f

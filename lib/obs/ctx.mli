@@ -39,8 +39,5 @@ val with_ctx : t -> (unit -> 'a) -> 'a
 (** Run [f] with [t] as the ambient context of the calling (domain,
     thread); restores the previous binding on exit, even on raise. *)
 
-val with_ctx_opt : t option -> (unit -> 'a) -> 'a
-(** [with_ctx] when [Some], plain call when [None]. *)
-
 val current : unit -> t option
 (** The ambient context of the calling (domain, thread), if any. *)

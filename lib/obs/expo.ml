@@ -8,24 +8,6 @@
    given, so the golden test pins the byte-exact output of a synthetic
    registry. *)
 
-type sample = {
-  s_base : string;
-  s_labels : (string * string) list;  (* in exposition order *)
-  s_value : float;
-}
-
-type hist = {
-  h_base : string;
-  h_labels : (string * string) list;  (* without [le] *)
-  h_bounds : float array;  (* finite upper bounds, increasing *)
-  h_counts : int array;  (* per-bucket (de-cumulated), length bounds+1 *)
-  h_sum : float;
-  h_count : int;
-}
-
-(* ------------------------------------------------------------------ *)
-(* rendering *)
-
 (* shortest stable decimal form; integers without an exponent so
    bucket bounds like 0.005 and counts read naturally *)
 let fmt_float x =
@@ -121,193 +103,3 @@ let render dump =
           (Printf.sprintf "%s %d\n" (raw_name (base ^ "_count") raw []) count))
     dump;
   Buffer.contents buf
-
-(* ------------------------------------------------------------------ *)
-(* parsing (ucp top, CI validation, round-trip tests) *)
-
-let parse_labels s =
-  (* key=<quoted value> pairs separated by commas; values may contain
-     backslash escapes for quote, backslash and newline *)
-  let n = String.length s in
-  let rec skip_ws i = if i < n && s.[i] = ' ' then skip_ws (i + 1) else i in
-  let rec ident i = if i < n && s.[i] <> '=' && s.[i] <> ' ' then ident (i + 1) else i in
-  let rec pairs acc i =
-    let i = skip_ws i in
-    if i >= n then Ok (List.rev acc)
-    else
-      let j = ident i in
-      if j >= n || s.[j] <> '=' || j + 1 >= n || s.[j + 1] <> '"' then
-        Error (Printf.sprintf "malformed label pair at %d in %S" i s)
-      else begin
-        let key = String.sub s i (j - i) in
-        let buf = Buffer.create 16 in
-        let rec value k =
-          if k >= n then Error (Printf.sprintf "unterminated label value in %S" s)
-          else
-            match s.[k] with
-            | '"' -> Ok (k + 1)
-            | '\\' when k + 1 < n ->
-              (match s.[k + 1] with
-              | 'n' -> Buffer.add_char buf '\n'
-              | ch -> Buffer.add_char buf ch);
-              value (k + 2)
-            | ch ->
-              Buffer.add_char buf ch;
-              value (k + 1)
-        in
-        match value (j + 2) with
-        | Error _ as e -> e
-        | Ok k ->
-          let acc = (key, Buffer.contents buf) :: acc in
-          if k < n && s.[k] = ',' then pairs acc (k + 1)
-          else if k >= n then Ok (List.rev acc)
-          else Error (Printf.sprintf "junk after label value at %d in %S" k s)
-      end
-  in
-  pairs [] 0
-
-let parse_value v =
-  match v with
-  | "+Inf" -> Some Float.infinity
-  | "-Inf" -> Some Float.neg_infinity
-  | "NaN" -> Some Float.nan
-  | v -> float_of_string_opt v
-
-let parse_line line =
-  (* <name>[{labels}] <value> *)
-  match String.index_opt line ' ' with
-  | None -> Error (Printf.sprintf "no value on line %S" line)
-  | Some _ ->
-    let name_end =
-      match String.index_opt line '{' with
-      | Some b -> (
-        match String.index_from_opt line b '}' with
-        | Some e -> e + 1
-        | None -> String.length line)
-      | None -> ( match String.index_opt line ' ' with Some i -> i | None -> 0)
-    in
-    if name_end >= String.length line || line.[name_end] <> ' ' then
-      Error (Printf.sprintf "malformed sample line %S" line)
-    else
-      let name = String.sub line 0 name_end in
-      let vtext =
-        String.trim (String.sub line name_end (String.length line - name_end))
-      in
-      let base, raw = split_name name in
-      let labels =
-        match raw with None -> Ok [] | Some raw -> parse_labels raw
-      in
-      (match (labels, parse_value vtext) with
-      | Ok s_labels, Some s_value -> Ok { s_base = base; s_labels; s_value }
-      | (Error _ as e), _ -> e
-      | Ok _, None -> Error (Printf.sprintf "bad value %S on line %S" vtext line))
-
-let parse text =
-  let lines = String.split_on_char '\n' text in
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | line :: rest ->
-      let line = String.trim line in
-      if line = "" || line.[0] = '#' then go acc rest
-      else (
-        match parse_line line with
-        | Ok s -> go (s :: acc) rest
-        | Error _ as e -> e)
-  in
-  go [] lines
-
-(* ------------------------------------------------------------------ *)
-(* reassembling histograms from parsed samples *)
-
-let strip_suffix name suffix =
-  let nl = String.length name and sl = String.length suffix in
-  if nl > sl && String.sub name (nl - sl) sl = suffix then
-    Some (String.sub name 0 (nl - sl))
-  else None
-
-let histograms samples =
-  let tbl = Hashtbl.create 16 in
-  (* key: (base, labels-without-le); payload: buckets / sum / count *)
-  let slot base labels =
-    let key = (base, List.filter (fun (k, _) -> k <> "le") labels) in
-    match Hashtbl.find_opt tbl key with
-    | Some v -> v
-    | None ->
-      let v = (ref [], ref Float.nan, ref 0, ref false) in
-      Hashtbl.add tbl key v;
-      v
-  in
-  List.iter
-    (fun s ->
-      match strip_suffix s.s_base "_bucket" with
-      | Some base -> (
-        match List.assoc_opt "le" s.s_labels with
-        | Some le -> (
-          match parse_value le with
-          | Some bound ->
-            let buckets, _, _, seen = slot base s.s_labels in
-            buckets := (bound, int_of_float s.s_value) :: !buckets;
-            seen := true
-          | None -> ())
-        | None -> ())
-      | None -> (
-        match strip_suffix s.s_base "_sum" with
-        | Some base ->
-          let _, sum, _, _ = slot base s.s_labels in
-          sum := s.s_value
-        | None -> (
-          match strip_suffix s.s_base "_count" with
-          | Some base ->
-            let _, _, count, _ = slot base s.s_labels in
-            count := int_of_float s.s_value
-          | None -> ())))
-    samples;
-  Hashtbl.fold
-    (fun (h_base, h_labels) (buckets, sum, count, seen) acc ->
-      if not !seen then acc
-      else begin
-        let sorted = List.sort (fun (a, _) (b, _) -> compare a b) !buckets in
-        let finite = List.filter (fun (b, _) -> Float.is_finite b) sorted in
-        let h_bounds = Array.of_list (List.map fst finite) in
-        let cums = Array.of_list (List.map snd sorted) in
-        (* de-cumulate; a missing +Inf row degrades to the finite total *)
-        let n = Array.length cums in
-        let h_counts = Array.make (max 1 n) 0 in
-        for i = n - 1 downto 1 do
-          h_counts.(i) <- cums.(i) - cums.(i - 1)
-        done;
-        if n > 0 then h_counts.(0) <- cums.(0);
-        let h_counts =
-          if n = Array.length h_bounds then Array.append h_counts [| 0 |]
-          else h_counts
-        in
-        { h_base; h_labels; h_bounds; h_counts; h_sum = !sum; h_count = !count }
-        :: acc
-      end)
-    tbl []
-  |> List.sort (fun a b -> compare (a.h_base, a.h_labels) (b.h_base, b.h_labels))
-
-(* ------------------------------------------------------------------ *)
-(* quantiles over bucketed counts (nearest-rank on the cumulative
-   distribution; the answer is the inclusive upper bound of the bucket
-   holding the rank, +inf if it lands in the overflow bucket) *)
-
-let quantile ~bounds ~counts q =
-  let total = Array.fold_left ( + ) 0 counts in
-  if total = 0 then Float.nan
-  else begin
-    let rank =
-      let r = int_of_float (Float.round (q *. float_of_int total)) in
-      max 1 (min total r)
-    in
-    let n = Array.length counts in
-    let rec go i cum =
-      if i >= n then Float.infinity
-      else
-        let cum = cum + counts.(i) in
-        if cum >= rank then
-          if i < Array.length bounds then bounds.(i) else Float.infinity
-        else go (i + 1) cum
-    in
-    go 0 0
-  end

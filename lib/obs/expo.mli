@@ -15,42 +15,12 @@
     v}
 
     {!render} is pure — it formats whatever dump it is given — so
-    tests can pin its output byte-exactly.  {!parse}/{!histograms}
-    invert it for [ucp top] and the CI smoke. *)
-
-type sample = {
-  s_base : string;  (** metric name without the label set *)
-  s_labels : (string * string) list;  (** in exposition order *)
-  s_value : float;
-}
-
-type hist = {
-  h_base : string;
-  h_labels : (string * string) list;  (** without [le] *)
-  h_bounds : float array;  (** finite upper bounds, increasing *)
-  h_counts : int array;  (** per-bucket counts, length [bounds + 1] *)
-  h_sum : float;
-  h_count : int;
-}
+    tests can pin its output byte-exactly. *)
 
 val render : (string * Metrics.value) list -> string
 (** Exposition text for a {!Metrics.dump}-shaped list.  Counters and
     fcounters render as [counter], gauges as [gauge], histograms as
     cumulative [_bucket]/[_sum]/[_count] rows with a [+Inf] bucket. *)
-
-val parse : string -> (sample list, string) result
-(** Parse exposition text back into samples ([# ] comment and blank
-    lines are skipped).  Strict: any malformed sample line fails. *)
-
-val histograms : sample list -> hist list
-(** Reassemble histogram families from [_bucket]/[_sum]/[_count]
-    samples, de-cumulating the bucket rows; sorted by (base, labels).
-    Non-histogram samples are ignored. *)
-
-val quantile : bounds:float array -> counts:int array -> float -> float
-(** Nearest-rank quantile over per-bucket counts: the inclusive upper
-    bound of the bucket holding the rank — [+inf] when it lands in the
-    overflow bucket, [nan] when the histogram is empty. *)
 
 val fmt_float : float -> string
 (** The number format used by {!render}: integers without exponent,

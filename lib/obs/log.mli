@@ -10,7 +10,6 @@
 type level = Debug | Info | Warn | Error | Quiet
 
 val level_of_string : string -> (level, string) result
-val level_to_string : level -> string
 
 val set_level : level -> unit
 val level : unit -> level

@@ -39,11 +39,6 @@ type cset = Order of int list | Tree of { ways : int array; bits : int }
 (* Shared concrete helpers                                          *)
 (* ---------------------------------------------------------------- *)
 
-let cset_contains cs mb =
-  match cs with
-  | Order l -> List.mem mb l
-  | Tree t -> Array.exists (fun w -> w = mb) t.ways
-
 let cset_blocks cs =
   match cs with
   | Order l -> l

@@ -56,7 +56,6 @@ type cset = Order of int list | Tree of { ways : int array; bits : int }
 (** Concrete per-set state: a recency/insertion queue (youngest first;
     LRU and FIFO) or the PLRU way array plus packed tree bits. *)
 
-val cset_contains : cset -> int -> bool
 val cset_blocks : cset -> int list
 val cset_copy : cset -> cset
 

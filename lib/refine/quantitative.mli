@@ -3,15 +3,13 @@
     misses derived from an LRU reference analysis via
     {!Ucp_policy.competitiveness}. *)
 
-val sets_touched : Ucp_isa.Layout.t -> Ucp_cache.Config.t -> int
-(** Number of distinct cache sets the program's references map to. *)
-
 val miss_bound :
   ?deadline:Ucp_util.Deadline.t -> Ucp_wcet.Analysis.t -> int option
 (** [miss_bound a] is [Some b] with
     [misses_policy <= b] on {e every} execution, where
-    [b = ratio * lru_bound(va) + add * sets_touched] per the policy's
-    competitiveness triple — or [None] when the policy has no
+    [b = ratio * lru_bound(va) + add * sets] per the policy's
+    competitiveness triple, [sets] counting the distinct cache sets
+    the program's references map to — or [None] when the policy has no
     competitiveness bound (LRU), the analysis is non-plain, or the
     program contains prefetch instructions (fills break the phase
     argument behind the inequality). *)

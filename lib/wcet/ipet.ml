@@ -9,6 +9,25 @@ type result = {
   counts : int array;
 }
 
+exception Unsolvable_flow_model of { solver : string; unbounded : bool }
+
+let () =
+  Printexc.register_printer (function
+    | Unsolvable_flow_model { solver; unbounded } ->
+      Some
+        (Printf.sprintf "Ipet.%s: %s flow model" solver
+           (if unbounded then "unbounded" else "infeasible"))
+    | _ -> None)
+
+(* the optimum of a flow problem whose first [n] variables are the
+   counts *)
+let optimum ~solver ?deadline problem n =
+  match Ilp.maximize ?deadline problem with
+  | Ilp.Optimal { value; assignment } ->
+    { tau = Q.to_int_exn value; counts = Array.sub assignment 0 n }
+  | Ilp.Infeasible -> raise (Unsolvable_flow_model { solver; unbounded = false })
+  | Ilp.Unbounded -> raise (Unsolvable_flow_model { solver; unbounded = true })
+
 (* Variables: one count per expanded node, one flow per edge (DAG and
    iteration edges), a unit entry flow, and one exit flow per exit node. *)
 let build wcet =
@@ -83,11 +102,7 @@ let build wcet =
 
 let solve ?deadline wcet =
   let problem, n = build wcet in
-  match Ilp.maximize ?deadline problem with
-  | Ilp.Optimal { value; assignment } ->
-    { tau = Q.to_int_exn value; counts = Array.sub assignment 0 n }
-  | Ilp.Infeasible -> failwith "Ipet.solve: infeasible flow model"
-  | Ilp.Unbounded -> failwith "Ipet.solve: unbounded flow model"
+  optimum ~solver:"solve" ?deadline problem n
 
 let agrees_with_longest_path wcet =
   let { tau; _ } = solve wcet in
@@ -164,8 +179,4 @@ let solve_cfg ?deadline wcet =
     objective.(var_block b) <- Q.of_int block_time.(b)
   done;
   let problem = { Simplex.num_vars; objective; constraints = List.rev !constraints } in
-  match Ilp.maximize ?deadline problem with
-  | Ilp.Optimal { value; assignment } ->
-    { tau = Q.to_int_exn value; counts = Array.sub assignment 0 n }
-  | Ilp.Infeasible -> failwith "Ipet.solve_cfg: infeasible flow model"
-  | Ilp.Unbounded -> failwith "Ipet.solve_cfg: unbounded flow model"
+  optimum ~solver:"solve_cfg" ?deadline problem n

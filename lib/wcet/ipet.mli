@@ -13,6 +13,11 @@ type result = {
   counts : int array;  (** per expanded node: n_w in the ILP optimum *)
 }
 
+exception Unsolvable_flow_model of { solver : string; unbounded : bool }
+(** [Ipet.solver] ({!solve} or {!solve_cfg}) built a flow model with
+    no optimum: the ILP is unbounded ([unbounded]) or infeasible.  Its
+    printer reads e.g. [Ipet.solve: infeasible flow model]. *)
+
 val build : Wcet.t -> Ucp_lp.Simplex.problem * int
 (** The raw IPET flow problem over the expanded graph, plus the number
     of node variables [n] (variables [0..n-1] are per-node counts; edge,
@@ -22,7 +27,8 @@ val build : Wcet.t -> Ucp_lp.Simplex.problem * int
 val solve : ?deadline:Ucp_util.Deadline.t -> Wcet.t -> result
 (** Build and solve the IPET ILP for the analyzed program.
     @raise Ucp_lp.Ilp.Node_budget_exhausted if the solver exhausts its
-    branch-and-bound node budget (malformed model). *)
+    branch-and-bound node budget (malformed model).
+    @raise Unsolvable_flow_model if the model has no optimum. *)
 
 val agrees_with_longest_path : Wcet.t -> bool
 (** [true] iff the ILP optimum equals the longest-path τ_w. *)
@@ -34,4 +40,5 @@ val solve_cfg : ?deadline:Ucp_util.Deadline.t -> Wcet.t -> result
     are context-insensitive (the worst over the block's VIVU
     instances), so the optimum is an upper bound of the
     context-sensitive τ_w — the property tests check
-    [solve_cfg.tau >= Wcet.tau].  [counts] is indexed by basic block. *)
+    [solve_cfg.tau >= Wcet.tau].  [counts] is indexed by basic block.
+    @raise Unsolvable_flow_model if the model has no optimum. *)

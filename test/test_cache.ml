@@ -65,7 +65,7 @@ let test_set_isolation () =
   ignore (Concrete.access c 0);
   ignore (Concrete.access c 1);
   Alcotest.(check bool) "different sets coexist" true
-    (Concrete.contains c 0 && Concrete.contains c 1)
+    (List.mem 0 (Concrete.contents c) && List.mem 1 (Concrete.contents c))
 
 let test_age_tracking () =
   let c = Concrete.create (cfg ~assoc:4 ~block:16 ~cap:64 ()) in
@@ -81,7 +81,8 @@ let test_copy_independent () =
   ignore (Concrete.access c 0);
   let d = Concrete.copy c in
   ignore (Concrete.access d 4);
-  Alcotest.(check bool) "copy does not leak back" false (Concrete.contains c 4)
+  Alcotest.(check bool) "copy does not leak back" false
+    (List.mem 4 (Concrete.contents c))
 
 (* ------------------------------------------------------------------ *)
 (* Abstract: unit behaviour *)
@@ -145,60 +146,6 @@ let test_join_kind_mismatch () =
      with Invalid_argument _ -> true)
 
 (* ------------------------------------------------------------------ *)
-(* Persistence *)
-
-module Persistence = Ucp_cache.Persistence
-
-let test_persistence_small_scope () =
-  (* two blocks in a 2-way set: both persistent *)
-  let config = cfg ~assoc:2 ~block:16 ~cap:32 () in
-  Alcotest.(check (list int)) "both persist" [ 0; 2 ]
-    (Persistence.analyze_scope config [ 0; 2; 0; 2 ])
-
-let test_persistence_overflow () =
-  (* three blocks cycling through a 2-way set: none persistent *)
-  let config = cfg ~assoc:2 ~block:16 ~cap:32 () in
-  Alcotest.(check (list int)) "none persist" []
-    (Persistence.analyze_scope config [ 0; 2; 4 ])
-
-let test_persistence_disjoint_sets () =
-  (* blocks in different sets never conflict *)
-  let config = cfg ~assoc:1 ~block:16 ~cap:32 () in
-  Alcotest.(check (list int)) "both persist" [ 0; 1 ]
-    (Persistence.analyze_scope config [ 0; 1; 0; 1 ])
-
-let test_persistence_update_saturates () =
-  let config = cfg ~assoc:2 ~block:16 ~cap:32 () in
-  let st = List.fold_left Persistence.update (Persistence.empty config) [ 0; 2; 4 ] in
-  (* 0 was pushed past the associativity: seen but not persistent *)
-  Alcotest.(check bool) "0 seen" true (List.mem 0 (Persistence.seen st));
-  Alcotest.(check bool) "0 not persistent" false (Persistence.is_persistent st 0);
-  Alcotest.(check bool) "4 persistent" true (Persistence.is_persistent st 4)
-
-(* soundness: a block reported persistent for a scope trace misses at
-   most once when the concrete cache loops over that trace *)
-let prop_persistent_blocks_miss_once =
-  QCheck2.Test.make ~name:"persistent blocks miss at most once over repeated scopes"
-    ~count:300
-    QCheck2.Gen.(pair Ucp_testlib.gen_config Ucp_testlib.gen_access_sequence)
-    (fun (config, trace) ->
-      let persistent = Persistence.analyze_scope config trace in
-      let c = Concrete.create config in
-      let misses = Hashtbl.create 8 in
-      for _ = 1 to 4 do
-        List.iter
-          (fun mb ->
-            match Concrete.access c mb with
-            | Concrete.Hit -> ()
-            | Concrete.Miss _ ->
-              Hashtbl.replace misses mb (1 + (try Hashtbl.find misses mb with Not_found -> 0)))
-          trace
-      done;
-      List.for_all
-        (fun mb -> (try Hashtbl.find misses mb with Not_found -> 0) <= 1)
-        persistent)
-
-(* ------------------------------------------------------------------ *)
 (* FIFO policy *)
 
 let test_fifo_no_reorder_on_hit () =
@@ -231,6 +178,51 @@ let prop_fifo_hits_subset_size =
       !ok)
 
 (* ------------------------------------------------------------------ *)
+(* Concrete: the residency views agree.  [contents], [resident_in_set]
+   and [age] all answer "is this block cached?", and each access's
+   outcome must match the answer given just before it. *)
+
+let prop_residency_consistent policy =
+  let pname = Ucp_policy.to_string policy in
+  QCheck2.Test.make
+    ~name:(pname ^ ": contents, ages and outcomes agree")
+    ~count:300
+    QCheck2.Gen.(pair Ucp_testlib.gen_config Ucp_testlib.gen_access_sequence)
+    (fun (config, seq) ->
+      let c = Concrete.create ~policy config in
+      let resident mb = List.mem mb (Concrete.contents c) in
+      let views_agree () =
+        let by_set =
+          List.init config.Config.sets (fun s ->
+              let blocks = Concrete.resident_in_set c s in
+              List.length blocks <= config.Config.assoc
+              && List.for_all (fun mb -> Config.set_of_mem_block config mb = s) blocks,
+              blocks)
+        in
+        List.for_all fst by_set
+        && List.sort compare (List.concat_map snd by_set) = Concrete.contents c
+        && List.for_all (fun mb -> Concrete.age c mb <> None) (Concrete.contents c)
+      in
+      List.for_all
+        (fun mb ->
+          let was = resident mb in
+          let set_full =
+            List.length (Concrete.resident_in_set c (Config.set_of_mem_block config mb))
+            = config.Config.assoc
+          in
+          let before = Concrete.contents c in
+          let outcome_ok =
+            match Concrete.access c mb with
+            | Concrete.Hit -> was
+            | Concrete.Miss None -> (not was) && not set_full
+            | Concrete.Miss (Some v) ->
+              (not was) && set_full && List.mem v before && not (resident v)
+              && Config.set_of_mem_block config v = Config.set_of_mem_block config mb
+          in
+          outcome_ok && resident mb && Concrete.age c mb <> None && views_agree ())
+        seq)
+
+(* ------------------------------------------------------------------ *)
 (* Abstract vs Concrete: soundness properties *)
 
 let run_concrete config seq =
@@ -247,7 +239,7 @@ let prop_must_sound =
     (fun (config, seq) ->
       let c = run_concrete config seq in
       let m = run_abstract config Abstract.Must seq in
-      List.for_all (fun mb -> Concrete.contains c mb) (Abstract.blocks m))
+      List.for_all (fun mb -> List.mem mb (Concrete.contents c)) (Abstract.blocks m))
 
 let prop_may_complete =
   QCheck2.Test.make ~name:"concrete cache is a subset of the may state" ~count:400
@@ -360,7 +352,9 @@ let prop_policy_walk_sound policy =
         seq;
       (* the sandwich must also hold in the final state *)
       !sound
-      && List.for_all (fun mb -> Concrete.contains c mb) (Abstract.blocks !must)
+      && List.for_all
+           (fun mb -> List.mem mb (Concrete.contents c))
+           (Abstract.blocks !must)
       && List.for_all (fun mb -> Abstract.contains !may mb) (Concrete.contents c))
 
 let prop_policy_fill_sound policy =
@@ -397,7 +391,9 @@ let prop_policy_fill_sound policy =
           must := Abstract.update ~hint !must mb;
           may := Abstract.update ~hint !may mb)
         seq;
-      List.for_all (fun mb -> Concrete.contains c mb) (Abstract.blocks !must)
+      List.for_all
+        (fun mb -> List.mem mb (Concrete.contents c))
+        (Abstract.blocks !must)
       && List.for_all (fun mb -> Abstract.contains !may mb) (Concrete.contents c))
 
 (* ------------------------------------------------------------------ *)
@@ -540,20 +536,16 @@ let () =
           Alcotest.test_case "victims" `Quick test_victims;
           Alcotest.test_case "kind mismatch" `Quick test_join_kind_mismatch;
         ] );
-      ( "persistence",
-        [
-          Alcotest.test_case "small scope" `Quick test_persistence_small_scope;
-          Alcotest.test_case "overflow" `Quick test_persistence_overflow;
-          Alcotest.test_case "disjoint sets" `Quick test_persistence_disjoint_sets;
-          Alcotest.test_case "saturation" `Quick test_persistence_update_saturates;
-          QCheck_alcotest.to_alcotest prop_persistent_blocks_miss_once;
-        ] );
       ( "fifo",
         [
           Alcotest.test_case "no reorder on hit" `Quick test_fifo_no_reorder_on_hit;
           Alcotest.test_case "lru/fifo diverge" `Quick test_lru_vs_fifo_divergence;
           QCheck_alcotest.to_alcotest prop_fifo_hits_subset_size;
         ] );
+      ( "consistency",
+        List.map
+          (fun policy -> QCheck_alcotest.to_alcotest (prop_residency_consistent policy))
+          Ucp_policy.all );
       ( "soundness",
         [
           QCheck_alcotest.to_alcotest prop_must_sound;

@@ -83,10 +83,6 @@ let test_dominators_diamond () =
     (Dominators.dominates d 1 3);
   Alcotest.(check bool) "reflexive" true (Dominators.dominates d 2 2)
 
-let test_dominator_chain () =
-  let d = Dominators.compute simple_loop in
-  Alcotest.(check (list int)) "chain from exit" [ 2; 1; 0 ] (Dominators.dominator_chain d 2)
-
 (* ------------------------------------------------------------------ *)
 (* Loops *)
 
@@ -398,7 +394,6 @@ let () =
       ( "dominators",
         [
           Alcotest.test_case "diamond" `Quick test_dominators_diamond;
-          Alcotest.test_case "chain" `Quick test_dominator_chain;
         ] );
       ( "loops",
         [

@@ -613,7 +613,8 @@ let test_sweep_checkpoint_fingerprint_mismatch () =
              (Parallel.sweep ~programs ~configs:other_configs ~techs ~jobs:1
                 ~checkpoint:path ~resume:true ());
            false
-         with Failure msg -> Ucp_testlib.contains ~substring:"fingerprint" msg))
+         with Checkpoint.Bad_journal { problem = Checkpoint.Fingerprint_mismatch _; _ } ->
+           true))
 
 (* the policy axis in the journal: case ids carry the policy suffix,
    records round-trip with their policy, and an LRU-only journal cannot
@@ -657,7 +658,8 @@ let test_checkpoint_policy_fingerprint_mismatch () =
                 ~policies:[ Ucp_policy.Lru; Ucp_policy.Fifo; Ucp_policy.Plru ]
                 ~jobs:1 ~checkpoint:path ~resume:true ());
            false
-         with Failure msg -> Ucp_testlib.contains ~substring:"fingerprint" msg))
+         with Checkpoint.Bad_journal { problem = Checkpoint.Fingerprint_mismatch _; _ } ->
+           true))
 
 (* ------------------------------------------------------------------ *)
 (* the record codec, pinned to bytes written before journals were read
@@ -809,6 +811,40 @@ let test_resume_rewrite_is_atomic () =
                (String.split_on_char '\n'
                   (In_channel.with_open_bin path In_channel.input_all)))))
 
+(* a journal comes from outside the program: each way [start] refuses
+   one is a typed error that prints the path and the problem *)
+let test_bad_journal_text () =
+  let path = Filename.temp_file "ucp_ckpt" ".jsonl" in
+  let refused ~fingerprint journal =
+    Out_channel.with_open_bin path (fun oc -> output_string oc journal);
+    match Checkpoint.start ~path ~fingerprint ~resume:true with
+    | j ->
+      Checkpoint.close j;
+      Alcotest.fail "journal accepted"
+    | exception (Checkpoint.Bad_journal _ as e) -> Printexc.to_string e
+  in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      let fp = old_fingerprint () in
+      let check problem got =
+        Alcotest.(check string) problem
+          (Printf.sprintf "Checkpoint.start: %s: %s" path problem)
+          got
+      in
+      check "unreadable journal header" (refused ~fingerprint:fp "not json\n");
+      check "unsupported journal version"
+        (refused ~fingerprint:fp {|{"ucp_checkpoint":2,"fingerprint":"x"}|});
+      check
+        (Printf.sprintf
+           "sweep fingerprint mismatch (journal %s, grid other) — the checkpoint \
+            belongs to a different suite/config/tech grid"
+           fp)
+        (refused ~fingerprint:"other" old_journal);
+      check "corrupt journal line 2"
+        (refused ~fingerprint:fp
+           (String.concat "\n" [ old_header; "garbage"; List.hd old_records ])))
+
 let test_experiments_ratio_degenerate () =
   Alcotest.(check bool) "zero denominator is None" true
     (Experiments.ratio 5 0 = None);
@@ -896,6 +932,8 @@ let () =
             `Quick test_old_journal_resumes;
           Alcotest.test_case "resume rewrite is atomic" `Quick
             test_resume_rewrite_is_atomic;
+          Alcotest.test_case "refused journals print their problem" `Quick
+            test_bad_journal_text;
           Alcotest.test_case "degenerate ratios" `Quick
             test_experiments_ratio_degenerate;
         ] );

@@ -364,33 +364,6 @@ let test_expo_golden () =
   Alcotest.(check string) "byte-exact exposition" golden_text
     (Expo.render golden_dump)
 
-let test_expo_parse_roundtrip () =
-  match Expo.parse golden_text with
-  | Error e -> Alcotest.fail ("golden text does not parse: " ^ e)
-  | Ok samples -> (
-    Alcotest.(check int) "sample count (TYPE lines skipped)" 12
-      (List.length samples);
-    match Expo.histograms samples with
-    | [ cache; cold ] ->
-      Alcotest.(check (list (pair string string)))
-        "cache labels" [ ("tier", "cache") ] cache.Expo.h_labels;
-      Alcotest.(check (array int)) "de-cumulated buckets" [| 2; 1; 1 |]
-        cache.Expo.h_counts;
-      Alcotest.(check (float 0.0)) "sum" 2.75 cache.Expo.h_sum;
-      Alcotest.(check int) "count" 4 cache.Expo.h_count;
-      Alcotest.(check int) "cold empty" 0 cold.Expo.h_count
-    | hs -> Alcotest.failf "expected 2 histograms, got %d" (List.length hs))
-
-let test_expo_quantile () =
-  let bounds = [| 0.5; 1.0; 2.0 |] in
-  let counts = [| 2; 5; 2; 1 |] in
-  let q = Expo.quantile ~bounds ~counts in
-  Alcotest.(check (float 0.0)) "p50 hits the second bucket" 1.0 (q 0.5);
-  Alcotest.(check (float 0.0)) "p90 hits the third bucket" 2.0 (q 0.9);
-  Alcotest.(check bool) "p100 lands in overflow" true (q 1.0 = Float.infinity);
-  Alcotest.(check bool) "empty histogram is NaN" true
-    (Float.is_nan (Expo.quantile ~bounds ~counts:[| 0; 0; 0; 0 |] 0.5))
-
 (* ------------------------------------------------------------------ *)
 (* zero output when disabled *)
 
@@ -495,8 +468,6 @@ let () =
       ( "expo",
         [
           Alcotest.test_case "golden render" `Quick test_expo_golden;
-          Alcotest.test_case "parse round-trip" `Quick test_expo_parse_roundtrip;
-          Alcotest.test_case "nearest-rank quantiles" `Quick test_expo_quantile;
         ] );
       ( "disabled",
         [

@@ -426,10 +426,10 @@ let test_server_rejects_unknown_case () =
 
 (* Telemetry surface of the daemon: a client-assigned trace id is
    echoed on the answer, an unmarked request still gets a well-formed
-   server-derived id, the Metrics query serves parseable Prometheus
-   text with all four per-tier latency histograms, and the health reply
-   carries the histogram {count,sum} summaries (the instruments the old
-   counter-only reply silently dropped). *)
+   server-derived id, the Metrics query serves Prometheus text with a
+   count line for each of the four per-tier latency histograms, and the
+   health reply carries the histogram {count,sum} summaries (the
+   instruments the old counter-only reply silently dropped). *)
 let test_server_trace_echo_and_metrics () =
   let socket = fresh_socket () and dir = temp_dir "ucp-serve" in
   let id = "crc:k1:45nm:lru" in
@@ -454,22 +454,14 @@ let test_server_trace_echo_and_metrics () =
       | Ok _ -> Alcotest.fail "expected a record"
       | Error e -> Alcotest.fail ("query failed: " ^ e));
       (match Client.query ~socket P.Metrics with
-      | Ok (P.Metrics_text text) -> (
-        match Ucp_obs.Expo.parse text with
-        | Error e -> Alcotest.fail ("exposition does not parse: " ^ e)
-        | Ok samples ->
-          let tiers =
-            List.filter_map
-              (fun (h : Ucp_obs.Expo.hist) ->
-                if h.Ucp_obs.Expo.h_base = "serve_latency_s" then
-                  List.assoc_opt "tier" h.Ucp_obs.Expo.h_labels
-                else None)
-              (Ucp_obs.Expo.histograms samples)
-          in
-          List.iter
-            (fun t ->
-              Alcotest.(check bool) (t ^ " tier exposed") true (List.mem t tiers))
-            [ "cache"; "store"; "cold"; "shed" ])
+      | Ok (P.Metrics_text text) ->
+        let lines = String.split_on_char '\n' text in
+        List.iter
+          (fun t ->
+            let prefix = Printf.sprintf "serve_latency_s_count{tier=\"%s\"} " t in
+            Alcotest.(check bool) (t ^ " tier exposed") true
+              (List.exists (String.starts_with ~prefix) lines))
+          [ "cache"; "store"; "cold"; "shed" ]
       | Ok _ -> Alcotest.fail "expected metrics text"
       | Error e -> Alcotest.fail ("metrics failed: " ^ e));
       let h = health ~socket in

@@ -198,6 +198,20 @@ let test_cfg_ipet_upper_bound () =
   (* the entry block executes exactly once in the optimum *)
   Alcotest.(check int) "entry count" 1 cfg_r.Ipet.counts.(0)
 
+(* Loop bounds are positive and the entry flow is 1, so no analysed
+   program should reach these; this is what each solver would print. *)
+let test_ipet_unsolvable_printed () =
+  List.iter
+    (fun (solver, unbounded, text) ->
+      Alcotest.(check string) "printed" text
+        (Printexc.to_string (Ipet.Unsolvable_flow_model { solver; unbounded })))
+    [
+      ("solve", false, "Ipet.solve: infeasible flow model");
+      ("solve", true, "Ipet.solve: unbounded flow model");
+      ("solve_cfg", false, "Ipet.solve_cfg: infeasible flow model");
+      ("solve_cfg", true, "Ipet.solve_cfg: unbounded flow model");
+    ]
+
 let prop_cfg_ipet_upper_bound =
   QCheck2.Test.make ~name:"CFG-level IPET is an upper bound of tau_w" ~count:40
     ~print:Ucp_testlib.print_program Ucp_testlib.gen_program (fun p ->
@@ -419,6 +433,8 @@ let () =
           Alcotest.test_case "simple agreement" `Quick test_ipet_agrees_simple;
           Alcotest.test_case "conditional agreement" `Quick test_ipet_agrees_conditional;
           Alcotest.test_case "cfg-level upper bound" `Quick test_cfg_ipet_upper_bound;
+          Alcotest.test_case "unsolvable model printed" `Quick
+            test_ipet_unsolvable_printed;
           QCheck_alcotest.to_alcotest prop_ipet_agreement;
           QCheck_alcotest.to_alcotest prop_cfg_ipet_upper_bound;
         ] );
