@@ -506,19 +506,6 @@ let experiment_cmd =
           Printf.eprintf "ucp: %s\n" msg;
           exit 124)
     in
-    let timeout =
-      match timeout with
-      | Some _ -> timeout
-      | None -> (
-        match Sys.getenv_opt "UCP_CASE_TIMEOUT" with
-        | None | Some "" -> None
-        | Some s -> (
-          match float_of_string_opt s with
-          | Some t when t > 0.0 -> Some t
-          | Some _ | None ->
-            Printf.eprintf "ucp: UCP_CASE_TIMEOUT=%s: expected positive seconds\n" s;
-            exit 124))
-    in
     if resume && checkpoint = None then begin
       Printf.eprintf "ucp: --resume requires --checkpoint PATH\n";
       exit 124
@@ -576,14 +563,11 @@ let experiment_cmd =
     | Some path ->
       let jsonl =
         Report.sweep_jsonl ~wall_s:s.Ucp_core.Parallel.wall_s
-          ~jobs:s.Ucp_core.Parallel.jobs ~timings:s.Ucp_core.Parallel.timings
-          ~outcomes:s.Ucp_core.Parallel.results
+          ~jobs:s.Ucp_core.Parallel.jobs ~outcomes:s.Ucp_core.Parallel.results
           ?metrics:(if metrics_dump = [] then None else Some metrics_dump)
           records
       in
-      let oc = open_out path in
-      output_string oc jsonl;
-      close_out oc;
+      Ucp_core.Checkpoint.write_atomic ~path jsonl;
       Printf.eprintf "[sweep] JSONL summary -> %s\n%!" path);
     let out =
       match figure with
@@ -653,7 +637,7 @@ let experiment_cmd =
           ~doc:
             "Per-use-case deadline in seconds; a case that overruns it is \
              reported as timed out instead of blocking the sweep (default: \
-             $(b,UCP_CASE_TIMEOUT) if set, else none).")
+             none).")
   in
   let checkpoint =
     Arg.(

@@ -216,7 +216,8 @@ echo "ci: corrupt-cert audit smoke passed"
 # well-formed JSON carrying spans from every pipeline stage, that
 # `ucp trace` can read it back, that the fixpoint-pass span count in
 # the trace matches the fixpoint_iterations_total counter on the JSONL
-# summary line, and that instrumentation never changes the per-record
+# summary line, that only the metered summary line carries per-stage
+# seconds, and that instrumentation never changes the per-record
 # output: a traced sweep's record lines must be byte-identical to an
 # untraced run's.
 obs_dir=$(mktemp -d)
@@ -282,6 +283,24 @@ fp_trace=$(grep -o '"name":"fixpoint-pass"' "$obs_dir/trace.json" | wc -l)
 fp_metric=$(sed -n 's/.*"fixpoint_iterations_total":\([0-9][0-9]*\).*/\1/p' "$obs_dir/traced.jsonl")
 if [ -z "$fp_metric" ] || [ "$fp_trace" -eq 0 ] || [ "$fp_trace" != "$fp_metric" ]; then
   echo "ci: obs smoke: fixpoint passes disagree: trace='$fp_trace' metric='$fp_metric'" >&2
+  exit 1
+fi
+
+# stage time lives in the metrics registry: the traced sweep's summary
+# line (--trace implies metrics) carries every stage's fcounter, and
+# the untraced summary line carries no seconds but its wall_s, so a
+# second stage accumulator cannot come back unnoticed
+for stage in analysis refine optimize simulate audit; do
+  if ! grep '"summary"' "$obs_dir/traced.jsonl" \
+    | grep -q "\"${stage}_seconds_total\":"; then
+    echo "ci: obs smoke: traced summary line has no ${stage}_seconds_total" >&2
+    exit 1
+  fi
+done
+stage_keys=$(grep '"summary"' "$obs_dir/plain.jsonl" \
+  | grep -o '"[a-z_]*_s":' | grep -v '^"wall_s":$' || true)
+if [ -n "$stage_keys" ]; then
+  echo "ci: obs smoke: untraced summary line carries stage seconds:" $stage_keys >&2
   exit 1
 fi
 

@@ -108,22 +108,16 @@ module Analysis_memo = struct
     Mutex.unlock memo.mutex
 end
 
-let memoized_analysis ?deadline ?timed memo c =
+let memoized_analysis ?deadline memo c =
   let k = Analysis_memo.key c in
   match Analysis_memo.find memo k with
   | Some a -> a
   | None ->
-    let t0 = Ucp_util.Clock.now_s () in
     let a =
-      Ucp_obs.Trace.with_span ~name:"analysis" (fun () ->
+      Pipeline.stage "analysis" (fun () ->
           Ucp_wcet.Wcet.analyze ?deadline ~with_may:true ~policy:c.case_policy
             c.case_program c.case_config)
     in
-    Option.iter
-      (fun tm ->
-        tm.Pipeline.analysis_s <-
-          tm.Pipeline.analysis_s +. (Ucp_util.Clock.now_s () -. t0))
-      timed;
     Analysis_memo.add memo k a;
     a
 
@@ -141,27 +135,27 @@ let record_of c (cmp : Pipeline.comparison) =
     audit = cmp.Pipeline.audit;
   }
 
-let eval_case ?deadline ?timed ?memo ?audit ?corrupt_cert ?refine
-    ?corrupt_refine ~model c =
+let eval_case ?deadline ?memo ?audit ?corrupt_cert ?refine ?corrupt_refine
+    ~model c =
   let analysis0 =
-    Option.map (fun memo -> memoized_analysis ?deadline ?timed memo c) memo
+    Option.map (fun memo -> memoized_analysis ?deadline memo c) memo
   in
   let cmp, obligation =
-    Pipeline.prepare ?deadline ~model ?timed ~policy:c.case_policy ?analysis0
-      ?audit ?corrupt_cert ?refine ?corrupt_refine c.case_program c.case_config
+    Pipeline.prepare ?deadline ~model ~policy:c.case_policy ?analysis0 ?audit
+      ?corrupt_cert ?refine ?corrupt_refine c.case_program c.case_config
       c.case_tech
   in
   (record_of c cmp, obligation)
 
-let run_case ?deadline ?timed ?memo ?audit ?corrupt_cert ?refine ?corrupt_refine
+let run_case ?deadline ?memo ?audit ?corrupt_cert ?refine ?corrupt_refine
     ~model c =
   let r, obligation =
-    eval_case ?deadline ?timed ?memo ?audit ?corrupt_cert ?refine
-      ?corrupt_refine ~model c
+    eval_case ?deadline ?memo ?audit ?corrupt_cert ?refine ?corrupt_refine
+      ~model c
   in
   match obligation with
   | None -> r
-  | Some input -> { r with audit = Pipeline.finish_audit ?deadline ?timed input }
+  | Some input -> { r with audit = Pipeline.finish_audit ?deadline input }
 
 (* Defense in depth for the paper's central claims (Theorem 1,
    Supplement S.2): cross-check each finished record against the

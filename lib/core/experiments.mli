@@ -92,7 +92,6 @@ end
 
 val eval_case :
   ?deadline:Ucp_util.Deadline.t ->
-  ?timed:Pipeline.timings ->
   ?memo:Analysis_memo.t ->
   ?audit:bool ->
   ?corrupt_cert:bool ->
@@ -109,7 +108,6 @@ val eval_case :
 
 val run_case :
   ?deadline:Ucp_util.Deadline.t ->
-  ?timed:Pipeline.timings ->
   ?memo:Analysis_memo.t ->
   ?audit:bool ->
   ?corrupt_cert:bool ->

@@ -214,6 +214,76 @@ let shutdown pool =
 (* ------------------------------------------------------------------ *)
 (* deterministic parallel map *)
 
+(* submit [body k] for every [k] in [0, n), as tasks of [?chunk]
+   contiguous items each *)
+let submit_chunks ~fn pool ~jobs ?chunk n body =
+  let chunk =
+    match chunk with
+    | Some c when c >= 1 -> c
+    | Some _ -> invalid_arg (fn ^ ": chunk must be positive")
+    (* small chunks smooth out the order-of-magnitude spread in
+       per-case cost across programs; 4 chunks per worker bounds the
+       tail wait by ~1/4 of a worker's share *)
+    | None -> max 1 (n / (jobs * 4))
+  in
+  let lo = ref 0 in
+  while !lo < n do
+    let l = !lo and h = min n (!lo + chunk) in
+    submit ~weight:(h - l) pool (fun () ->
+        for k = l to h - 1 do
+          body k
+        done);
+    lo := h
+  done
+
+(* a completion count from [start]: each call of the returned function
+   bumps it and hands the new count to [?on_count] and [?progress],
+   serialized under a dedicated lock, so both observe a strictly
+   increasing count.  A raising progress callback must not poison the
+   pool and void the computed results: the first exception disables
+   further callbacks and the run completes normally. *)
+let counter ?progress ?on_count ~start ~total () =
+  if Option.is_none progress && Option.is_none on_count then ignore
+  else begin
+    let lock = Mutex.create () in
+    let count = ref start in
+    let progress = ref progress in
+    fun () ->
+      Mutex.lock lock;
+      incr count;
+      let done_ = !count in
+      Fun.protect
+        ~finally:(fun () -> Mutex.unlock lock)
+        (fun () ->
+          Option.iter (fun f -> f done_) on_count;
+          match !progress with
+          | None -> ()
+          | Some cb -> (
+            try cb ~done_ ~total
+            with exn ->
+              progress := None;
+              Ucp_obs.Log.warn
+                "progress callback raised %s; progress reporting disabled for \
+                 the rest of this run"
+                (Printexc.to_string exn)))
+  end
+
+(* [f ()] as a structured outcome; a kill escapes task isolation by
+   design, so the pool's death handler takes over *)
+let outcome f =
+  match f () with
+  | v -> Outcome.Ok v
+  | exception Deadline.Deadline_exceeded -> Outcome.Timed_out
+  | exception Outcome.Invariant msg -> Outcome.Invariant_violation msg
+  | exception (Fault.Killed_worker _ as e) -> raise e
+  | exception exn ->
+    let bt = Printexc.get_raw_backtrace () in
+    Outcome.Failed
+      {
+        Outcome.exn_text = Printexc.to_string exn;
+        backtrace = Printexc.raw_backtrace_to_string bt;
+      }
+
 let map ?jobs ?chunk ?progress ?telemetry f items =
   let jobs = match jobs with Some j -> j | None -> default_jobs () in
   if jobs < 1 then invalid_arg "Parallel.map: jobs must be positive";
@@ -223,59 +293,18 @@ let map ?jobs ?chunk ?progress ?telemetry f items =
     [||]
   end
   else begin
-    let chunk =
-      match chunk with
-      | Some c when c >= 1 -> c
-      | Some _ -> invalid_arg "Parallel.map: chunk must be positive"
-      (* small chunks smooth out the order-of-magnitude spread in
-         per-case cost across programs; 4 chunks per worker bounds the
-         tail wait by ~1/4 of a worker's share *)
-      | None -> max 1 (n / (jobs * 4))
-    in
     (* results land at their input index, so the output order is the
        input order no matter which worker finishes when *)
     let results = Array.make n None in
-    let pmutex = Mutex.create () in
-    let completed = ref 0 in
-    (* a raising progress callback must not poison the pool and void
-       the computed results: the first exception disables further
-       callbacks and the map completes normally *)
-    let progress_dead = ref false in
-    (* per finished element, not per chunk: callbacks are serialized
-       under a dedicated lock and observe a strictly increasing count *)
-    let note_done () =
-      match progress with
-      | None -> ()
-      | Some cb ->
-        Mutex.lock pmutex;
-        incr completed;
-        let done_ = !completed in
-        Fun.protect
-          ~finally:(fun () -> Mutex.unlock pmutex)
-          (fun () ->
-            if not !progress_dead then
-              try cb ~done_ ~total:n
-              with exn ->
-                progress_dead := true;
-                Ucp_obs.Log.warn
-                  "progress callback raised %s; progress reporting disabled for \
-                   the rest of this run"
-                  (Printexc.to_string exn))
-    in
+    (* per finished element, not per chunk *)
+    let note_done = counter ?progress ~start:0 ~total:n () in
     let pool = create ~jobs () in
     Fun.protect
       ~finally:(fun () -> shutdown pool)
       (fun () ->
-        let lo = ref 0 in
-        while !lo < n do
-          let l = !lo and h = min n (!lo + chunk) in
-          submit ~weight:(h - l) pool (fun () ->
-              for k = l to h - 1 do
-                results.(k) <- Some (f items.(k));
-                note_done ()
-              done);
-          lo := h
-        done;
+        submit_chunks ~fn:"Parallel.map" pool ~jobs ?chunk n (fun k ->
+            results.(k) <- Some (f items.(k));
+            note_done ());
         wait pool;
         Option.iter (fun cb -> cb (worker_stats pool)) telemetry);
     (* [None] is unreachable: [wait] returns normally only when no
@@ -288,21 +317,7 @@ let map ?jobs ?chunk ?progress ?telemetry f items =
   end
 
 let try_map ?jobs ?chunk ?progress ?telemetry f items =
-  map ?jobs ?chunk ?progress ?telemetry
-    (fun x ->
-      match f x with
-      | v -> Outcome.Ok v
-      | exception Deadline.Deadline_exceeded -> Outcome.Timed_out
-      | exception Outcome.Invariant msg -> Outcome.Invariant_violation msg
-      | exception (Fault.Killed_worker _ as e) -> raise e
-      | exception exn ->
-        let bt = Printexc.get_raw_backtrace () in
-        Outcome.Failed
-          {
-            Outcome.exn_text = Printexc.to_string exn;
-            backtrace = Printexc.raw_backtrace_to_string bt;
-          })
-    items
+  map ?jobs ?chunk ?progress ?telemetry (fun x -> outcome (fun () -> f x)) items
 
 (* ------------------------------------------------------------------ *)
 (* the parallel evaluation sweep *)
@@ -313,7 +328,6 @@ type sweep = {
   failures : (string * Experiments.record Outcome.t) list;
   resumed : int;
   wall_s : float;
-  timings : Pipeline.timings;
   jobs : int;
   cases : int;
   workers : Telemetry.worker_stat array;
@@ -351,12 +365,6 @@ let observed_case f =
       f
   end
 
-let strip = function
-  | Outcome.Ok (r, _) -> Outcome.Ok r
-  | Outcome.Failed f -> Outcome.Failed f
-  | Outcome.Timed_out -> Outcome.Timed_out
-  | Outcome.Invariant_violation m -> Outcome.Invariant_violation m
-
 let sweep ?(programs = Ucp_workloads.Suite.all)
     ?(configs = Experiments.default_configs) ?(techs = Tech.all)
     ?(policies = [ Ucp_policy.Lru ]) ?(audit = Ucp_verify.Off)
@@ -390,8 +398,7 @@ let sweep ?(programs = Ucp_workloads.Suite.all)
       let t0 = Clock.now_s () in
       (* cases already journaled by an interrupted run are replayed, not
          re-evaluated; [final] collects one outcome per input index *)
-      let final :
-          (Experiments.record * Pipeline.timings) Outcome.t option array =
+      let final : Experiments.record Outcome.t option array =
         Array.make n None
       in
       let resumed = ref 0 in
@@ -404,7 +411,7 @@ let sweep ?(programs = Ucp_workloads.Suite.all)
             match Hashtbl.find_opt done_ (Experiments.case_id c) with
             | Some r ->
               incr resumed;
-              final.(i) <- Some (Outcome.Ok (r, Pipeline.fresh_timings ()))
+              final.(i) <- Some (Outcome.Ok r)
             | None -> ())
           cases);
       let todo =
@@ -414,32 +421,9 @@ let sweep ?(programs = Ucp_workloads.Suite.all)
       (* grid-level completion count, fed by the finalize path and read
          by the heartbeat domain *)
       let hb_done = Atomic.make !resumed in
-      (* per finalized case, serialized under a dedicated lock; a
-         raising progress callback must not poison the pool and void
-         the computed results, so the first exception disables further
-         callbacks and the sweep completes normally *)
-      let pmutex = Mutex.create () in
-      let completed = ref 0 in
-      let progress_dead = ref false in
-      let note_done () =
-        Mutex.lock pmutex;
-        incr completed;
-        let done_ = !completed + !resumed in
-        Fun.protect
-          ~finally:(fun () -> Mutex.unlock pmutex)
-          (fun () ->
-            Atomic.set hb_done done_;
-            match progress with
-            | None -> ()
-            | Some cb ->
-              if not !progress_dead then
-                try cb ~done_ ~total:n
-                with exn ->
-                  progress_dead := true;
-                  Ucp_obs.Log.warn
-                    "progress callback raised %s; progress reporting disabled \
-                     for the rest of this run"
-                    (Printexc.to_string exn))
+      let note_done =
+        counter ?progress ~on_count:(Atomic.set hb_done) ~start:!resumed
+          ~total:n ()
       in
       (* Evaluation and certification are separate work items on one
          pool: a case task analyzes/optimizes/simulates, then queues its
@@ -447,27 +431,13 @@ let sweep ?(programs = Ucp_workloads.Suite.all)
          tally each case once); fault hooks, invariant checks and
          journaling run only after the audit verdict is in — the same
          order the old inline audit observed. *)
-      let wrap f =
-        match f () with
-        | v -> Outcome.Ok v
-        | exception Deadline.Deadline_exceeded -> Outcome.Timed_out
-        | exception Outcome.Invariant msg -> Outcome.Invariant_violation msg
-        | exception (Fault.Killed_worker _ as e) -> raise e
-        | exception exn ->
-          let bt = Printexc.get_raw_backtrace () in
-          Outcome.Failed
-            {
-              Outcome.exn_text = Printexc.to_string exn;
-              backtrace = Printexc.raw_backtrace_to_string bt;
-            }
-      in
       (* each index is written by exactly one task, so [final] needs no
          lock; [note_done] serializes the user-visible side effects *)
       let set_final i o =
         final.(i) <- Some o;
         note_done ()
       in
-      let finalize id (r : Experiments.record) timed =
+      let finalize id (r : Experiments.record) =
         let r = Fault.corrupt id r in
         (match Experiments.check_invariants r with
         | Ok () -> ()
@@ -475,26 +445,26 @@ let sweep ?(programs = Ucp_workloads.Suite.all)
         (* journal only sound, complete records; failures are retried
            on resume *)
         Option.iter (fun j -> Checkpoint.record j ~id r) journal;
-        (r, timed)
+        r
       in
       (* a killed worker domain must not sink the whole sweep: the pool
          replaces dead domains and the lost chunk's cases surface as
          structured failures below *)
       let pool = create ~respawn:true ~jobs () in
-      let audit_task i id r input timed () =
+      let audit_task i id r input () =
         set_final i
-          (wrap (fun () ->
+          (outcome (fun () ->
                (* the obligation gets its own deadline window: time
                   spent queued behind other cases is not execution *)
                let deadline = Option.map Deadline.after timeout in
-               let audit = Pipeline.finish_audit ?deadline ~timed input in
-               finalize id { r with Experiments.audit } timed))
+               let audit = Pipeline.finish_audit ?deadline input in
+               finalize id { r with Experiments.audit }))
       in
       let case_task i =
         let c = cases.(i) in
         let id = Experiments.case_id c in
         let evaluated =
-          wrap (fun () ->
+          outcome (fun () ->
               Ucp_obs.Trace.with_span ~name:"case"
                 ~args:[ ("id", Ucp_obs.Trace.Str id) ] (fun () ->
                   observed_case (fun () ->
@@ -502,27 +472,20 @@ let sweep ?(programs = Ucp_workloads.Suite.all)
                          executing, not when the sweep was launched *)
                       let deadline = Option.map Deadline.after timeout in
                       Fault.apply_pre ?deadline id;
-                      (* one timing accumulator per case: workers never
-                         share one, so no synchronization is needed on
-                         the hot path *)
-                      let timed = Pipeline.fresh_timings () in
                       let model =
                         Hashtbl.find models
                           (c.Experiments.case_config, c.Experiments.case_tech)
                       in
-                      let r, obligation =
-                        Experiments.eval_case ?deadline ~timed ~memo
-                          ~audit:(Ucp_verify.selects audit id)
-                          ~corrupt_cert:(Fault.corrupt_cert id) ~refine
-                          ~corrupt_refine:(Fault.corrupt_refine id) ~model c
-                      in
-                      (r, obligation, timed))))
+                      Experiments.eval_case ?deadline ~memo
+                        ~audit:(Ucp_verify.selects audit id)
+                        ~corrupt_cert:(Fault.corrupt_cert id) ~refine
+                        ~corrupt_refine:(Fault.corrupt_refine id) ~model c)))
         in
         match evaluated with
-        | Outcome.Ok (r, Some input, timed) ->
-          submit ~weight:0 pool (audit_task i id r input timed)
-        | Outcome.Ok (r, None, timed) ->
-          set_final i (wrap (fun () -> finalize id r timed))
+        | Outcome.Ok (r, Some input) ->
+          submit ~weight:0 pool (audit_task i id r input)
+        | Outcome.Ok (r, None) ->
+          set_final i (outcome (fun () -> finalize id r))
         | Outcome.Failed f -> set_final i (Outcome.Failed f)
         | Outcome.Timed_out -> set_final i Outcome.Timed_out
         | Outcome.Invariant_violation m ->
@@ -578,41 +541,17 @@ let sweep ?(programs = Ucp_workloads.Suite.all)
           Fun.protect
             ~finally:(fun () -> shutdown pool)
             (fun () ->
-              let todo_n = Array.length todo in
-              let chunk =
-                match chunk with
-                | Some c when c >= 1 -> c
-                | Some _ ->
-                  invalid_arg "Parallel.sweep: chunk must be positive"
-                (* small chunks smooth out the order-of-magnitude spread
-                   in per-case cost across programs; 4 chunks per worker
-                   bounds the tail wait by ~1/4 of a worker's share *)
-                | None -> max 1 (todo_n / (jobs * 4))
-              in
-              let lo = ref 0 in
-              while !lo < todo_n do
-                let l = !lo and h = min todo_n (!lo + chunk) in
-                submit ~weight:(h - l) pool (fun () ->
-                    for k = l to h - 1 do
-                      case_task todo.(k)
-                    done);
-                lo := h
-              done;
+              submit_chunks ~fn:"Parallel.sweep" pool ~jobs ?chunk
+                (Array.length todo) (fun k -> case_task todo.(k));
               wait pool;
               stats := worker_stats pool;
               pool_restarts := restarts pool));
-      let timings = Pipeline.fresh_timings () in
-      Array.iter
-        (function
-          | Some (Outcome.Ok (_, tm)) -> Pipeline.add_timings timings tm
-          | Some _ | None -> ())
-        final;
       let results =
         Array.to_list
           (Array.mapi
              (fun i c ->
                match final.(i) with
-               | Some o -> (Experiments.case_id c, strip o)
+               | Some o -> (Experiments.case_id c, o)
                | None ->
                  (* the chunk task holding this case died with its
                     worker domain before [set_final] ran *)
@@ -635,7 +574,6 @@ let sweep ?(programs = Ucp_workloads.Suite.all)
         failures = List.filter (fun (_, o) -> not (Outcome.is_ok o)) results;
         resumed = !resumed;
         wall_s = Clock.now_s () -. t0;
-        timings;
         jobs;
         cases = n;
         workers = !stats;

@@ -118,11 +118,6 @@ type sweep = {
       (** cases replayed from the checkpoint journal instead of being
           re-evaluated (0 unless resuming) *)
   wall_s : float;  (** elapsed wall-clock time of the whole sweep *)
-  timings : Pipeline.timings;
-      (** per-stage wall-clock time summed over all workers; stages
-          running concurrently each count their own elapsed time, so
-          under [jobs = n] the sum exceeds [wall_s] up to a factor of
-          [n] *)
   jobs : int;  (** worker count actually used *)
   cases : int;  (** number of use cases in the grid *)
   workers : Telemetry.worker_stat array;
@@ -180,8 +175,7 @@ val sweep :
     once the verdict is in.  An audited case whose certificate fails
     any obligation is demoted to [Invariant_violation] with the
     obligation named; audited records carry their verdict and cost in
-    {!Experiments.record.audit} and the audit wall-clock lands in
-    [timings].  A [Fault.Corrupt_cert] hook arms the
+    {!Experiments.record.audit}.  A [Fault.Corrupt_cert] hook arms the
     certificate-corruption path on its case, which must then fail its
     audit.
 
@@ -210,8 +204,11 @@ val sweep :
 
     Observability: when {!Ucp_obs.Trace} is recording, every case runs
     inside a ["case"] span carrying its id, and when {!Ucp_obs.Metrics}
-    is enabled each case feeds the [case_duration_seconds] histogram
-    and the [gc_*_total] allocation/collection counters.
+    is enabled each case feeds the [case_duration_seconds] histogram,
+    the [gc_*_total] allocation/collection counters and the per-stage
+    [*_seconds_total] fcounters ({!Pipeline.stage}; summed over all
+    workers, so under [jobs = n] they exceed [wall_s] up to a factor
+    of [n]).
     @raise Invalid_argument if [?timeout] or [?heartbeat] is not
     positive;
     @raise Checkpoint.Bad_journal if the checkpoint journal cannot be

@@ -27,57 +27,23 @@ type measurement = {
          tau / miss bound / classification counts ride along here *)
 }
 
-type timings = {
-  mutable analysis_s : float;
-  mutable refine_s : float;
-  mutable optimize_s : float;
-  mutable simulate_s : float;
-  mutable audit_s : float;
-}
-
-let fresh_timings () =
-  {
-    analysis_s = 0.0;
-    refine_s = 0.0;
-    optimize_s = 0.0;
-    simulate_s = 0.0;
-    audit_s = 0.0;
-  }
-
-let add_timings acc t =
-  acc.analysis_s <- acc.analysis_s +. t.analysis_s;
-  acc.refine_s <- acc.refine_s +. t.refine_s;
-  acc.optimize_s <- acc.optimize_s +. t.optimize_s;
-  acc.simulate_s <- acc.simulate_s +. t.simulate_s;
-  acc.audit_s <- acc.audit_s +. t.audit_s
-
-let total_timings t =
-  t.analysis_s +. t.refine_s +. t.optimize_s +. t.simulate_s +. t.audit_s
-
-(* accumulate the wall-clock cost of [f] into one stage of [tm], and
-   record the stage as a trace span (span recording is independent of
-   whether a timings accumulator was supplied) *)
-let timed ~name tm add f =
+let stage name f =
   let f () = Ucp_obs.Trace.with_span ~name f in
-  match tm with
-  | None -> f ()
-  | Some tm ->
+  if not (Ucp_obs.Metrics.enabled ()) then f ()
+  else begin
     let t0 = Ucp_util.Clock.now_s () in
-    let r = f () in
-    add tm (Ucp_util.Clock.now_s () -. t0);
-    r
-
-let on_analysis tm d = tm.analysis_s <- tm.analysis_s +. d
-let on_refine tm d = tm.refine_s <- tm.refine_s +. d
-let on_optimize tm d = tm.optimize_s <- tm.optimize_s +. d
-let on_simulate tm d = tm.simulate_s <- tm.simulate_s +. d
-let on_audit tm d = tm.audit_s <- tm.audit_s +. d
+    Fun.protect
+      ~finally:(fun () ->
+        Ucp_obs.Metrics.fadd
+          (Ucp_obs.Metrics.fcounter (name ^ "_seconds_total"))
+          (Ucp_util.Clock.now_s () -. t0))
+      f
+  end
 
 let model config tech = Cacti.model config tech
 
-let measure ?deadline ?(seed = 42) ?model:mdl ?wcet ?timed:tm
-    ?(policy = Ucp_policy.Lru) ?(refine = Refine_mode.Off)
-    ?(corrupt_refine = false) program config tech =
+let measure ?deadline ?(seed = 42) ?model:mdl ?wcet ?(policy = Ucp_policy.Lru)
+    ?(refine = Refine_mode.Off) ?(corrupt_refine = false) program config tech =
   let m = match mdl with Some m -> m | None -> model config tech in
   (* The may analysis is on so the measurement carries real always-miss
      counts; tau and the miss bound are unaffected (always-miss and
@@ -86,18 +52,18 @@ let measure ?deadline ?(seed = 42) ?model:mdl ?wcet ?timed:tm
     match wcet with
     | Some w -> w
     | None ->
-      timed ~name:"analysis" tm on_analysis (fun () ->
+      stage "analysis" (fun () ->
           Wcet.compute ?deadline ~with_may:true ~policy program config m)
   in
   let refined =
     match refine with
     | Refine_mode.Off -> None
     | mode ->
-      timed ~name:"refine" tm on_refine (fun () ->
+      stage "refine" (fun () ->
           Refine.run ?deadline ~corrupt:corrupt_refine ~mode w)
   in
   let stats =
-    timed ~name:"simulate" tm on_simulate (fun () -> Simulator.run ~seed ~policy program config m)
+    stage "simulate" (fun () -> Simulator.run ~seed ~policy program config m)
   in
   let breakdown = Account.energy m stats.Simulator.counts in
   let ah, am, nc = Analysis.classification_counts w.Wcet.analysis in
@@ -117,8 +83,7 @@ let measure ?deadline ?(seed = 42) ?model:mdl ?wcet ?timed:tm
 
 let optimize ?model:mdl ?policy program config tech =
   let m = match mdl with Some m -> m | None -> model config tech in
-  Ucp_obs.Trace.with_span ~name:"optimize" (fun () ->
-      Optimizer.optimize ?policy program config m)
+  stage "optimize" (fun () -> Optimizer.optimize ?policy program config m)
 
 type audit =
   | Not_audited
@@ -144,7 +109,9 @@ type audit_input = {
   ai_refine_optimized : Refine.summary option;
 }
 
-let finish_audit ?deadline ?timed:tm input =
+(* a plain span, not a [stage]: [Ucp_verify] already adds the audit's
+   per-obligation intervals to [audit_seconds_total] *)
+let finish_audit ?deadline input =
   let v =
     Ucp_obs.Trace.with_span ~name:"audit" (fun () ->
         Ucp_verify.audit_case ?deadline ~seed:input.ai_seed
@@ -155,22 +122,13 @@ let finish_audit ?deadline ?timed:tm input =
           input.ai_result)
   in
   match v with
-  | Ok verdict ->
-    (* The audit stage of [timed] accumulates the verdict's own
-       per-obligation intervals — the same measurements that feed the
-       [audit_seconds_total] metrics fcounter — not a second ad-hoc
-       clock around this call, so traced and untraced runs put
-       identical audit numbers on the summary line. *)
-    Option.iter (fun tm -> on_audit tm (Ucp_verify.verdict_seconds verdict)) tm;
-    (match verdict with
-    | Ucp_verify.Certified { checks; seconds } -> Audited { checks; seconds }
-    | Ucp_verify.Skipped { reason } -> Audit_skipped reason)
+  | Ok (Ucp_verify.Certified { checks; seconds }) -> Audited { checks; seconds }
+  | Ok (Ucp_verify.Skipped { reason }) -> Audit_skipped reason
   | Error msg -> raise (Outcome.Invariant ("audit: " ^ msg))
 
-let prepare ?deadline ?(seed = 42) ?model:mdl ?timed:tm
-    ?(policy = Ucp_policy.Lru) ?analysis0 ?(audit = false)
-    ?(corrupt_cert = false) ?(refine = Refine_mode.Off)
-    ?(corrupt_refine = false) program config tech =
+let prepare ?deadline ?(seed = 42) ?model:mdl ?(policy = Ucp_policy.Lru)
+    ?analysis0 ?(audit = false) ?(corrupt_cert = false)
+    ?(refine = Refine_mode.Off) ?(corrupt_refine = false) program config tech =
   let m = match mdl with Some m -> m | None -> model config tech in
   (* The original program's cache-aware analysis is the most expensive
      shared artifact of a use case: compute it once and hand it to both
@@ -182,19 +140,19 @@ let prepare ?deadline ?(seed = 42) ?model:mdl ?timed:tm
      classification counters; the optimizer's own re-analyses stay
      may-free where the policy allows it. *)
   let w0 =
-    timed ~name:"analysis" tm on_analysis (fun () ->
+    stage "analysis" (fun () ->
         match analysis0 with
         | Some a -> Wcet.of_analysis a m
         | None -> Wcet.compute ?deadline ~with_may:true ~policy program config m)
   in
   let result =
-    timed ~name:"optimize" tm on_optimize (fun () ->
+    stage "optimize" (fun () ->
         Optimizer.optimize ?deadline ~initial:w0 program config m)
   in
   (* The optimized program's measurement analysis, computed explicitly
      so the audit can reuse it as its independent "after" artifact. *)
   let w1 =
-    timed ~name:"analysis" tm on_analysis (fun () ->
+    stage "analysis" (fun () ->
         Wcet.compute ?deadline ~with_may:true ~policy result.Optimizer.program
           config m)
   in
@@ -202,11 +160,11 @@ let prepare ?deadline ?(seed = 42) ?model:mdl ?timed:tm
      unsound reclassification is enough for the audit to have to
      catch, and the optimized side stays an honest control *)
   let original =
-    measure ?deadline ~seed ~model:m ~wcet:w0 ?timed:tm ~policy ~refine
+    measure ?deadline ~seed ~model:m ~wcet:w0 ~policy ~refine
       ~corrupt_refine program config tech
   in
   let optimized =
-    measure ?deadline ~seed ~model:m ~wcet:w1 ?timed:tm ~policy ~refine
+    measure ?deadline ~seed ~model:m ~wcet:w1 ~policy ~refine
       result.Optimizer.program config tech
   in
   let cmp =
@@ -235,12 +193,12 @@ let prepare ?deadline ?(seed = 42) ?model:mdl ?timed:tm
   in
   (cmp, obligation)
 
-let compare_optimized ?deadline ?seed ?model:mdl ?timed:tm ?policy ?analysis0
+let compare_optimized ?deadline ?seed ?model:mdl ?policy ?analysis0
     ?audit ?corrupt_cert ?refine ?corrupt_refine program config tech =
   let cmp, obligation =
-    prepare ?deadline ?seed ?model:mdl ?timed:tm ?policy ?analysis0 ?audit
+    prepare ?deadline ?seed ?model:mdl ?policy ?analysis0 ?audit
       ?corrupt_cert ?refine ?corrupt_refine program config tech
   in
   match obligation with
   | None -> cmp
-  | Some input -> { cmp with audit = finish_audit ?deadline ?timed:tm input }
+  | Some input -> { cmp with audit = finish_audit ?deadline input }

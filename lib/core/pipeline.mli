@@ -30,28 +30,14 @@ type measurement = {
           bounds live in the summary ([s_tau], [s_miss_bound], ...). *)
 }
 
-(** Per-stage wall-clock accumulators: abstract-interpretation WCET
-    analysis, exact classification refinement, the optimizer's
-    materialize-and-verify loop, trace simulation, and the
-    certification audit.  Mutable so one accumulator can follow a whole
-    sweep; not thread-safe — use one per worker and {!add_timings} the
-    totals together. *)
-type timings = {
-  mutable analysis_s : float;
-  mutable refine_s : float;
-  mutable optimize_s : float;
-  mutable simulate_s : float;
-  mutable audit_s : float;
-}
-
-val fresh_timings : unit -> timings
-(** All stages at zero. *)
-
-val add_timings : timings -> timings -> unit
-(** [add_timings acc t] accumulates [t] into [acc] stage by stage. *)
-
-val total_timings : timings -> float
-(** Sum over the stages. *)
+val stage : string -> (unit -> 'a) -> 'a
+(** [stage name f] runs one stage of the tool flow ([analysis],
+    [refine], [optimize] or [simulate]) inside a trace span [name].
+    While {!Ucp_obs.Metrics} is enabled it also adds the stage's
+    wall-clock time, whether [f] returns or raises, to the fcounter
+    [<name>_seconds_total]; concurrent stages each count their own
+    elapsed time.  Disabled, it costs one atomic load beyond the
+    span. *)
 
 val model :
   Ucp_cache.Config.t -> Ucp_energy.Tech.t -> Ucp_energy.Cacti.t
@@ -64,7 +50,6 @@ val measure :
   ?seed:int ->
   ?model:Ucp_energy.Cacti.t ->
   ?wcet:Ucp_wcet.Wcet.t ->
-  ?timed:timings ->
   ?policy:Ucp_policy.id ->
   ?refine:Ucp_refine.Mode.t ->
   ?corrupt_refine:bool ->
@@ -83,8 +68,7 @@ val measure :
     [?refine] (default [Off]) runs the focused exact classification
     refinement after the fixpoint and attaches its summary to the
     measurement; [?corrupt_refine] injects the [corrupt-refine] fault
-    into that stage;
-    [?timed] accumulates the per-stage wall-clock cost; [?deadline]
+    into that stage.  Each stage runs under {!stage}.  [?deadline]
     bounds the analysis stage (the trace simulation does not check it —
     its step count is already bounded by [Simulator.run]'s
     [max_steps]). *)
@@ -127,7 +111,6 @@ val prepare :
   ?deadline:Ucp_util.Deadline.t ->
   ?seed:int ->
   ?model:Ucp_energy.Cacti.t ->
-  ?timed:timings ->
   ?policy:Ucp_policy.id ->
   ?analysis0:Ucp_wcet.Analysis.t ->
   ?audit:bool ->
@@ -148,21 +131,18 @@ val prepare :
     model, so the sweep shares one analysis across the technology
     axis.  All other parameters as in {!compare_optimized}. *)
 
-val finish_audit :
-  ?deadline:Ucp_util.Deadline.t -> ?timed:timings -> audit_input -> audit
-(** Discharge a deferred obligation: run {!Ucp_verify.audit_case} and
-    return the verdict ([Audited] or [Audit_skipped]).  A failed
-    obligation raises [Outcome.Invariant ("audit: " ^ msg)].  The
-    [audit_s] accumulated into [?timed] is the verdict's own
-    per-obligation cost — the same intervals that feed the
-    [audit_seconds_total] metrics fcounter — so traced and untraced
-    runs report identical audit numbers. *)
+val finish_audit : ?deadline:Ucp_util.Deadline.t -> audit_input -> audit
+(** Discharge a deferred obligation: run {!Ucp_verify.audit_case} inside
+    an [audit] trace span and return the verdict ([Audited] or
+    [Audit_skipped]).  A failed obligation raises
+    [Outcome.Invariant ("audit: " ^ msg)].  The audit's time reaches
+    the metrics registry as {!Ucp_verify}'s [audit_seconds_total], not
+    through {!stage}, so it is counted once. *)
 
 val compare_optimized :
   ?deadline:Ucp_util.Deadline.t ->
   ?seed:int ->
   ?model:Ucp_energy.Cacti.t ->
-  ?timed:timings ->
   ?policy:Ucp_policy.id ->
   ?analysis0:Ucp_wcet.Analysis.t ->
   ?audit:bool ->

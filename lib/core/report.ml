@@ -348,7 +348,7 @@ let outcome_summary outcomes =
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
-(* observability: metrics, worker telemetry and per-stage rendering *)
+(* observability: metrics and worker telemetry rendering *)
 
 (* one JSON member per instrument, nested under a single "metrics"
    object on the sweep summary line (additive: absent when metrics are
@@ -410,7 +410,7 @@ let worker_table ~wall_s (stats : Telemetry.worker_stat array) =
     stats;
   section "Worker telemetry" (Table.render t)
 
-let sweep_jsonl ~wall_s ~jobs ~timings ?(outcomes = []) ?metrics records =
+let sweep_jsonl ~wall_s ~jobs ?(outcomes = []) ?metrics records =
   let buf = Buffer.create 4096 in
   List.iter
     (fun r ->
@@ -442,11 +442,8 @@ let sweep_jsonl ~wall_s ~jobs ~timings ?(outcomes = []) ?metrics records =
   in
   Buffer.add_string buf
     (Printf.sprintf
-       {|{"summary":true,"cases":%d,"failed":%d,"timed_out":%d,"invariant_violations":%d,"audited":%d,"jobs":%d,"wall_s":%.3f,"analysis_s":%.3f,"refine_s":%.3f,"optimize_s":%.3f,"simulate_s":%.3f,"audit_s":%.3f%s}|}
+       {|{"summary":true,"cases":%d,"failed":%d,"timed_out":%d,"invariant_violations":%d,"audited":%d,"jobs":%d,"wall_s":%.3f%s}|}
        (List.length records) failed timed_out violations audited jobs wall_s
-       timings.Pipeline.analysis_s timings.Pipeline.refine_s
-       timings.Pipeline.optimize_s
-       timings.Pipeline.simulate_s timings.Pipeline.audit_s
        (match metrics with
        | None | Some [] -> ""
        | Some ms -> metrics_json ms));

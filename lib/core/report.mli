@@ -110,7 +110,6 @@ val worker_table : wall_s:float -> Telemetry.worker_stat array -> string
 val sweep_jsonl :
   wall_s:float ->
   jobs:int ->
-  timings:Pipeline.timings ->
   ?outcomes:(string * Experiments.record Outcome.t) list ->
   ?metrics:(string * Ucp_obs.Metrics.value) list ->
   Experiments.record list ->
@@ -120,10 +119,9 @@ val sweep_jsonl :
     [{"case":..,"outcome":..,"detail":..}] line per non-[Ok] outcome,
     terminated by a summary line [{"summary":true,"cases":..,
     "failed":..,"timed_out":..,"invariant_violations":..,"audited":..,
-    "jobs":..,"wall_s":..,"analysis_s":..,"refine_s":..,"optimize_s":..,
-    "simulate_s":..,"audit_s":..}] so perf trajectories can be tracked
-    across PRs.  [?metrics] (a {!Ucp_obs.Metrics.dump} snapshot, when
-    metrics were enabled) adds one nested ["metrics"] object to the
-    summary line; the per-record lines never change, so a
-    traced/metered sweep's records stay byte-identical to an untraced
-    run's. *)
+    "jobs":..,"wall_s":..}].  [?metrics] (a {!Ucp_obs.Metrics.dump}
+    snapshot, when metrics were enabled) adds one nested ["metrics"]
+    object to the summary line, which carries the per-stage seconds
+    ([analysis_seconds_total] ... [audit_seconds_total]); the
+    per-record lines never change, so a traced/metered sweep's records
+    stay byte-identical to an untraced run's. *)

@@ -623,8 +623,6 @@ type verdict =
   | Certified of { checks : int; seconds : float }
   | Skipped of { reason : string }
 
-let verdict_seconds = function Certified { seconds; _ } -> seconds | Skipped _ -> 0.0
-
 (* Re-run the exact classification refinement from the audited side's
    own analysis and require byte-identical digests: the digest covers
    every reclassification and the bounds derived from them, so any
@@ -683,8 +681,8 @@ let audit_case ?deadline ?seed ?(corrupt = false)
       if corrupt then { r with Optimizer.tau_after = r.Optimizer.tau_after + 1 } else r
     in
     (* One measured interval per obligation feeds the metrics registry
-       AND the verdict's seconds, so the traced and untraced audit
-       report identical numbers on the JSONL summary line. *)
+       AND the verdict's seconds, so a record's [audit_s] and the
+       registry's [audit_seconds_total] add up the same intervals. *)
     let elapsed = ref 0.0 in
     let obligation name check =
       Ucp_obs.Trace.with_span ~name:"audit-obligation"

@@ -114,16 +114,12 @@ type verdict =
               refine obligations ran) *)
       seconds : float;
           (** audit cost: the sum of the per-obligation intervals that
-              also feed the [audit_seconds_total] metrics fcounter, so
-              traced and untraced runs report identical numbers *)
+              also feed the [audit_seconds_total] metrics fcounter *)
     }
   | Skipped of { reason : string }
       (** the case could not be audited (non-plain analysis: pinned /
           locked ways) — surfaced explicitly
           so such records cannot claim a clean audit they never had *)
-
-val verdict_seconds : verdict -> float
-(** Audit wall-clock of a verdict ([0.] for [Skipped]). *)
 
 val audit_case :
   ?deadline:Ucp_util.Deadline.t ->

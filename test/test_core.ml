@@ -180,12 +180,32 @@ let check_sweep_equal jobs =
         true (a = b))
     (List.combine seq par.Parallel.records);
   Alcotest.(check bool) "wall time measured" true (par.Parallel.wall_s >= 0.0);
-  Alcotest.(check bool) "stage timers populated" true
-    (Ucp_core.Pipeline.total_timings par.Parallel.timings > 0.0);
   Alcotest.(check int) "case count" (List.length seq) par.Parallel.cases
 
 let test_parallel_sweep_deterministic () = check_sweep_equal 4
 let test_parallel_sweep_single_worker () = check_sweep_equal 1
+
+(* stage time lives in the metrics registry: an audited parallel sweep
+   under enabled metrics feeds every stage's fcounter *)
+let test_parallel_sweep_stage_metrics () =
+  let programs = [ ("fft1", Ucp_workloads.Suite.find "fft1") ] in
+  let configs = [ ("k2", List.assoc "k2" Config.paper_configs) ] in
+  Ucp_obs.Metrics.enable ();
+  Ucp_obs.Metrics.reset ();
+  Fun.protect ~finally:Ucp_obs.Metrics.disable (fun () ->
+      let s =
+        Parallel.sweep ~programs ~configs ~techs:[ Tech.nm45 ] ~jobs:2
+          ~audit:Ucp_verify.Full ()
+      in
+      Alcotest.(check int) "one audited record" 1 (List.length s.Parallel.records);
+      List.iter
+        (fun stage ->
+          let name = stage ^ "_seconds_total" in
+          match Ucp_obs.Metrics.find name with
+          | Some (Ucp_obs.Metrics.Fcounter x) ->
+            Alcotest.(check bool) (name ^ " > 0") true (x > 0.0)
+          | _ -> Alcotest.failf "%s is not a registered fcounter" name)
+        [ "analysis"; "refine"; "optimize"; "simulate"; "audit" ])
 
 (* ------------------------------------------------------------------ *)
 (* robustness: per-case isolation, deadlines, fault injection,
@@ -597,6 +617,75 @@ let test_sweep_checkpoint_resume () =
             true
             (s1.Parallel.records = full.Parallel.records)))
 
+(* the sweep's progress callback counts the whole grid: on a resumed
+   run it starts after the replayed cases, and a raising callback
+   leaves the records alone *)
+let test_sweep_progress_resumed () =
+  let programs, _, techs = tiny_grid () in
+  let configs =
+    [
+      ("a", Config.make ~assoc:2 ~block_bytes:16 ~capacity:256);
+      ("b", Config.make ~assoc:2 ~block_bytes:16 ~capacity:512);
+    ]
+  in
+  let path = Filename.temp_file "ucp_ckpt" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      let full =
+        Parallel.sweep ~programs ~configs ~techs ~jobs:2 ~checkpoint:path ()
+      in
+      let n = full.Parallel.cases in
+      (* keep the header and the first record: one case to replay *)
+      let keep_one_record () =
+        match
+          String.split_on_char '\n'
+            (In_channel.with_open_text path In_channel.input_all)
+        with
+        | header :: r1 :: _ ->
+          Out_channel.with_open_text path (fun oc ->
+              Out_channel.output_string oc (header ^ "\n" ^ r1 ^ "\n"))
+        | _ -> Alcotest.fail "journal too short"
+      in
+      keep_one_record ();
+      let seen = ref [] in
+      let s =
+        Parallel.sweep ~programs ~configs ~techs ~jobs:2 ~checkpoint:path
+          ~resume:true
+          ~progress:(fun ~done_ ~total -> seen := (done_, total) :: !seen)
+          ()
+      in
+      Alcotest.(check int) "one case replayed" 1 s.Parallel.resumed;
+      Alcotest.(check (list (pair int int)))
+        "done_ rises from resumed + 1 to n, total = n"
+        (List.init (n - 1) (fun k -> (k + 2, n)))
+        (List.rev !seen);
+      keep_one_record ();
+      let calls = ref 0 in
+      let s =
+        Parallel.sweep ~programs ~configs ~techs ~jobs:2 ~checkpoint:path
+          ~resume:true
+          ~progress:(fun ~done_:_ ~total:_ ->
+            incr calls;
+            failwith "progress boom")
+          ()
+      in
+      Alcotest.(check int) "callback disabled after first raise" 1 !calls;
+      Alcotest.(check bool) "records intact" true
+        (s.Parallel.records = full.Parallel.records));
+  let raises_invalid f =
+    try
+      ignore (f ());
+      false
+    with Invalid_argument _ -> true
+  in
+  Alcotest.(check bool) "map rejects chunk 0" true
+    (raises_invalid (fun () -> Parallel.map ~jobs:1 ~chunk:0 Fun.id [| 1 |]));
+  Alcotest.(check bool) "sweep rejects chunk 0" true
+    (raises_invalid (fun () ->
+         Parallel.sweep ~programs ~configs:[ List.hd configs ] ~techs ~jobs:1
+           ~chunk:0 ()))
+
 let test_sweep_checkpoint_fingerprint_mismatch () =
   let programs, configs, techs = tiny_grid () in
   let path = Filename.temp_file "ucp_ckpt" ".jsonl" in
@@ -886,6 +975,8 @@ let () =
             test_parallel_sweep_deterministic;
           Alcotest.test_case "sweep degenerate pool (jobs 1)" `Quick
             test_parallel_sweep_single_worker;
+          Alcotest.test_case "sweep feeds the stage metrics" `Quick
+            test_parallel_sweep_stage_metrics;
         ] );
       ( "robustness",
         [
@@ -921,6 +1012,8 @@ let () =
             test_checkpoint_record_roundtrip;
           Alcotest.test_case "checkpoint resume skips journaled cases" `Quick
             test_sweep_checkpoint_resume;
+          Alcotest.test_case "sweep progress counts resumed cases" `Quick
+            test_sweep_progress_resumed;
           Alcotest.test_case "checkpoint fingerprint mismatch" `Quick
             test_sweep_checkpoint_fingerprint_mismatch;
           Alcotest.test_case "checkpoint policy round-trip" `Quick

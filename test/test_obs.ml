@@ -394,15 +394,9 @@ let test_disabled_jsonl_unchanged () =
   (* the machine-readable summary only gains a "metrics" field when a
      dump is passed; an empty/absent dump leaves the line untouched *)
   let base =
-    Ucp_core.Report.sweep_jsonl ~wall_s:1.0 ~jobs:1
-      ~timings:(Ucp_core.Pipeline.fresh_timings ())
-      []
+    Ucp_core.Report.sweep_jsonl ~wall_s:1.0 ~jobs:1 []
   in
-  let with_empty =
-    Ucp_core.Report.sweep_jsonl ~wall_s:1.0 ~jobs:1
-      ~timings:(Ucp_core.Pipeline.fresh_timings ())
-      ~metrics:[] []
-  in
+  let with_empty = Ucp_core.Report.sweep_jsonl ~wall_s:1.0 ~jobs:1 ~metrics:[] [] in
   Alcotest.(check string) "empty dump adds nothing" base with_empty;
   let contains hay needle =
     let nh = String.length hay and nn = String.length needle in
