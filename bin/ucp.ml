@@ -515,17 +515,24 @@ let experiment_cmd =
     in
     (* probe output paths before the (possibly hours-long) sweep so a
        bad --trace/--sweep-out path fails immediately instead of
-       discarding the finished run; the real writes are atomic or
-       whole-file, so an existing file is never left half-written *)
+       discarding the finished run.  Both are written whole by
+       [Checkpoint.write_atomic] (temp file + rename), which needs a
+       writable directory and a path that is not a directory; the probe
+       checks exactly that and creates nothing, so an early exit leaves
+       no empty output behind. *)
     List.iter
       (fun path ->
         match path with
         | None -> ()
         | Some path -> (
-          try close_out (open_out_gen [ Open_append; Open_creat ] 0o644 path)
-          with Sys_error msg ->
-            Printf.eprintf "ucp: %s\n" msg;
-            exit 124))
+          let refuse msg =
+            Printf.eprintf "ucp: %s: %s\n" path msg;
+            exit 124
+          in
+          if Sys.file_exists path && Sys.is_directory path then
+            refuse "Is a directory";
+          try Unix.access (Filename.dirname path) [ Unix.W_OK; Unix.X_OK ]
+          with Unix.Unix_error (e, _, _) -> refuse (Unix.error_message e)))
       [ trace; sweep_out ];
     (* tracing implies metrics so the exported spans and the counter
        table describe the same run *)
@@ -544,7 +551,7 @@ let experiment_cmd =
     (match trace with
     | None -> ()
     | Some path ->
-      Ucp_obs.Trace.export path;
+      Ucp_core.Checkpoint.write_atomic ~path (Ucp_obs.Trace.to_string ());
       Printf.eprintf "[trace] %d spans -> %s\n%!"
         (List.length (Ucp_obs.Trace.spans ()))
         path);

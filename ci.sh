@@ -211,6 +211,39 @@ do
 done
 echo "ci: corrupt-cert audit smoke passed"
 
+# Negative refinement smoke on a case the optimizer leaves unchanged:
+# fft1 at k35 under FIFO gets no prefetch, so the run measures and
+# certifies the program once for both sides.  An armed corrupt-refine
+# fault on that shared path must still be caught: exit 3 with the
+# refine digest mismatch named.
+dune exec --no-build bin/ucp.exe -- experiment \
+  --programs fft1 --configs k35 --techs 45nm \
+  --policies fifo --refine nc --audit full \
+  >/dev/null 2>"$smoke_err" || {
+  echo "ci: corrupt-refine smoke: the clean run failed" >&2
+  cat "$smoke_err" >&2
+  exit 1
+}
+if ! grep -q 'audited: 1 cases certified (7 checks' "$smoke_err"; then
+  echo "ci: corrupt-refine smoke: expected 1 case certified with 7 checks" >&2
+  cat "$smoke_err" >&2
+  exit 1
+fi
+status=0
+UCP_FAULT='fft1:k35:45nm:fifo=corrupt-refine' \
+  dune exec --no-build bin/ucp.exe -- experiment \
+  --programs fft1 --configs k35 --techs 45nm \
+  --policies fifo --refine nc --audit full \
+  >/dev/null 2>"$smoke_err" || status=$?
+if [ "$status" -ne 3 ] \
+  || ! grep -q 'fft1:k35:45nm:fifo: invariant violation: audit: refine-original: digest mismatch' "$smoke_err"
+then
+  echo "ci: corrupt-refine smoke: expected exit 3 naming 'refine-original: digest mismatch', got $status" >&2
+  cat "$smoke_err" >&2
+  exit 1
+fi
+echo "ci: corrupt-refine audit smoke passed"
+
 # Observability smoke: trace a tiny audited sweep (2 programs x 1
 # config x 1 tech = 2 cases per binary stage) and check the trace is
 # well-formed JSON carrying spans from every pipeline stage, that
@@ -867,10 +900,17 @@ fi
   >"$resume_dir/corrupt.jsonl"
 status=0
 "$UCP" experiment --programs fft1,crc --configs k2,k5 --techs 45nm --jobs 2 \
-  --checkpoint "$resume_dir/corrupt.jsonl" --resume >/dev/null 2>"$smoke_err" || status=$?
+  --checkpoint "$resume_dir/corrupt.jsonl" --resume \
+  --sweep-out "$resume_dir/refused.jsonl" >/dev/null 2>"$smoke_err" || status=$?
 if [ "$status" -ne 2 ] || ! grep -q 'corrupt journal line 2$' "$smoke_err"; then
   echo "ci: resume smoke: corrupt journal: expected exit 2 and 'corrupt journal line 2', got $status" >&2
   cat "$smoke_err" >&2
+  exit 1
+fi
+# the refused run stopped before writing anything: its --sweep-out
+# path must not exist, not even empty
+if [ -e "$resume_dir/refused.jsonl" ]; then
+  echo "ci: resume smoke: the refused resume left its --sweep-out file behind" >&2
   exit 1
 fi
 echo "ci: resume smoke passed"

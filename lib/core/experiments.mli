@@ -103,7 +103,7 @@ val eval_case :
 (** Evaluate one use case without discharging its audit: the record
     carries [Not_audited] and, under [?audit:true], the deferred
     obligation is returned for {!Pipeline.finish_audit} — the parallel
-    sweep schedules it as its own work item.  [?memo] shares
+    sweep discharges it in the case's task under a fresh deadline.  [?memo] shares
     original-program analyses across the technology axis. *)
 
 val run_case :

@@ -214,21 +214,26 @@ let shutdown pool =
 (* ------------------------------------------------------------------ *)
 (* deterministic parallel map *)
 
-(* submit [body k] for every [k] in [0, n), as tasks of [?chunk]
-   contiguous items each *)
+(* submit [body k] for every [k] in [0, n), as tasks of contiguous
+   items: [?chunk] each, or by default chunks that shrink as the queue
+   fills *)
 let submit_chunks ~fn pool ~jobs ?chunk n body =
-  let chunk =
+  let size =
     match chunk with
-    | Some c when c >= 1 -> c
+    | Some c when c >= 1 -> fun _ -> c
     | Some _ -> invalid_arg (fn ^ ": chunk must be positive")
-    (* small chunks smooth out the order-of-magnitude spread in
-       per-case cost across programs; 4 chunks per worker bounds the
-       tail wait by ~1/4 of a worker's share *)
-    | None -> max 1 (n / (jobs * 4))
+    (* Per-case cost spreads over orders of magnitude across programs,
+       and an audited case carries its certification too.  Each chunk
+       takes 1/(4 x jobs) of the items not yet queued (guided
+       self-scheduling): the first chunk is a quarter of a worker's
+       share and the last ones are single items, so whoever draws a
+       heavy block, the others drain a fine-grained tail. *)
+    | None -> fun left -> max 1 (left / (jobs * 4))
   in
   let lo = ref 0 in
   while !lo < n do
-    let l = !lo and h = min n (!lo + chunk) in
+    let l = !lo in
+    let h = min n (l + size (n - l)) in
     submit ~weight:(h - l) pool (fun () ->
         for k = l to h - 1 do
           body k
@@ -425,12 +430,12 @@ let sweep ?(programs = Ucp_workloads.Suite.all)
         counter ?progress ~on_count:(Atomic.set hb_done) ~start:!resumed
           ~total:n ()
       in
-      (* Evaluation and certification are separate work items on one
-         pool: a case task analyzes/optimizes/simulates, then queues its
-         deferred audit obligation (weight 0, so per-worker case counts
-         tally each case once); fault hooks, invariant checks and
-         journaling run only after the audit verdict is in — the same
-         order the old inline audit observed. *)
+      (* A case task evaluates its case, discharges the audit
+         obligation right away, then finalizes: fault hooks, invariant
+         checks and journaling run only after the audit verdict is in.
+         Deferring the audit behind the queued chunks would pin every
+         case's two analyses until the whole grid was evaluated, and
+         nothing would be finalized, journaled or counted until then. *)
       (* each index is written by exactly one task, so [final] needs no
          lock; [note_done] serializes the user-visible side effects *)
       let set_final i o =
@@ -451,15 +456,6 @@ let sweep ?(programs = Ucp_workloads.Suite.all)
          replaces dead domains and the lost chunk's cases surface as
          structured failures below *)
       let pool = create ~respawn:true ~jobs () in
-      let audit_task i id r input () =
-        set_final i
-          (outcome (fun () ->
-               (* the obligation gets its own deadline window: time
-                  spent queued behind other cases is not execution *)
-               let deadline = Option.map Deadline.after timeout in
-               let audit = Pipeline.finish_audit ?deadline input in
-               finalize id { r with Experiments.audit }))
-      in
       let case_task i =
         let c = cases.(i) in
         let id = Experiments.case_id c in
@@ -483,7 +479,12 @@ let sweep ?(programs = Ucp_workloads.Suite.all)
         in
         match evaluated with
         | Outcome.Ok (r, Some input) ->
-          submit ~weight:0 pool (audit_task i id r input)
+          set_final i
+            (outcome (fun () ->
+                 (* the obligation gets its own deadline window *)
+                 let deadline = Option.map Deadline.after timeout in
+                 let audit = Pipeline.finish_audit ?deadline input in
+                 finalize id { r with Experiments.audit }))
         | Outcome.Ok (r, None) ->
           set_final i (outcome (fun () -> finalize id r))
         | Outcome.Failed f -> set_final i (Outcome.Failed f)

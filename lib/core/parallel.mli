@@ -75,7 +75,9 @@ val map :
 (** [map f items] applies [f] to every element on a fresh pool of
     [?jobs] (default {!default_jobs}) workers and returns the results
     in input order.  Work is handed out in contiguous chunks of
-    [?chunk] elements (default: enough for ~4 chunks per worker).
+    [?chunk] elements; by default each chunk takes 1/(4 x jobs) of the
+    elements not yet handed out, so chunks shrink to single elements
+    at the tail.
     [?progress] is invoked after {e each finished element} with the
     number of elements completed so far; calls are serialized under a
     dedicated lock and [done_] is strictly increasing, but they arrive
@@ -168,11 +170,11 @@ val sweep :
 
     Certification: [?audit] (default [Off]) runs the {!Ucp_verify}
     audit on every case ([Full]) or a deterministic 1-in-N sample keyed
-    by case id ([Sample N], stable across resume).  Each audit runs as
-    its own pool work item after its case's evaluation (with a fresh
-    per-case deadline — queue wait is not execution); the record is
-    finalized (fault hooks, invariant guard, checkpoint journal) only
-    once the verdict is in.  An audited case whose certificate fails
+    by case id ([Sample N], stable across resume).  Each audit runs in
+    its case's task right after the evaluation, with a fresh per-case
+    deadline, so a case's analyses are released as soon as it is
+    finalized (fault hooks, invariant guard, checkpoint journal), which
+    happens only once the verdict is in.  An audited case whose certificate fails
     any obligation is demoted to [Invariant_violation] with the
     obligation named; audited records carry their verdict and cost in
     {!Experiments.record.audit}.  A [Fault.Corrupt_cert] hook arms the

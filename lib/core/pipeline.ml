@@ -149,23 +149,35 @@ let prepare ?deadline ?(seed = 42) ?model:mdl ?(policy = Ucp_policy.Lru)
     stage "optimize" (fun () ->
         Optimizer.optimize ?deadline ~initial:w0 program config m)
   in
+  (* Only the optimizer's [accept] replaces the program, so it hands
+     back the very program it was given exactly when it inserted
+     nothing.  The optimized side's analysis, refinement and simulation
+     would then be the same deterministic functions of the same input
+     and seed, so the original side stands for both (DESIGN.md §24). *)
+  let unchanged = result.Optimizer.program == program in
   (* The optimized program's measurement analysis, computed explicitly
      so the audit can reuse it as its independent "after" artifact. *)
   let w1 =
-    stage "analysis" (fun () ->
-        Wcet.compute ?deadline ~with_may:true ~policy result.Optimizer.program
-          config m)
+    if unchanged then w0
+    else
+      stage "analysis" (fun () ->
+          Wcet.compute ?deadline ~with_may:true ~policy result.Optimizer.program
+            config m)
   in
-  (* the corrupt-refine fault targets the original side only: one
-     unsound reclassification is enough for the audit to have to
-     catch, and the optimized side stays an honest control *)
+  (* the corrupt-refine fault targets the original side: one unsound
+     reclassification is enough for the audit to have to catch.  A
+     changed program's optimized side stays an honest control; an
+     unchanged program's is the original side, lie included, and the
+     audit's refine-original re-run still catches it. *)
   let original =
     measure ?deadline ~seed ~model:m ~wcet:w0 ~policy ~refine
       ~corrupt_refine program config tech
   in
   let optimized =
-    measure ?deadline ~seed ~model:m ~wcet:w1 ~policy ~refine
-      result.Optimizer.program config tech
+    if unchanged then original
+    else
+      measure ?deadline ~seed ~model:m ~wcet:w1 ~policy ~refine
+        result.Optimizer.program config tech
   in
   let cmp =
     {

@@ -104,8 +104,8 @@ type comparison = {
 type audit_input
 (** A deferred audit obligation: the two analyses, the optimizer result
     and the fault hook of an evaluated case, detached from the
-    evaluation so the sweep can schedule certification as its own work
-    item on the domain pool. *)
+    evaluation so the sweep can finalize an unaudited case without it
+    and time the audit under its own deadline. *)
 
 val prepare :
   ?deadline:Ucp_util.Deadline.t ->
@@ -129,7 +129,17 @@ val prepare :
     {e original} program (same program, configuration and policy, may
     analysis on) — the abstract interpretation never reads the timing
     model, so the sweep shares one analysis across the technology
-    axis.  All other parameters as in {!compare_optimized}. *)
+    axis.  All other parameters as in {!compare_optimized}.
+
+    When the optimizer hands back the very program it was given (it
+    accepted no insertion), the original side is measured once and
+    stands for both: [optimized == original], and the obligation's two
+    analyses are one [Wcet.t], which {!Ucp_verify.audit_case} then
+    certifies once for both sides.  An armed fault does not change
+    this: the audit still catches [corrupt_refine] at
+    [refine-original] and [corrupt_cert] at [optimizer-tau-after].  The shared artifacts equal what a
+    second analysis, refinement and simulation would give: each is a
+    deterministic function of the same program, model and seed. *)
 
 val finish_audit : ?deadline:Ucp_util.Deadline.t -> audit_input -> audit
 (** Discharge a deferred obligation: run {!Ucp_verify.audit_case} inside

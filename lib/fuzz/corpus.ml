@@ -134,12 +134,7 @@ let filename e =
 let save ~dir e =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
   let path = Filename.concat dir (filename e) in
-  let tmp = path ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  output_string oc (to_line e);
-  output_char oc '\n';
-  close_out oc;
-  Sys.rename tmp path;
+  Ucp_core.Checkpoint.write_atomic ~path (to_line e ^ "\n");
   path
 
 let load path =

@@ -44,8 +44,9 @@ val filename : entry -> string
     signature. *)
 
 val save : dir:string -> entry -> string
-(** Atomic write (temp + rename) into [dir] (created if missing);
-    returns the path.  Idempotent for identical entries. *)
+(** Atomic, fsynced write ({!Ucp_core.Checkpoint.write_atomic}) into
+    [dir] (created if missing); returns the path.  Idempotent for
+    identical entries. *)
 
 val load : string -> (entry, string) result
 

@@ -59,7 +59,7 @@ let capacity_req = Atomic.make default_capacity
 (* total spans overwritten before export, across all rings *)
 let dropped_total = Atomic.make 0
 
-(* every domain that ever recorded a span, so [spans]/[export] can
+(* every domain that ever recorded a span, so [spans]/[to_string] can
    collect buffers even after the worker domains have terminated *)
 let registry : dstate list ref = ref []
 let registry_mutex = Mutex.create ()
@@ -232,27 +232,14 @@ let json_of_span s =
   in
   Ucp_util.Json.Obj (base @ args)
 
-let to_json () =
-  Ucp_util.Json.Obj
-    [
-      ("traceEvents", Ucp_util.Json.Arr (List.map json_of_span (spans ())));
-      ("displayTimeUnit", Ucp_util.Json.Str "ms");
-    ]
-
-let export path =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  (match
-     let json = Ucp_util.Json.to_string (to_json ()) in
-     output_string oc json;
-     output_char oc '\n'
-   with
-  | () -> close_out oc
-  | exception exn ->
-    close_out_noerr oc;
-    (try Sys.remove tmp with Sys_error _ -> ());
-    raise exn);
-  Sys.rename tmp path
+let to_string () =
+  Ucp_util.Json.to_string
+    (Ucp_util.Json.Obj
+       [
+         ("traceEvents", Ucp_util.Json.Arr (List.map json_of_span (spans ())));
+         ("displayTimeUnit", Ucp_util.Json.Str "ms");
+       ])
+  ^ "\n"
 
 (* ------------------------------------------------------------------ *)
 (* reading a recorded trace back (the `ucp trace` subcommand and the

@@ -16,9 +16,9 @@
     the per-tier spans of one daemon request into a single tree.
 
     Each ring carries its own mutex (the daemon's connection handlers
-    are systhreads sharing one domain's state), so {!spans},
-    {!to_json} and {!export} are safe to call while recording
-    continues; they snapshot each ring in turn. *)
+    are systhreads sharing one domain's state), so {!spans} and
+    {!to_string} are safe to call while recording continues; they
+    snapshot each ring in turn. *)
 
 type arg = Int of int | Float of float | Str of string
 
@@ -68,13 +68,12 @@ val set_arg : string -> arg -> unit
 val spans : unit -> span list
 (** Completed spans of all domains, oldest first. *)
 
-val to_json : unit -> Ucp_util.Json.t
-(** The whole trace as a Chrome [trace_event] object
-    ([{"traceEvents": [...]}] with ["ph":"X"] complete events). *)
-
-val export : string -> unit
-(** Write {!to_json} to a file, atomically (temp + rename). *)
+val to_string : unit -> string
+(** The whole trace as the text of a Chrome [trace_event] file: one
+    JSON object ([{"traceEvents": [...]}] with ["ph":"X"] complete
+    events) and a newline, for a whole-file writer such as
+    [Ucp_core.Checkpoint.write_atomic]. *)
 
 val parse_file : string -> (span list, string) result
-(** Strictly parse a trace file written by {!export} back into spans
+(** Strictly parse a trace file holding {!to_string}'s text back into spans
     ([depth] is not persisted and reads back as 0). *)

@@ -667,7 +667,7 @@ let run ?(signals = true) cfg =
       (match cfg.trace with
       | Some path ->
         Trace.stop ();
-        Trace.export path;
+        Checkpoint.write_atomic ~path (Trace.to_string ());
         Ucp_obs.Log.out
           (Printf.sprintf "[serve] trace written to %s (%d spans dropped)" path
              (Trace.dropped ()))

@@ -105,7 +105,9 @@ val audit_trail :
     materialization of every recorded prefetch and
     prefetch-equivalence.  [original]/[optimized] must analyze
     [result.original]/[result.program] under the sweep's policy and
-    configuration. *)
+    configuration; the first check ([optimizer-program]) is that each
+    analysis is of that program, physically or structurally equal, so
+    the original's analysis cannot stand in for a changed program. *)
 
 type verdict =
   | Certified of {
@@ -147,4 +149,10 @@ val audit_case :
     bounds — must match the recorded one byte-for-byte (this is what
     catches the [corrupt-refine] fault), and the recomputed refined
     WCET goes through the same concrete witness replay as the
-    unrefined analyses. *)
+    unrefined analyses.
+
+    When [original == optimized] and the two summaries are equal — the
+    pipeline's program the optimizer left unchanged — each per-side
+    check (IPET certificate, witness replay, refine re-run) runs once,
+    on the original side, and its verdict stands for both named
+    obligations: a certified record still counts every check. *)

@@ -408,6 +408,34 @@ let test_sweep_corrupt_cert_needs_audit () =
       Alcotest.(check int) "un-audited sweep misses the corruption" 2
         (List.length s.Parallel.records))
 
+(* an audited sweep certifies and finalizes each case right after
+   evaluating it: on one worker the first progress report comes after
+   exactly one evaluation, not after the whole grid was evaluated with
+   every case's audit input held until then *)
+let test_sweep_audit_finalizes_each_case () =
+  let programs = det_programs in
+  let configs = List.filteri (fun i _ -> i < 4) Experiments.quick_configs in
+  Ucp_obs.Metrics.enable ();
+  Ucp_obs.Metrics.reset ();
+  Fun.protect ~finally:Ucp_obs.Metrics.disable (fun () ->
+      let evaluated () =
+        match Ucp_obs.Metrics.find "case_duration_seconds" with
+        | Some (Ucp_obs.Metrics.Histogram { count; _ }) -> count
+        | _ -> 0
+      in
+      let first = ref None in
+      let progress ~done_:_ ~total:_ =
+        if !first = None then first := Some (evaluated ())
+      in
+      let s =
+        Parallel.sweep ~programs ~configs ~techs:[ Tech.nm45 ] ~jobs:1
+          ~audit:Ucp_verify.Full ~progress ()
+      in
+      Alcotest.(check int) "8 cases" 8 s.Parallel.cases;
+      Alcotest.(check int) "all certified" 8 (List.length s.Parallel.records);
+      Alcotest.(check (option int))
+        "cases evaluated at the first progress report" (Some 1) !first)
+
 (* worker-death handling: a task whose exception escapes per-task
    isolation (a Fault.Killed_worker) kills its domain; the pool must
    never hang on it — it either fails wait with a structured error or
@@ -943,6 +971,173 @@ let test_experiments_ratio_degenerate () =
   Alcotest.(check bool) "defined float ratio" true
     (Experiments.fratio 1.0 4.0 = Some 0.25)
 
+(* ------------------------------------------------------------------ *)
+(* an unchanged program is measured once *)
+
+module Wcet = Ucp_wcet.Wcet
+module Optimizer = Ucp_prefetch.Optimizer
+
+(* The reference: a use case evaluated and certified with both sides
+   analysed, refined, simulated and audited independently, as
+   [Pipeline.prepare] and [finish_audit] did before the original side
+   stood for an unchanged program.  Audit seconds are zeroed. *)
+let reference_case ~model (c : Experiments.case) =
+  let policy = c.Experiments.case_policy
+  and config = c.Experiments.case_config
+  and tech = c.Experiments.case_tech
+  and program = c.Experiments.case_program
+  and refine = Ucp_refine.Mode.Nc in
+  let w0 = Wcet.compute ~with_may:true ~policy program config model in
+  let result = Optimizer.optimize ~initial:w0 program config model in
+  let w1 =
+    Wcet.compute ~with_may:true ~policy result.Optimizer.program config model
+  in
+  let side w p = Pipeline.measure ~model ~wcet:w ~policy ~refine p config tech in
+  let original = side w0 program in
+  let optimized = side w1 result.Optimizer.program in
+  let audit =
+    match
+      Ucp_verify.audit_case ~seed:42
+        ~refine:(refine, original.Pipeline.refine, optimized.Pipeline.refine)
+        ~original:w0 ~optimized:w1 result
+    with
+    | Ok (Ucp_verify.Certified { checks; _ }) ->
+      Pipeline.Audited { checks; seconds = 0.0 }
+    | Ok (Ucp_verify.Skipped { reason }) -> Pipeline.Audit_skipped reason
+    | Error msg ->
+      Alcotest.failf "%s: reference audit failed: %s" (Experiments.case_id c) msg
+  in
+  {
+    Experiments.program_name = c.Experiments.case_program_name;
+    config_id = c.Experiments.case_config_id;
+    config;
+    tech;
+    policy;
+    original;
+    optimized;
+    prefetches = List.length result.Optimizer.insertions;
+    rejected = result.Optimizer.rejected;
+    audit;
+  }
+
+let without_audit_s (r : Experiments.record) =
+  match r.Experiments.audit with
+  | Pipeline.Audited { checks; _ } ->
+    { r with Experiments.audit = Pipeline.Audited { checks; seconds = 0.0 } }
+  | Pipeline.Not_audited | Pipeline.Audit_skipped _ -> r
+
+let ref_configs =
+  List.map
+    (fun id -> (id, List.assoc id Config.paper_configs))
+    [ "k4"; "k10"; "k35"; "k36" ]
+
+(* [run_case] must give the reference's record, audit seconds aside,
+   on changed and unchanged cases alike; returns how many cases the
+   optimizer left unchanged *)
+let check_matches_reference cases =
+  let models = Experiments.model_table ref_configs Tech.all in
+  List.fold_left
+    (fun unchanged (c : Experiments.case) ->
+      let model =
+        Hashtbl.find models (c.Experiments.case_config, c.Experiments.case_tech)
+      in
+      let r =
+        Experiments.run_case ~audit:true ~refine:Ucp_refine.Mode.Nc ~model c
+      in
+      Alcotest.(check bool)
+        (Experiments.case_id c ^ " matches the reference")
+        true
+        (without_audit_s r = reference_case ~model c);
+      if r.Experiments.prefetches = 0 then unchanged + 1 else unchanged)
+    0 cases
+
+let test_shared_side_matches_reference_suite () =
+  let cases =
+    Experiments.cases ~policies:Ucp_policy.all ~programs:Ucp_workloads.Suite.all
+      ~configs:ref_configs ~techs:[ Tech.nm45 ] ()
+  in
+  let n = Array.length cases in
+  let unchanged = check_matches_reference (Array.to_list cases) in
+  Alcotest.(check bool)
+    (Printf.sprintf "both kinds covered (%d of %d unchanged)" unchanged n)
+    true
+    (unchanged > 0 && unchanged < n)
+
+let test_shared_side_matches_reference_generated () =
+  let policies = Array.of_list Ucp_policy.all in
+  let cases =
+    List.init 50 (fun seed ->
+        let cls = if seed mod 5 = 4 then "l" else "m" in
+        let id, config = List.nth ref_configs (seed mod List.length ref_configs) in
+        {
+          Experiments.case_program_name = Ucp_workloads.Generate.name ~seed ~cls;
+          case_program = Ucp_workloads.Generate.program ~seed ~cls;
+          case_config_id = id;
+          case_config = config;
+          case_tech = (if seed mod 2 = 0 then Tech.nm45 else Tech.nm32);
+          case_policy = policies.(seed mod Array.length policies);
+        })
+  in
+  ignore (check_matches_reference cases)
+
+(* fft1 at k35 under FIFO gets no prefetch, and refinement reclaims
+   references in it, so both faults have something to act on.  The
+   side is shared with a fault armed too, and the audit still names
+   the fault; one IPET certificate check per audit shows that the one
+   analysis was certified once. *)
+let test_unchanged_case_shares_faults_caught () =
+  let program = Ucp_workloads.Suite.find "fft1" in
+  let config = List.assoc "k35" Config.paper_configs in
+  let ipet_checks () =
+    List.fold_left
+      (fun n name ->
+        match Ucp_obs.Metrics.find name with
+        | Some (Ucp_obs.Metrics.Counter c) -> n + c
+        | _ -> n)
+      0
+      [ "audit_ipet_fastpath_total"; "audit_ipet_slowpath_total" ]
+  in
+  let prepare ?corrupt_refine ?corrupt_cert label =
+    match
+      Pipeline.prepare ~policy:Ucp_policy.Fifo ~audit:true
+        ~refine:Ucp_refine.Mode.Nc ?corrupt_refine ?corrupt_cert program config
+        Tech.nm45
+    with
+    | cmp, Some input ->
+      Alcotest.(check int) (label ^ ": no prefetch") 0 cmp.Pipeline.prefetches;
+      Alcotest.(check bool) (label ^ ": one measurement for both sides") true
+        (cmp.Pipeline.optimized == cmp.Pipeline.original);
+      Ucp_obs.Metrics.reset ();
+      let audit =
+        match Pipeline.finish_audit input with
+        | a -> Ok a
+        | exception Outcome.Invariant msg -> Error msg
+      in
+      Alcotest.(check int) (label ^ ": one IPET certificate check") 1
+        (ipet_checks ());
+      audit
+    | _, None -> Alcotest.failf "%s: an audited case returned no obligation" label
+  in
+  Ucp_obs.Metrics.enable ();
+  Fun.protect ~finally:Ucp_obs.Metrics.disable (fun () ->
+      (match prepare "clean" with
+      | Ok (Pipeline.Audited { checks; _ }) ->
+        Alcotest.(check int) "every obligation counted" 7 checks
+      | Ok _ | Error _ -> Alcotest.fail "the shared case was not certified");
+      List.iter
+        (fun (fault, corrupt_refine, corrupt_cert, obligation) ->
+          match prepare ~corrupt_refine ~corrupt_cert fault with
+          | Error msg ->
+            Alcotest.(check bool)
+              (Printf.sprintf "%s names %s (got %S)" fault obligation msg)
+              true
+              (Ucp_testlib.contains ~substring:("audit: " ^ obligation) msg)
+          | Ok _ -> Alcotest.failf "%s slipped past the audit" fault)
+        [
+          ("corrupt-refine", true, false, "refine-original");
+          ("corrupt-cert", false, true, "optimizer-tau-after");
+        ])
+
 let () =
   Alcotest.run "ucp_core"
     [
@@ -951,6 +1146,12 @@ let () =
           Alcotest.test_case "measure consistency" `Quick test_measure_consistency;
           Alcotest.test_case "measure deterministic" `Quick test_measure_deterministic;
           Alcotest.test_case "compare guarantee" `Quick test_compare_optimized_guarantee;
+          Alcotest.test_case "shared side matches the reference (suite)" `Quick
+            test_shared_side_matches_reference_suite;
+          Alcotest.test_case "shared side matches the reference (generated)"
+            `Quick test_shared_side_matches_reference_generated;
+          Alcotest.test_case "unchanged case shares, faults still caught"
+            `Quick test_unchanged_case_shares_faults_caught;
         ] );
       ( "experiments",
         [
@@ -997,6 +1198,8 @@ let () =
             test_sweep_audit_demotes_corrupt_cert;
           Alcotest.test_case "corrupt certificate needs the audit" `Quick
             test_sweep_corrupt_cert_needs_audit;
+          Alcotest.test_case "audited sweep finalizes each case in turn" `Quick
+            test_sweep_audit_finalizes_each_case;
           Alcotest.test_case "worker death fails wait" `Quick
             test_pool_worker_death_fails_wait;
           Alcotest.test_case "respawn replaces dead worker" `Quick

@@ -112,7 +112,7 @@ let test_trace_round_trip () =
   Trace.stop ();
   let written = Trace.spans () in
   with_tmp_file (fun path ->
-      Trace.export path;
+      Ucp_core.Checkpoint.write_atomic ~path (Trace.to_string ());
       match Trace.parse_file path with
       | Error msg -> Alcotest.failf "parse_file: %s" msg
       | Ok parsed ->

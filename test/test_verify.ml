@@ -235,6 +235,27 @@ let test_trail_materialization_mutation () =
   Alcotest.(check bool) "unmaterialized insertions rejected" true
     (Result.is_error res)
 
+(* the original's analysis may not stand in for a changed program: a
+   result that claims no insertion but names a program other than the
+   one analysed must fail the trail, also when the audit is handed one
+   analysis for both sides and so certifies each side's checks once *)
+let test_trail_program_identity () =
+  let w0, r, _ = setup "st" in
+  let r' =
+    {
+      r with
+      Optimizer.insertions = [];
+      trail = [];
+      tau_after = r.Optimizer.tau_before;
+    }
+  in
+  Alcotest.(check bool) "the result names a changed program" false
+    (r'.Optimizer.program == r'.Optimizer.original);
+  expect_obligation "changed program, original's analysis" "optimizer-program"
+    (Verify.audit_trail ~original:w0 ~optimized:w0 r');
+  expect_obligation "shared audit of a changed program" "optimizer-program"
+    (Verify.audit_case ~original:w0 ~optimized:w0 r')
+
 let () =
   Alcotest.run "ucp_verify"
     [
@@ -280,5 +301,7 @@ let () =
             test_trail_round_mutation;
           Alcotest.test_case "unmaterialized insertions rejected" `Quick
             test_trail_materialization_mutation;
+          Alcotest.test_case "analysis of another program rejected" `Quick
+            test_trail_program_identity;
         ] );
     ]
