@@ -579,12 +579,11 @@ let experiment_cmd =
     let out =
       match figure with
       | None -> Report.all records
-      | Some 3 -> Report.figure3 records
-      | Some 4 -> Report.figure4 records
-      | Some 5 -> Report.figure5 records
-      | Some 7 -> Report.figure7 records
-      | Some 8 -> Report.figure8 records
-      | Some n -> Printf.sprintf "no such figure: %d (3,4,5,7,8)\n" n
+      | Some `F3 -> Report.figure3 records
+      | Some `F4 -> Report.figure4 records
+      | Some `F5 -> Report.figure5 records
+      | Some `F7 -> Report.figure7 records
+      | Some `F8 -> Report.figure8 records
     in
     print_string out;
     prerr_string (Report.outcome_summary s.Ucp_core.Parallel.results);
@@ -606,10 +605,14 @@ let experiment_cmd =
       & info [ "full" ] ~doc:"All 36 configurations (2664 use cases) as in the paper.")
   in
   let figure =
+    let figures =
+      [ ("3", `F3); ("4", `F4); ("5", `F5); ("7", `F7); ("8", `F8) ]
+    in
     Arg.(
       value
-      & opt (some int) None
-      & info [ "figure" ] ~docv:"N" ~doc:"Reproduce a single figure (3,4,5,7,8).")
+      & opt (some (enum figures)) None
+      & info [ "figure" ] ~docv:"N"
+          ~doc:"Reproduce a single figure: $(docv) is 3, 4, 5, 7 or 8.")
   in
   let jobs_conv =
     let parse s =

@@ -82,6 +82,18 @@ do
     exit 1
   fi
 done
+# A figure that does not exist is refused before any case runs: exit
+# 124, as for every other invalid flag, and nothing on stdout.
+status=0
+figure_out=$(dune exec --no-build bin/ucp.exe -- experiment \
+  --programs fft1 --configs k2 --techs 45nm --figure 6 2>"$smoke_err") \
+  || status=$?
+if [ "$status" -ne 124 ] || [ -n "$figure_out" ]; then
+  echo "ci: fault smoke: --figure 6 must exit 124 with no stdout, got $status" >&2
+  printf '%s\n' "$figure_out" >&2
+  cat "$smoke_err" >&2
+  exit 1
+fi
 echo "ci: fault-injection smoke passed"
 
 # Multi-policy smoke: 2 programs x 2 configs x 1 tech x 3 policies =

@@ -135,27 +135,15 @@ let record_of c (cmp : Pipeline.comparison) =
     audit = cmp.Pipeline.audit;
   }
 
-let eval_case ?deadline ?memo ?audit ?corrupt_cert ?refine ?corrupt_refine
+let run_case ?deadline ?memo ?audit ?corrupt_cert ?refine ?corrupt_refine
     ~model c =
   let analysis0 =
     Option.map (fun memo -> memoized_analysis ?deadline memo c) memo
   in
-  let cmp, obligation =
-    Pipeline.prepare ?deadline ~model ~policy:c.case_policy ?analysis0 ?audit
-      ?corrupt_cert ?refine ?corrupt_refine c.case_program c.case_config
-      c.case_tech
-  in
-  (record_of c cmp, obligation)
-
-let run_case ?deadline ?memo ?audit ?corrupt_cert ?refine ?corrupt_refine
-    ~model c =
-  let r, obligation =
-    eval_case ?deadline ?memo ?audit ?corrupt_cert ?refine ?corrupt_refine
-      ~model c
-  in
-  match obligation with
-  | None -> r
-  | Some input -> { r with audit = Pipeline.finish_audit ?deadline input }
+  record_of c
+    (Pipeline.compare_optimized ?deadline ~model ~policy:c.case_policy
+       ?analysis0 ?audit ?corrupt_cert ?refine ?corrupt_refine c.case_program
+       c.case_config c.case_tech)
 
 (* Defense in depth for the paper's central claims (Theorem 1,
    Supplement S.2): cross-check each finished record against the

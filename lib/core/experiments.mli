@@ -90,22 +90,6 @@ module Analysis_memo : sig
   val create : unit -> t
 end
 
-val eval_case :
-  ?deadline:Ucp_util.Deadline.t ->
-  ?memo:Analysis_memo.t ->
-  ?audit:bool ->
-  ?corrupt_cert:bool ->
-  ?refine:Ucp_refine.Mode.t ->
-  ?corrupt_refine:bool ->
-  model:Ucp_energy.Cacti.t ->
-  case ->
-  record * Pipeline.audit_input option
-(** Evaluate one use case without discharging its audit: the record
-    carries [Not_audited] and, under [?audit:true], the deferred
-    obligation is returned for {!Pipeline.finish_audit} — the parallel
-    sweep discharges it in the case's task under a fresh deadline.  [?memo] shares
-    original-program analyses across the technology axis. *)
-
 val run_case :
   ?deadline:Ucp_util.Deadline.t ->
   ?memo:Analysis_memo.t ->
@@ -116,14 +100,17 @@ val run_case :
   model:Ucp_energy.Cacti.t ->
   case ->
   record
-(** Evaluate one use case ([model] must be the case's entry from
-    {!model_table}).  [?deadline] bounds the analysis/optimizer stages
-    (see {!Pipeline.compare_optimized}).  [?audit] runs the
-    {!Ucp_verify} certification on the case; [?corrupt_cert] injects
-    the certificate corruption the audit must catch; [?refine] (default
-    [Off]) runs the exact classification refinement on both sides and
-    [?corrupt_refine] injects the [corrupt-refine] fault (all default
-    false/[Off]).  {!eval_case} followed by {!Pipeline.finish_audit}. *)
+(** Evaluate one use case: {!Pipeline.compare_optimized} under the
+    case's policy, as a {!record} ([model] must be the case's entry
+    from {!model_table}).  [?memo] shares original-program analyses
+    across the technology axis (passed on as [?analysis0]).
+    [?deadline] bounds the analysis, optimizer and audit stages.
+    [?audit] runs the {!Ucp_verify} certification on the case, and a
+    failed obligation raises [Outcome.Invariant]; [?corrupt_cert]
+    injects the certificate corruption the audit must catch; [?refine]
+    (default [Off]) runs the exact classification refinement on both
+    sides and [?corrupt_refine] injects the [corrupt-refine] fault (all
+    default false/[Off]). *)
 
 val check_invariants : record -> (unit, string) result
 (** Runtime guard over the paper's soundness claims: Theorem 1

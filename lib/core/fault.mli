@@ -32,7 +32,7 @@ type mode =
           something *)
   | Corrupt_refine
       (** {e one-shot}: run the case with the refinement's
-          fault-injection hook armed ({!Pipeline.prepare}'s
+          fault-injection hook armed ({!Pipeline.compare_optimized}'s
           [~corrupt_refine]): the original side's exact exploration
           claims one not-proven reference [Always_hit], so the ILP
           drops a miss term it must not — an audited case must be

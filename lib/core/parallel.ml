@@ -289,14 +289,11 @@ let outcome f =
         backtrace = Printexc.raw_backtrace_to_string bt;
       }
 
-let map ?jobs ?chunk ?progress ?telemetry f items =
+let map ?jobs ?chunk ?progress f items =
   let jobs = match jobs with Some j -> j | None -> default_jobs () in
   if jobs < 1 then invalid_arg "Parallel.map: jobs must be positive";
   let n = Array.length items in
-  if n = 0 then begin
-    Option.iter (fun cb -> cb [||]) telemetry;
-    [||]
-  end
+  if n = 0 then [||]
   else begin
     (* results land at their input index, so the output order is the
        input order no matter which worker finishes when *)
@@ -310,8 +307,7 @@ let map ?jobs ?chunk ?progress ?telemetry f items =
         submit_chunks ~fn:"Parallel.map" pool ~jobs ?chunk n (fun k ->
             results.(k) <- Some (f items.(k));
             note_done ());
-        wait pool;
-        Option.iter (fun cb -> cb (worker_stats pool)) telemetry);
+        wait pool);
     (* [None] is unreachable: [wait] returns normally only when no
        task is pending and none failed.  A task that raised left
        [pool.failure] set, and a worker that died set it to
@@ -321,8 +317,8 @@ let map ?jobs ?chunk ?progress ?telemetry f items =
     Array.map (function Some v -> v | None -> assert false) results
   end
 
-let try_map ?jobs ?chunk ?progress ?telemetry f items =
-  map ?jobs ?chunk ?progress ?telemetry (fun x -> outcome (fun () -> f x)) items
+let try_map ?jobs ?chunk ?progress f items =
+  map ?jobs ?chunk ?progress (fun x -> outcome (fun () -> f x)) items
 
 (* ------------------------------------------------------------------ *)
 (* the parallel evaluation sweep *)
@@ -430,18 +426,6 @@ let sweep ?(programs = Ucp_workloads.Suite.all)
         counter ?progress ~on_count:(Atomic.set hb_done) ~start:!resumed
           ~total:n ()
       in
-      (* A case task evaluates its case, discharges the audit
-         obligation right away, then finalizes: fault hooks, invariant
-         checks and journaling run only after the audit verdict is in.
-         Deferring the audit behind the queued chunks would pin every
-         case's two analyses until the whole grid was evaluated, and
-         nothing would be finalized, journaled or counted until then. *)
-      (* each index is written by exactly one task, so [final] needs no
-         lock; [note_done] serializes the user-visible side effects *)
-      let set_final i o =
-        final.(i) <- Some o;
-        note_done ()
-      in
       let finalize id (r : Experiments.record) =
         let r = Fault.corrupt id r in
         (match Experiments.check_invariants r with
@@ -456,41 +440,35 @@ let sweep ?(programs = Ucp_workloads.Suite.all)
          replaces dead domains and the lost chunk's cases surface as
          structured failures below *)
       let pool = create ~respawn:true ~jobs () in
+      (* A case task evaluates its case, audit included, then
+         finalizes it: fault hooks, invariant checks and journaling run
+         only after the audit verdict is in.  Each index is written by
+         exactly one task, so [final] needs no lock; [note_done]
+         serializes the user-visible side effects. *)
       let case_task i =
         let c = cases.(i) in
         let id = Experiments.case_id c in
-        let evaluated =
-          outcome (fun () ->
-              Ucp_obs.Trace.with_span ~name:"case"
-                ~args:[ ("id", Ucp_obs.Trace.Str id) ] (fun () ->
-                  observed_case (fun () ->
-                      (* the deadline clock starts when the case starts
-                         executing, not when the sweep was launched *)
-                      let deadline = Option.map Deadline.after timeout in
-                      Fault.apply_pre ?deadline id;
-                      let model =
-                        Hashtbl.find models
-                          (c.Experiments.case_config, c.Experiments.case_tech)
-                      in
-                      Experiments.eval_case ?deadline ~memo
-                        ~audit:(Ucp_verify.selects audit id)
-                        ~corrupt_cert:(Fault.corrupt_cert id) ~refine
-                        ~corrupt_refine:(Fault.corrupt_refine id) ~model c)))
-        in
-        match evaluated with
-        | Outcome.Ok (r, Some input) ->
-          set_final i
+        final.(i) <-
+          Some
             (outcome (fun () ->
-                 (* the obligation gets its own deadline window *)
-                 let deadline = Option.map Deadline.after timeout in
-                 let audit = Pipeline.finish_audit ?deadline input in
-                 finalize id { r with Experiments.audit }))
-        | Outcome.Ok (r, None) ->
-          set_final i (outcome (fun () -> finalize id r))
-        | Outcome.Failed f -> set_final i (Outcome.Failed f)
-        | Outcome.Timed_out -> set_final i Outcome.Timed_out
-        | Outcome.Invariant_violation m ->
-          set_final i (Outcome.Invariant_violation m)
+                 Ucp_obs.Trace.with_span ~name:"case"
+                   ~args:[ ("id", Ucp_obs.Trace.Str id) ] (fun () ->
+                     observed_case (fun () ->
+                         (* the deadline clock starts when the case
+                            starts executing, not when the sweep was
+                            launched *)
+                         let deadline = Option.map Deadline.after timeout in
+                         Fault.apply_pre ?deadline id;
+                         let model =
+                           Hashtbl.find models
+                             (c.Experiments.case_config, c.Experiments.case_tech)
+                         in
+                         Experiments.run_case ?deadline ~memo
+                           ~audit:(Ucp_verify.selects audit id)
+                           ~corrupt_cert:(Fault.corrupt_cert id) ~refine
+                           ~corrupt_refine:(Fault.corrupt_refine id) ~model c))
+                 |> finalize id));
+        note_done ()
       in
       let stats = ref [||] in
       let pool_restarts = ref 0 in
@@ -555,7 +533,7 @@ let sweep ?(programs = Ucp_workloads.Suite.all)
                | Some o -> (Experiments.case_id c, o)
                | None ->
                  (* the chunk task holding this case died with its
-                    worker domain before [set_final] ran *)
+                    worker domain before the case's outcome was written *)
                  ( Experiments.case_id c,
                    Outcome.Failed
                      {

@@ -68,7 +68,6 @@ val map :
   ?jobs:int ->
   ?chunk:int ->
   ?progress:(done_:int -> total:int -> unit) ->
-  ?telemetry:(Telemetry.worker_stat array -> unit) ->
   ('a -> 'b) ->
   'a array ->
   'b array
@@ -84,9 +83,7 @@ val map :
     on worker domains — callbacks must not assume the main domain.  A
     raising progress callback does not void the results: the first
     exception disables further callbacks (with a {!Ucp_obs.Log.warn})
-    and the map completes normally.  [?telemetry] receives the final
-    per-worker {!Telemetry.worker_stat} snapshot once every task has drained
-    (an empty array for an empty input).  If [f] raises, the first
+    and the map completes normally.  If [f] raises, the first
     exception is re-raised after the pool drains, with its original
     backtrace. *)
 
@@ -94,7 +91,6 @@ val try_map :
   ?jobs:int ->
   ?chunk:int ->
   ?progress:(done_:int -> total:int -> unit) ->
-  ?telemetry:(Telemetry.worker_stat array -> unit) ->
   ('a -> 'b) ->
   'a array ->
   'b Outcome.t array
@@ -170,11 +166,12 @@ val sweep :
 
     Certification: [?audit] (default [Off]) runs the {!Ucp_verify}
     audit on every case ([Full]) or a deterministic 1-in-N sample keyed
-    by case id ([Sample N], stable across resume).  Each audit runs in
-    its case's task right after the evaluation, with a fresh per-case
-    deadline, so a case's analyses are released as soon as it is
-    finalized (fault hooks, invariant guard, checkpoint journal), which
-    happens only once the verdict is in.  An audited case whose certificate fails
+    by case id ([Sample N], stable across resume).  Each audit runs
+    inside its case's evaluation ({!Experiments.run_case}), under the
+    case's own [?timeout] deadline, so a case's analyses are released
+    as soon as it is finalized (fault hooks, invariant guard,
+    checkpoint journal), which happens only once the verdict is in.
+    An audited case whose certificate fails
     any obligation is demoted to [Invariant_violation] with the
     obligation named; audited records carry their verdict and cost in
     {!Experiments.record.audit}.  A [Fault.Corrupt_cert] hook arms the
@@ -210,7 +207,8 @@ val sweep :
     the [gc_*_total] allocation/collection counters and the per-stage
     [*_seconds_total] fcounters ({!Pipeline.stage}; summed over all
     workers, so under [jobs = n] they exceed [wall_s] up to a factor
-    of [n]).
+    of [n]).  The span, the histogram and the GC counters cover the
+    whole case, its audit included.
     @raise Invalid_argument if [?timeout] or [?heartbeat] is not
     positive;
     @raise Checkpoint.Bad_journal if the checkpoint journal cannot be

@@ -98,37 +98,10 @@ type comparison = {
   audit : audit;
 }
 
-type audit_input = {
-  ai_original : Wcet.t;
-  ai_optimized : Wcet.t;
-  ai_result : Optimizer.result;
-  ai_corrupt : bool;
-  ai_seed : int;
-  ai_refine : Refine_mode.t;
-  ai_refine_original : Refine.summary option;
-  ai_refine_optimized : Refine.summary option;
-}
-
-(* a plain span, not a [stage]: [Ucp_verify] already adds the audit's
-   per-obligation intervals to [audit_seconds_total] *)
-let finish_audit ?deadline input =
-  let v =
-    Ucp_obs.Trace.with_span ~name:"audit" (fun () ->
-        Ucp_verify.audit_case ?deadline ~seed:input.ai_seed
-          ~corrupt:input.ai_corrupt
-          ~refine:
-            (input.ai_refine, input.ai_refine_original, input.ai_refine_optimized)
-          ~original:input.ai_original ~optimized:input.ai_optimized
-          input.ai_result)
-  in
-  match v with
-  | Ok (Ucp_verify.Certified { checks; seconds }) -> Audited { checks; seconds }
-  | Ok (Ucp_verify.Skipped { reason }) -> Audit_skipped reason
-  | Error msg -> raise (Outcome.Invariant ("audit: " ^ msg))
-
-let prepare ?deadline ?(seed = 42) ?model:mdl ?(policy = Ucp_policy.Lru)
-    ?analysis0 ?(audit = false) ?(corrupt_cert = false)
-    ?(refine = Refine_mode.Off) ?(corrupt_refine = false) program config tech =
+let compare_optimized ?deadline ?(seed = 42) ?model:mdl
+    ?(policy = Ucp_policy.Lru) ?analysis0 ?(audit = false)
+    ?(corrupt_cert = false) ?(refine = Refine_mode.Off)
+    ?(corrupt_refine = false) program config tech =
   let m = match mdl with Some m -> m | None -> model config tech in
   (* The original program's cache-aware analysis is the most expensive
      shared artifact of a use case: compute it once and hand it to both
@@ -179,38 +152,25 @@ let prepare ?deadline ?(seed = 42) ?model:mdl ?(policy = Ucp_policy.Lru)
       measure ?deadline ~seed ~model:m ~wcet:w1 ~policy ~refine
         result.Optimizer.program config tech
   in
-  let cmp =
-    {
-      original;
-      optimized;
-      prefetches = List.length result.Optimizer.insertions;
-      rejected = result.Optimizer.rejected;
-      audit = Not_audited;
-    }
-  in
-  let obligation =
-    if not audit then None
+  (* a plain span, not a [stage]: [Ucp_verify] already adds the audit's
+     per-obligation intervals to [audit_seconds_total] *)
+  let audit =
+    if not audit then Not_audited
     else
-      Some
-        {
-          ai_original = w0;
-          ai_optimized = w1;
-          ai_result = result;
-          ai_corrupt = corrupt_cert;
-          ai_seed = seed;
-          ai_refine = refine;
-          ai_refine_original = original.refine;
-          ai_refine_optimized = optimized.refine;
-        }
+      match
+        Ucp_obs.Trace.with_span ~name:"audit" (fun () ->
+            Ucp_verify.audit_case ?deadline ~seed ~corrupt:corrupt_cert
+              ~refine:(refine, original.refine, optimized.refine)
+              ~original:w0 ~optimized:w1 result)
+      with
+      | Ok (Ucp_verify.Certified { checks; seconds }) -> Audited { checks; seconds }
+      | Ok (Ucp_verify.Skipped { reason }) -> Audit_skipped reason
+      | Error msg -> raise (Outcome.Invariant ("audit: " ^ msg))
   in
-  (cmp, obligation)
-
-let compare_optimized ?deadline ?seed ?model:mdl ?policy ?analysis0
-    ?audit ?corrupt_cert ?refine ?corrupt_refine program config tech =
-  let cmp, obligation =
-    prepare ?deadline ?seed ?model:mdl ?policy ?analysis0 ?audit
-      ?corrupt_cert ?refine ?corrupt_refine program config tech
-  in
-  match obligation with
-  | None -> cmp
-  | Some input -> { cmp with audit = finish_audit ?deadline input }
+  {
+    original;
+    optimized;
+    prefetches = List.length result.Optimizer.insertions;
+    rejected = result.Optimizer.rejected;
+    audit;
+  }

@@ -101,54 +101,6 @@ type comparison = {
   audit : audit;  (** certification verdict for this case *)
 }
 
-type audit_input
-(** A deferred audit obligation: the two analyses, the optimizer result
-    and the fault hook of an evaluated case, detached from the
-    evaluation so the sweep can finalize an unaudited case without it
-    and time the audit under its own deadline. *)
-
-val prepare :
-  ?deadline:Ucp_util.Deadline.t ->
-  ?seed:int ->
-  ?model:Ucp_energy.Cacti.t ->
-  ?policy:Ucp_policy.id ->
-  ?analysis0:Ucp_wcet.Analysis.t ->
-  ?audit:bool ->
-  ?corrupt_cert:bool ->
-  ?refine:Ucp_refine.Mode.t ->
-  ?corrupt_refine:bool ->
-  Ucp_isa.Program.t ->
-  Ucp_cache.Config.t ->
-  Ucp_energy.Tech.t ->
-  comparison * audit_input option
-(** Evaluate one use case (analysis, optimization, simulation) without
-    running its audit: the returned comparison always carries
-    [Not_audited], and [~audit:true] returns the pending obligation as
-    an {!audit_input} for {!finish_audit} instead of certifying
-    inline.  [?analysis0] reuses a memoized cache-aware analysis of the
-    {e original} program (same program, configuration and policy, may
-    analysis on) — the abstract interpretation never reads the timing
-    model, so the sweep shares one analysis across the technology
-    axis.  All other parameters as in {!compare_optimized}.
-
-    When the optimizer hands back the very program it was given (it
-    accepted no insertion), the original side is measured once and
-    stands for both: [optimized == original], and the obligation's two
-    analyses are one [Wcet.t], which {!Ucp_verify.audit_case} then
-    certifies once for both sides.  An armed fault does not change
-    this: the audit still catches [corrupt_refine] at
-    [refine-original] and [corrupt_cert] at [optimizer-tau-after].  The shared artifacts equal what a
-    second analysis, refinement and simulation would give: each is a
-    deterministic function of the same program, model and seed. *)
-
-val finish_audit : ?deadline:Ucp_util.Deadline.t -> audit_input -> audit
-(** Discharge a deferred obligation: run {!Ucp_verify.audit_case} inside
-    an [audit] trace span and return the verdict ([Audited] or
-    [Audit_skipped]).  A failed obligation raises
-    [Outcome.Invariant ("audit: " ^ msg)].  The audit's time reaches
-    the metrics registry as {!Ucp_verify}'s [audit_seconds_total], not
-    through {!stage}, so it is counted once. *)
-
 val compare_optimized :
   ?deadline:Ucp_util.Deadline.t ->
   ?seed:int ->
@@ -164,27 +116,46 @@ val compare_optimized :
   Ucp_energy.Tech.t ->
   comparison
 (** Optimize and evaluate both versions under the same use case, under
-    the replacement policy [?policy] (default LRU).  [?refine] (default
-    [Off]) additionally runs the exact classification refinement on
-    both sides and, when the case is audited, adds the two refine
-    obligations (digest-checked recomputation plus refined witness
-    replay) to the audit.  [?corrupt_refine] injects the
-    [corrupt-refine] fault on the original side.  The
-    original program is analyzed exactly once: the optimizer starts
-    from that fixpoint and the original measurement reuses it (pass
-    [?analysis0] to skip even that — see {!prepare}).
-    Theorem 1 materializes as [optimized.tau <= original.tau].
-    [?deadline] is threaded into every analysis fixpoint and optimizer
-    round; once it passes, the pending stage raises
+    the replacement policy [?policy] (default LRU), then certify the
+    result when [~audit:true].  [?refine] (default [Off]) additionally
+    runs the exact classification refinement on both sides and, when
+    the case is audited, adds the two refine obligations
+    (digest-checked recomputation plus refined witness replay) to the
+    audit.  [?corrupt_refine] injects the [corrupt-refine] fault on the
+    original side.  Theorem 1 materializes as
+    [optimized.tau <= original.tau].  [?deadline] is threaded into
+    every analysis fixpoint and optimizer round, and into the audit;
+    once it passes, the pending stage raises
     [Ucp_util.Deadline.Deadline_exceeded] at its next check.
+
+    The original program is analyzed exactly once: the optimizer starts
+    from that fixpoint and the original measurement reuses it.
+    [?analysis0] skips even that by reusing a memoized cache-aware
+    analysis of the {e original} program (same program, configuration
+    and policy, may analysis on) — the abstract interpretation never
+    reads the timing model, so the sweep shares one analysis across
+    the technology axis.
+
+    When the optimizer hands back the very program it was given (it
+    accepted no insertion), the original side is measured once and
+    stands for both: [optimized == original], and the audit receives
+    one [Wcet.t] for both sides, which {!Ucp_verify.audit_case}
+    certifies once.  An armed fault does not change this: the audit
+    still catches [corrupt_refine] at [refine-original] and
+    [corrupt_cert] at [optimizer-tau-after].  The shared artifacts
+    equal what a second analysis, refinement and simulation would
+    give: each is a deterministic function of the same program, model
+    and seed.
 
     [~audit:true] runs the full {!Ucp_verify.audit_case} certification
     (IPET certificates via the flow-certificate fast path, witness
     replay of both programs, optimizer audit trail) on the case's own
-    analyses; a failed obligation raises
-    [Outcome.Invariant ("audit: " ^ msg)], which the sweep demotes to a
-    structured [Invariant_violation].  A case the audit cannot replay
-    (non-plain analysis) yields [Audit_skipped].  [~corrupt_cert:true]
-    is the [corrupt-cert] fault-injection hook: it perturbs one
-    certificate field before checking, so the audit must fail.
-    Equivalent to {!prepare} followed by {!finish_audit}. *)
+    analyses, inside an [audit] trace span; its time reaches the
+    metrics registry as {!Ucp_verify}'s [audit_seconds_total], not
+    through {!stage}, so it is counted once.  A failed obligation
+    raises [Outcome.Invariant ("audit: " ^ msg)], which the sweep
+    demotes to a structured [Invariant_violation].  A case the audit
+    cannot replay (non-plain analysis) yields [Audit_skipped].
+    [~corrupt_cert:true] is the [corrupt-cert] fault-injection hook: it
+    perturbs one certificate field before checking, so the audit must
+    fail. *)

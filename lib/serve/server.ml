@@ -70,12 +70,6 @@ let store_read_buckets =
 
 type stats = {
   smutex : Mutex.t;
-  mutable requests_total : int;
-  mutable cache_hits : int;
-  mutable cache_misses : int;
-  mutable store_hits : int;
-  mutable computed_total : int;
-  mutable shed_total : int;
   mutable inflight : int;  (* cold computations queued or running *)
 }
 
@@ -88,7 +82,6 @@ type t = {
      with, so cache hits are trivially byte-stable *)
   cache : (string, string) Lru.t;
   cmutex : Mutex.t;
-  memo : Experiments.Analysis_memo.t;
   models : (Config.t * Tech.t, Ucp_energy.Cacti.t) Hashtbl.t;
   mmutex : Mutex.t;
   stats : stats;
@@ -244,8 +237,7 @@ let compute t ~trace id (c : Experiments.case) key =
                      hook kills a worker, not the connection thread *)
                   Fault.apply_pre ?deadline id;
                   let r =
-                    Experiments.run_case ?deadline ~memo:t.memo
-                      ~refine:t.cfg.refine
+                    Experiments.run_case ?deadline ~refine:t.cfg.refine
                       ~corrupt_refine:(Fault.corrupt_refine id) ~model c
                   in
                   let r = Fault.corrupt id r in
@@ -257,7 +249,6 @@ let compute t ~trace id (c : Experiments.case) key =
                   let json = Report.record_json r in
                   Store.put t.store ~id ~key (Checkpoint.record_line ~id r);
                   cache_add t id json;
-                  tally t (fun s -> s.computed_total <- s.computed_total + 1);
                   Metrics.incr (Metrics.counter "serve_computed_total");
                   P.Record { id; source = P.Computed; json; trace_id = trace }
                 | Error msg ->
@@ -288,7 +279,6 @@ let compute t ~trace id (c : Experiments.case) key =
    or "reject" for requests that never reached a tier (bad id, deadline
    during an injected stall) *)
 let answer_case t ~trace id =
-  tally t (fun s -> s.requests_total <- s.requests_total + 1);
   Metrics.incr (Metrics.counter "serve_requests_total");
   match resolve_case id with
   | Error msg -> (P.Failed { retryable = false; message = msg; trace_id = trace }, "reject")
@@ -303,11 +293,9 @@ let answer_case t ~trace id =
     | () -> (
       match Trace.with_span ~name:"cache_lookup" (fun () -> cache_find t id) with
       | Some json ->
-        tally t (fun s -> s.cache_hits <- s.cache_hits + 1);
         Metrics.incr (Metrics.counter "serve_cache_hits_total");
         (P.Record { id; source = P.Memory; json; trace_id = trace }, "cache")
       | None -> (
-        tally t (fun s -> s.cache_misses <- s.cache_misses + 1);
         Metrics.incr (Metrics.counter "serve_cache_misses_total");
         let key = Store.key ~refine:t.cfg.refine c in
         let from_store =
@@ -330,7 +318,6 @@ let answer_case t ~trace id =
         in
         match from_store with
         | Some json ->
-          tally t (fun s -> s.store_hits <- s.store_hits + 1);
           Metrics.incr (Metrics.counter "serve_store_hits_total");
           cache_add t id json;
           (P.Record { id; source = P.Store; json; trace_id = trace }, "store")
@@ -339,10 +326,7 @@ let answer_case t ~trace id =
              shed, so an overloaded daemon degrades to cache-only *)
           let admitted =
             tally t (fun s ->
-                if s.inflight >= t.cfg.queue_limit then begin
-                  s.shed_total <- s.shed_total + 1;
-                  false
-                end
+                if s.inflight >= t.cfg.queue_limit then false
                 else begin
                   s.inflight <- s.inflight + 1;
                   true
@@ -363,18 +347,7 @@ let answer_case t ~trace id =
           else (compute t ~trace id c key, "cold"))))
 
 let health t =
-  let s =
-    tally t (fun s ->
-        [
-          ("requests_total", s.requests_total);
-          ("cache_hits", s.cache_hits);
-          ("cache_misses", s.cache_misses);
-          ("store_hits", s.store_hits);
-          ("computed_total", s.computed_total);
-          ("shed_total", s.shed_total);
-          ("queue_depth", s.inflight);
-        ])
-  in
+  let queue_depth = tally t (fun s -> s.inflight) in
   (* the full registry rides along: integer counters in the original
      [stats] payload, gauges/fcounters and histogram count+sum in the
      additive fields (full bucket vectors go through [Metrics]) *)
@@ -405,17 +378,17 @@ let health t =
   P.Health_stats
     {
       counters =
-        s
-        @ [
-            ("worker_restarts", Parallel.restarts t.pool);
-            ("store_quarantined", Store.quarantined t.store);
-            ("store_corruptions_injected", Store.corruptions_injected t.store);
-            ("cache_evictions",
-             (Mutex.lock t.cmutex;
-              let e = Lru.evictions t.cache in
-              Mutex.unlock t.cmutex;
-              e));
-          ]
+        [
+          ("queue_depth", queue_depth);
+          ("worker_restarts", Parallel.restarts t.pool);
+          ("store_quarantined", Store.quarantined t.store);
+          ("store_corruptions_injected", Store.corruptions_injected t.store);
+          ("cache_evictions",
+           (Mutex.lock t.cmutex;
+            let e = Lru.evictions t.cache in
+            Mutex.unlock t.cmutex;
+            e));
+        ]
         @ counters;
       gauges;
       hists;
@@ -593,20 +566,9 @@ let run ?(signals = true) cfg =
       store;
       cache = Lru.create ~capacity:cfg.cache_capacity;
       cmutex = Mutex.create ();
-      memo = Experiments.Analysis_memo.create ();
       models = Hashtbl.create 16;
       mmutex = Mutex.create ();
-      stats =
-        {
-          smutex = Mutex.create ();
-          requests_total = 0;
-          cache_hits = 0;
-          cache_misses = 0;
-          store_hits = 0;
-          computed_total = 0;
-          shed_total = 0;
-          inflight = 0;
-        };
+      stats = { smutex = Mutex.create (); inflight = 0 };
       alog = Option.map Ucp_obs.Access_log.open_ cfg.access_log;
       slog = Option.map Ucp_obs.Access_log.open_ cfg.slow_log;
       req_index = Atomic.make 0;

@@ -207,6 +207,38 @@ let test_parallel_sweep_stage_metrics () =
           | _ -> Alcotest.failf "%s is not a registered fcounter" name)
         [ "analysis"; "refine"; "optimize"; "simulate"; "audit" ])
 
+(* The sweep's analysis memo: the two technology nodes of one
+   (program, configuration, policy) share the original program's
+   fixpoint, so a two-technology sweep runs exactly one original
+   analysis fewer than the two one-technology sweeps together. *)
+let test_parallel_sweep_shares_tech_axis () =
+  let program = Ucp_workloads.Suite.find "fft1" in
+  let config = List.assoc "k2" Config.paper_configs in
+  let original_passes =
+    Ucp_wcet.Analysis.fixpoint_passes
+      (Ucp_wcet.Wcet.analyze ~with_may:true program config)
+  in
+  let fixpoint_iterations techs =
+    Ucp_obs.Metrics.reset ();
+    ignore
+      (Parallel.sweep ~programs:[ ("fft1", program) ]
+         ~configs:[ ("k2", config) ] ~techs ~jobs:1 ());
+    match Ucp_obs.Metrics.find "fixpoint_iterations_total" with
+    | Some (Ucp_obs.Metrics.Counter n) -> n
+    | _ -> Alcotest.fail "fixpoint_iterations_total is not a registered counter"
+  in
+  Alcotest.(check bool) "the original analysis iterates" true
+    (original_passes > 0);
+  Ucp_obs.Metrics.enable ();
+  Fun.protect ~finally:Ucp_obs.Metrics.disable (fun () ->
+      let both = fixpoint_iterations [ Tech.nm45; Tech.nm32 ] in
+      let nm45 = fixpoint_iterations [ Tech.nm45 ] in
+      let nm32 = fixpoint_iterations [ Tech.nm32 ] in
+      Alcotest.(check int)
+        (Printf.sprintf "F(both) %d + F_orig %d = F(45nm) %d + F(32nm) %d" both
+           original_passes nm45 nm32)
+        (nm45 + nm32) (both + original_passes))
+
 (* ------------------------------------------------------------------ *)
 (* robustness: per-case isolation, deadlines, fault injection,
    checkpoint/resume *)
@@ -979,8 +1011,8 @@ module Optimizer = Ucp_prefetch.Optimizer
 
 (* The reference: a use case evaluated and certified with both sides
    analysed, refined, simulated and audited independently, as
-   [Pipeline.prepare] and [finish_audit] did before the original side
-   stood for an unchanged program.  Audit seconds are zeroed. *)
+   [Pipeline.compare_optimized] did before the original side stood for
+   an unchanged program.  Audit seconds are zeroed. *)
 let reference_case ~model (c : Experiments.case) =
   let policy = c.Experiments.case_policy
   and config = c.Experiments.case_config
@@ -1097,36 +1129,37 @@ let test_unchanged_case_shares_faults_caught () =
       0
       [ "audit_ipet_fastpath_total"; "audit_ipet_slowpath_total" ]
   in
-  let prepare ?corrupt_refine ?corrupt_cert label =
-    match
-      Pipeline.prepare ~policy:Ucp_policy.Fifo ~audit:true
-        ~refine:Ucp_refine.Mode.Nc ?corrupt_refine ?corrupt_cert program config
-        Tech.nm45
-    with
-    | cmp, Some input ->
-      Alcotest.(check int) (label ^ ": no prefetch") 0 cmp.Pipeline.prefetches;
-      Alcotest.(check bool) (label ^ ": one measurement for both sides") true
-        (cmp.Pipeline.optimized == cmp.Pipeline.original);
-      Ucp_obs.Metrics.reset ();
-      let audit =
-        match Pipeline.finish_audit input with
-        | a -> Ok a
-        | exception Outcome.Invariant msg -> Error msg
-      in
-      Alcotest.(check int) (label ^ ": one IPET certificate check") 1
-        (ipet_checks ());
-      audit
-    | _, None -> Alcotest.failf "%s: an audited case returned no obligation" label
+  let evaluate ?corrupt_refine ?corrupt_cert label =
+    Ucp_obs.Metrics.reset ();
+    let cmp =
+      match
+        Pipeline.compare_optimized ~policy:Ucp_policy.Fifo ~audit:true
+          ~refine:Ucp_refine.Mode.Nc ?corrupt_refine ?corrupt_cert program
+          config Tech.nm45
+      with
+      | cmp -> Ok cmp
+      | exception Outcome.Invariant msg -> Error msg
+    in
+    Alcotest.(check int) (label ^ ": one IPET certificate check") 1
+      (ipet_checks ());
+    cmp
   in
   Ucp_obs.Metrics.enable ();
   Fun.protect ~finally:Ucp_obs.Metrics.disable (fun () ->
-      (match prepare "clean" with
-      | Ok (Pipeline.Audited { checks; _ }) ->
-        Alcotest.(check int) "every obligation counted" 7 checks
-      | Ok _ | Error _ -> Alcotest.fail "the shared case was not certified");
+      (match evaluate "clean" with
+      | Ok cmp -> (
+        Alcotest.(check int) "clean: no prefetch" 0 cmp.Pipeline.prefetches;
+        Alcotest.(check bool) "clean: one measurement for both sides" true
+          (cmp.Pipeline.optimized == cmp.Pipeline.original);
+        match cmp.Pipeline.audit with
+        | Pipeline.Audited { checks; _ } ->
+          Alcotest.(check int) "every obligation counted" 7 checks
+        | Pipeline.Not_audited | Pipeline.Audit_skipped _ ->
+          Alcotest.fail "the shared case was not certified")
+      | Error msg -> Alcotest.failf "the shared case failed its audit: %s" msg);
       List.iter
         (fun (fault, corrupt_refine, corrupt_cert, obligation) ->
-          match prepare ~corrupt_refine ~corrupt_cert fault with
+          match evaluate ~corrupt_refine ~corrupt_cert fault with
           | Error msg ->
             Alcotest.(check bool)
               (Printf.sprintf "%s names %s (got %S)" fault obligation msg)
@@ -1178,6 +1211,8 @@ let () =
             test_parallel_sweep_single_worker;
           Alcotest.test_case "sweep feeds the stage metrics" `Quick
             test_parallel_sweep_stage_metrics;
+          Alcotest.test_case "technology axis shares one original analysis"
+            `Quick test_parallel_sweep_shares_tech_axis;
         ] );
       ( "robustness",
         [
