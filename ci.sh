@@ -363,15 +363,21 @@ echo "ci: observability smoke passed"
 # Audit-speed smoke: full certification must ride along nearly free.
 # The certificate checks are linear passes (no re-solve), so on a
 # 24-case grid the audited wall stays within 3x of the unaudited one
-# (plus a small absolute slack against timer noise on fast machines),
-# and auditing must not perturb the measurements: the audited records,
-# with the audit verdict fields stripped, are byte-identical to the
-# unaudited run's.
+# (plus a small absolute slack against timer noise on fast machines).
+# That grid takes a fraction of a second, too short for the wall to
+# show an audit several times as costly, so the audit's work is checked
+# too, from both runs' metrics: it re-derives each case's refinement
+# once (exactly twice the unaudited refinement steps), runs no fixpoint
+# of its own, checks 7 obligations per case and certifies every IPET
+# bound on the fast path.  One job, so that no two workers race to the
+# analysis memo and duplicate a fixpoint.  Auditing must not perturb
+# the measurements: the audited records, with the audit verdict fields
+# stripped, are byte-identical to the unaudited run's.
 speed_dir=$(mktemp -d)
 trap 'rm -f "$smoke_err"; rm -rf "$obs_dir" "$speed_dir"' EXIT
 
 dune exec --no-build bin/ucp.exe -- experiment \
-  --programs fft1,crc,st,fdct --configs k2,k5,k17 --jobs 2 \
+  --programs fft1,crc,st,fdct --configs k2,k5,k17 --jobs 1 --metrics \
   --sweep-out "$speed_dir/plain.jsonl" \
   >/dev/null 2>"$smoke_err" || {
   echo "ci: audit-speed smoke: unaudited sweep failed" >&2
@@ -379,7 +385,7 @@ dune exec --no-build bin/ucp.exe -- experiment \
   exit 1
 }
 dune exec --no-build bin/ucp.exe -- experiment \
-  --programs fft1,crc,st,fdct --configs k2,k5,k17 --jobs 2 \
+  --programs fft1,crc,st,fdct --configs k2,k5,k17 --jobs 1 --metrics \
   --audit full --sweep-out "$speed_dir/audited.jsonl" \
   >/dev/null 2>"$smoke_err" || {
   echo "ci: audit-speed smoke: audited sweep failed" >&2
@@ -395,6 +401,34 @@ if ! awk -v a="$wall_audited" -v p="$wall_plain" \
   exit 1
 fi
 
+# summary-line field [$1] of sweep [$2] ("plain" or "audited")
+summary_field() {
+  grep '"summary"' "$speed_dir/$2.jsonl" | sed -n "s/.*\"$1\":\([0-9][0-9]*\).*/\1/p"
+}
+steps_plain=$(summary_field refine_transfer_steps_total plain)
+steps_audited=$(summary_field refine_transfer_steps_total audited)
+fp_plain=$(summary_field fixpoint_node_transfers_total plain)
+fp_audited=$(summary_field fixpoint_node_transfers_total audited)
+obligations=$(summary_field audit_obligations_total audited)
+cases=$(summary_field cases audited)
+if [ -z "$steps_plain" ] || [ "$steps_plain" -eq 0 ] \
+  || [ "$steps_audited" != $((2 * steps_plain)) ]; then
+  echo "ci: audit-speed smoke: refinement steps '$steps_audited' audited, want twice the unaudited '$steps_plain'" >&2
+  exit 1
+fi
+if [ -z "$fp_plain" ] || [ "$fp_audited" != "$fp_plain" ]; then
+  echo "ci: audit-speed smoke: fixpoint node transfers '$fp_audited' audited, want the unaudited '$fp_plain'" >&2
+  exit 1
+fi
+if [ -z "$cases" ] || [ "$obligations" != $((7 * cases)) ]; then
+  echo "ci: audit-speed smoke: '$obligations' audit obligations, want 7 x $cases cases" >&2
+  exit 1
+fi
+if grep '"summary"' "$speed_dir/audited.jsonl" | grep -q '"audit_ipet_slowpath_total"'; then
+  echo "ci: audit-speed smoke: an IPET certificate left the fast path" >&2
+  exit 1
+fi
+
 grep -v '"summary"' "$speed_dir/audited.jsonl" \
   | sed 's/,"audit_checks":[0-9]*,"audit_s":[0-9.]*//' \
   >"$speed_dir/audited.records"
@@ -404,7 +438,8 @@ if ! cmp -s "$speed_dir/audited.records" "$speed_dir/plain.records"; then
   diff "$speed_dir/audited.records" "$speed_dir/plain.records" >&2 || true
   exit 1
 fi
-echo "ci: audit-speed smoke passed (audited ${wall_audited}s vs unaudited ${wall_plain}s)"
+echo "ci: audit-speed smoke passed (audited ${wall_audited}s vs unaudited ${wall_plain}s;" \
+  "refinement steps $steps_audited vs $steps_plain, $obligations obligations)"
 
 # Refinement smoke: the exact-refinement axis end to end.  A small
 # audited sweep under --refine nc must certify every case (the two

@@ -8,12 +8,12 @@ let predecessors p =
   done;
   Array.map List.rev preds
 
-let postorder p =
-  let n = Program.block_count p in
-  let visited = Array.make n false in
+let reverse_postorder p =
+  let visited = Array.make (Program.block_count p) false in
   let order = ref [] in
-  (* Explicit stack with a phase marker to avoid deep recursion on long
-     block chains. *)
+  (* [visit] recurses, one frame per block on the search path: OCaml 5
+     grows its stacks on demand (to 1 GiB by default), so long block
+     chains need no explicit stack. *)
   let rec visit id =
     if not visited.(id) then begin
       visited.(id) <- true;
@@ -22,33 +22,22 @@ let postorder p =
     end
   in
   visit (Program.entry p);
-  (* [order] is built head-first, so it already holds reverse postorder. *)
-  (!order, visited)
-
-let reverse_postorder p =
-  let rpo, _ = postorder p in
-  Array.of_list rpo
-
-let postorder_index p =
-  let rpo, _ = postorder p in
-  let n = Program.block_count p in
-  let idx = Array.make n (-1) in
-  let count = List.length rpo in
-  List.iteri (fun i id -> idx.(id) <- count - 1 - i) rpo;
-  idx
-
-let reachable p =
-  let _, visited = postorder p in
-  visited
-
-let check_all_reachable p =
-  let visited = reachable p in
   Array.iteri
     (fun id ok ->
       if not ok then
         invalid_arg
           (Printf.sprintf "Cfgraph: block %d of %s is unreachable" id (Program.name p)))
-    visited
+    visited;
+  (* [order] is built head-first, so it already holds reverse postorder. *)
+  Array.of_list !order
+
+let postorder_index rpo =
+  let n = Array.length rpo in
+  let idx = Array.make n 0 in
+  Array.iteri (fun i id -> idx.(id) <- n - 1 - i) rpo;
+  idx
+
+let check_all_reachable p = ignore (reverse_postorder p)
 
 let exits p =
   let n = Program.block_count p in

@@ -1,15 +1,10 @@
-module Program = Ucp_isa.Program
-
-type t = { entry : int; idom : int array; po_index : int array }
+type t = { idom : int array; pre : int array; last : int array }
 
 (* Cooper, Harvey, Kennedy: "A Simple, Fast Dominance Algorithm". *)
-let compute p =
-  Cfgraph.check_all_reachable p;
-  let n = Program.block_count p in
-  let entry = Program.entry p in
-  let rpo = Cfgraph.reverse_postorder p in
-  let po_index = Cfgraph.postorder_index p in
-  let preds = Cfgraph.predecessors p in
+let of_order ~rpo ~preds =
+  let n = Array.length rpo in
+  let entry = rpo.(0) in
+  let po_index = Cfgraph.postorder_index rpo in
   let idom = Array.make n (-1) in
   idom.(entry) <- entry;
   let intersect a b =
@@ -48,12 +43,24 @@ let compute p =
         end)
       rpo
   done;
-  { entry; idom; po_index }
+  (* Preorder numbers of the dominator tree (recursing, as
+     {!Cfgraph.reverse_postorder} does): b dominates pre.(b)..last.(b). *)
+  let children = Array.make n [] in
+  for b = n - 1 downto 0 do
+    if b <> entry then children.(idom.(b)) <- b :: children.(idom.(b))
+  done;
+  let pre = Array.make n 0 and last = Array.make n 0 in
+  let count = ref 0 in
+  let rec number b =
+    pre.(b) <- !count;
+    incr count;
+    List.iter number children.(b);
+    last.(b) <- !count - 1
+  in
+  number entry;
+  { idom; pre; last }
+
+let compute p = of_order ~rpo:(Cfgraph.reverse_postorder p) ~preds:(Cfgraph.predecessors p)
 
 let idom t b = t.idom.(b)
-
-let dominates t a b =
-  let rec walk x =
-    if x = a then true else if x = t.entry then a = t.entry else walk t.idom.(x)
-  in
-  walk b
+let dominates t a b = t.pre.(a) <= t.pre.(b) && t.pre.(b) <= t.last.(a)

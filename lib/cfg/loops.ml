@@ -17,9 +17,9 @@ type forest = {
 
 let analyze p =
   let n = Program.block_count p in
-  let dom = Dominators.compute p in
-  let preds = Cfgraph.predecessors p in
-  let po_index = Cfgraph.postorder_index p in
+  let rpo = Cfgraph.reverse_postorder p and preds = Cfgraph.predecessors p in
+  let dom = Dominators.of_order ~rpo ~preds in
+  let po_index = Cfgraph.postorder_index rpo in
   (* Classify edges; a retreating edge that is not a back edge makes the
      graph irreducible. *)
   let back_edges = Hashtbl.create 8 in

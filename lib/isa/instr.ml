@@ -16,5 +16,3 @@ let pp ppf t =
   match t.kind with
   | Compute -> Format.fprintf ppf "i%d" t.uid
   | Prefetch target -> Format.fprintf ppf "pf(i%d)@i%d" target t.uid
-
-let equal a b = a.uid = b.uid && a.kind = b.kind

@@ -29,6 +29,3 @@ val bytes : int
 
 val pp : Format.formatter -> t -> unit
 (** Human-readable rendering, e.g. ["i17"] or ["pf(i3)@i17"]. *)
-
-val equal : t -> t -> bool
-(** Structural equality. *)

@@ -41,26 +41,32 @@ let make program ~block_bytes =
   (* uid -> memory block (-1: no such instruction), only to resolve
      prefetch targets below *)
   let mem_block_of_uid = Array.make (Program.uid_bound program) (-1) in
+  let body id = (Program.block program id).Program.body in
   let slot_blocks =
     Array.init n (fun id ->
-        Array.init (Program.slots program id) (fun pos ->
-            let mb = (base + (Instr.bytes * (starts.(id) + pos))) / block_bytes in
-            mem_block_of_uid.((Program.slot_instr program ~block:id ~pos).Instr.uid) <- mb;
-            mb))
+        let mb pos = (base + (Instr.bytes * (starts.(id) + pos))) / block_bytes in
+        let body = body id in
+        Array.iteri (fun pos i -> mem_block_of_uid.(i.Instr.uid) <- mb pos) body;
+        Option.iter
+          (fun uid -> mem_block_of_uid.(uid) <- mb (Array.length body))
+          (Program.term_uid program id);
+        Array.init (Program.slots program id) mb)
   in
   let targets =
     Array.init n (fun id ->
+        let body = body id in
         Array.init (Program.slots program id) (fun pos ->
-            match (Program.slot_instr program ~block:id ~pos).Instr.kind with
-            | Instr.Compute -> No_target
-            | Instr.Prefetch uid ->
-              if mem_block_of_uid.(uid) < 0 then raise (Dangling_prefetch_target uid);
-              Target mem_block_of_uid.(uid)))
+            if pos = Array.length body then No_target
+            else
+              match body.(pos).Instr.kind with
+              | Instr.Compute -> No_target
+              | Instr.Prefetch uid ->
+                if mem_block_of_uid.(uid) < 0 then raise (Dangling_prefetch_target uid);
+                Target mem_block_of_uid.(uid)))
   in
   { program; block_bytes; base; starts; total; slot_blocks; targets }
 
 let program t = t.program
-let block_bytes t = t.block_bytes
 
 let addr t ~block ~pos =
   let slot_count = Program.slots t.program block in

@@ -39,7 +39,6 @@ val make : Program.t -> block_bytes:int -> t
     from the program (only {!Program.remove_uid} can orphan one). *)
 
 val program : t -> Program.t
-val block_bytes : t -> int
 
 val addr : t -> block:int -> pos:int -> int
 (** Byte address of an instruction slot.

@@ -132,41 +132,50 @@ let make ~name ~entry specs =
 
 let uid_bound t = t.next_uid
 
-let find_uid t uid =
-  let found = ref None in
+let iter_slots t f =
   Array.iteri
     (fun id b ->
-      if !found = None then begin
-        Array.iteri (fun pos i -> if i.Instr.uid = uid then found := Some (id, pos)) b.body;
-        if !found = None && term_slots b.term = 1 then
-          match b.term with
-          | Jump { uid = u; _ } | Cond { uid = u; _ } | Return { uid = u } ->
-            if u = uid then found := Some (id, Array.length b.body)
-          | Fallthrough _ -> ()
-      end)
-    t.blocks;
+      Array.iteri (fun pos instr -> f ~block:id ~pos ~instr) b.body;
+      if term_slots b.term = 1 then
+        f ~block:id ~pos:(Array.length b.body)
+          ~instr:(slot_instr t ~block:id ~pos:(Array.length b.body)))
+    t.blocks
+
+let find_uid t uid =
+  let found = ref None in
+  iter_slots t (fun ~block ~pos ~instr ->
+      if instr.Instr.uid = uid then found := Some (block, pos));
   !found
 
-let insert_prefetch t ~block:id ~pos ~target_uid =
-  if id < 0 || id >= Array.length t.blocks then
-    invalid_arg (Printf.sprintf "Program.insert_prefetch: block %d out of range" id);
-  let b = t.blocks.(id) in
-  let n = Array.length b.body in
-  if pos < 0 || pos > n then
-    invalid_arg (Printf.sprintf "Program.insert_prefetch: pos %d out of range" pos);
-  (match find_uid t target_uid with
-  | Some _ -> ()
-  | None ->
-    invalid_arg (Printf.sprintf "Program.insert_prefetch: unknown target uid %d" target_uid));
-  let uid = t.next_uid in
-  let pf = Instr.prefetch ~uid ~target:target_uid in
-  let body =
-    Array.init (n + 1) (fun i ->
-        if i < pos then b.body.(i) else if i = pos then pf else b.body.(i - 1))
-  in
+let insert_prefetches t batch =
   let blocks = Array.copy t.blocks in
-  blocks.(id) <- { b with body };
-  ({ t with blocks; next_uid = uid + 1 }, uid)
+  List.iteri
+    (fun i (id, pos, target_uid) ->
+      if id < 0 || id >= Array.length blocks then
+        invalid_arg (Printf.sprintf "Program.insert_prefetch: block %d out of range" id);
+      let b = blocks.(id) in
+      let n = Array.length b.body in
+      if pos < 0 || pos > n then
+        invalid_arg (Printf.sprintf "Program.insert_prefetch: pos %d out of range" pos);
+      let pf = Instr.prefetch ~uid:(t.next_uid + i) ~target:target_uid in
+      let body =
+        Array.init (n + 1) (fun k ->
+            if k < pos then b.body.(k) else if k = pos then pf else b.body.(k - 1))
+      in
+      blocks.(id) <- { b with body })
+    batch;
+  (* every target names an instruction of [t]: one pass over its uids *)
+  let present = Array.make t.next_uid false in
+  iter_slots t (fun ~block:_ ~pos:_ ~instr -> present.(instr.Instr.uid) <- true);
+  List.iter
+    (fun (_, _, uid) ->
+      if uid < 0 || uid >= t.next_uid || not present.(uid) then
+        invalid_arg (Printf.sprintf "Program.insert_prefetch: unknown target uid %d" uid))
+    batch;
+  { t with blocks; next_uid = t.next_uid + List.length batch }
+
+let insert_prefetch t ~block ~pos ~target_uid =
+  (insert_prefetches t [ (block, pos, target_uid) ], t.next_uid)
 
 let remove_uid t uid =
   match find_uid t uid with
@@ -215,15 +224,6 @@ let prefetch_equivalent a b =
          Array.length (strip_prefetches_body ba.body)
          = Array.length (strip_prefetches_body bb.body))
        a.blocks b.blocks
-
-let iter_slots t f =
-  Array.iteri
-    (fun id b ->
-      Array.iteri (fun pos instr -> f ~block:id ~pos ~instr) b.body;
-      if term_slots b.term = 1 then
-        f ~block:id ~pos:(Array.length b.body)
-          ~instr:(slot_instr t ~block:id ~pos:(Array.length b.body)))
-    t.blocks
 
 let pp_term ppf = function
   | Fallthrough target -> Format.fprintf ppf "fall b%d" target

@@ -7,7 +7,7 @@
     compilers lay out code.
 
     Programs are immutable; the optimizer derives new, prefetch-extended
-    programs with {!insert_prefetch} ("prefetch-equivalent" programs in
+    programs with {!insert_prefetches} ("prefetch-equivalent" programs in
     the paper's Definition 5). *)
 
 type terminator =
@@ -81,6 +81,12 @@ val insert_prefetch : t -> block:int -> pos:int -> target_uid:int -> t * int
     position [pos] ([pos] = body length inserts just before the
     terminator), together with the fresh uid of the new instruction.
     @raise Invalid_argument on bad coordinates or unknown target uid. *)
+
+val insert_prefetches : t -> (int * int * int) list -> t
+(** [insert_prefetches p batch] is {!insert_prefetch} folded over the
+    [(block, pos, target_uid)] triples of [batch]: the [i]-th prefetch
+    gets uid [uid_bound p + i].  One pass checks that every target
+    names an instruction of [p]. *)
 
 val remove_uid : t -> int -> t
 (** Remove the instruction with the given uid.  Nothing in the tool

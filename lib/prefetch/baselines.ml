@@ -31,14 +31,9 @@ let bb_start program config model =
   done;
   Hashtbl.fold (fun block targets acc -> (block, List.rev targets) :: acc) wanted []
   |> List.sort compare
-  |> List.fold_left
-       (fun p (block, targets) ->
-         List.fold_left
-           (fun p (_mb, target_uid) ->
-             let p, _uid = Program.insert_prefetch p ~block ~pos:0 ~target_uid in
-             p)
-           p targets)
-       program
+  |> List.concat_map (fun (block, targets) ->
+         List.map (fun (_mb, target_uid) -> (block, 0, target_uid)) targets)
+  |> Program.insert_prefetches program
 
 type locking = {
   locked_blocks : int list;

@@ -54,12 +54,13 @@ type candidate = {
 
 (* The WCET path flattened into per-reference arrays — the ACFG view the
    reverse sweep operates on — filled one path node at a time from the
-   layout's slot table. *)
+   layout's slot table and the analysis' classifications. *)
 type path_view = {
   len : int;
   node : int array;
   pos : int array;
   mem_block : int array;
+  cls : Classification.t array;
   is_pf : bool array;
   pf_target : int array;  (* target mem block of prefetch slots, else -1 *)
   cum : int array;  (* cum.(k): per-execution WCET time of references 0..k-1 *)
@@ -69,35 +70,35 @@ let view_of_path (w : Wcet.t) =
   let analysis = w.Wcet.analysis in
   let vivu = Analysis.vivu analysis in
   let layout = Analysis.layout analysis in
-  let len =
-    Array.fold_left (fun acc nid -> acc + Array.length w.Wcet.slot_cycles.(nid)) 0 w.Wcet.path
-  in
+  let slots nid = Layout.slot_mem_blocks layout (Vivu.node vivu nid).Vivu.block in
+  let len = Array.fold_left (fun acc nid -> acc + Array.length (slots nid)) 0 w.Wcet.path in
   let node = Array.make len 0
   and pos = Array.make len 0
   and mem_block = Array.make len 0
+  and cls = Array.make len Classification.Not_classified
   and is_pf = Array.make len false
   and pf_target = Array.make len (-1)
   and cum = Array.make (len + 1) 0 in
   let k = ref 0 in
   Array.iter
     (fun nid ->
-      let block = (Vivu.node vivu nid).Vivu.block in
-      let targets = Layout.prefetch_targets layout block in
+      let targets = Layout.prefetch_targets layout (Vivu.node vivu nid).Vivu.block in
       Array.iteri
         (fun p mb ->
           node.(!k) <- nid;
           pos.(!k) <- p;
           mem_block.(!k) <- mb;
+          cls.(!k) <- Analysis.classif analysis ~node:nid ~pos:p;
           (match targets.(p) with
           | Layout.Target tb ->
             is_pf.(!k) <- true;
             pf_target.(!k) <- tb
           | Layout.No_target -> ());
-          cum.(!k + 1) <- cum.(!k) + w.Wcet.slot_cycles.(nid).(p);
+          cum.(!k + 1) <- cum.(!k) + Wcet.cycles_of w.Wcet.model cls.(!k);
           incr k)
-        (Layout.slot_mem_blocks layout block))
+        (slots nid))
     w.Wcet.path;
-  { len; node; pos; mem_block; is_pf; pf_target; cum }
+  { len; node; pos; mem_block; cls; is_pf; pf_target; cum }
 
 (* Sum over on-path instances of a concrete block of their WCET counts:
    the execution count a prefetch materialized in that block gets. *)
@@ -137,7 +138,7 @@ let discover_with ~placement ~dom (w : Wcet.t) =
   let demand_hint i =
     if Abstract.contains st view.mem_block.(i) then Ucp_policy.Hit
     else
-      match Analysis.classif analysis ~node:view.node.(i) ~pos:view.pos.(i) with
+      match view.cls.(i) with
       | Classification.Always_hit -> Ucp_policy.Hit
       | Classification.Always_miss -> Ucp_policy.Miss
       | Classification.Not_classified -> Ucp_policy.Unknown
@@ -209,10 +210,13 @@ let discover_with ~placement ~dom (w : Wcet.t) =
           incr conflict_count
         end
       in
-      (* conflicts already inside the window [k_max, j) *)
-      for t = k_max to j - 1 do
-        note view.mem_block.(t);
-        if view.is_pf.(t) then note view.pf_target.(t)
+      (* conflicts already inside the window [k_max, j); from [assoc]
+         on, [note] does nothing, so every scan below stops there *)
+      let t = ref k_max in
+      while !t < j && !conflict_count < assoc do
+        note view.mem_block.(!t);
+        if view.is_pf.(!t) then note view.pf_target.(!t);
+        incr t
       done;
       let block_of k = (Vivu.node vivu view.node.(k)).Vivu.block in
       (* Walk backwards through the survivable window and keep the
@@ -251,7 +255,7 @@ let discover_with ~placement ~dom (w : Wcet.t) =
           &&
           (let saved = !conflicts and saved_count = !conflict_count in
            let rec widen k =
-             if k >= i + 1 then begin
+             if k >= i + 1 && !conflict_count < assoc then begin
                note view.mem_block.(k);
                if view.is_pf.(k) then note view.pf_target.(k);
                widen (k - 1)
@@ -288,8 +292,7 @@ let discover_with ~placement ~dom (w : Wcet.t) =
       (fun (s', j) ->
         let n_w_j = w.Wcet.n_w.(view.node.(j)) in
         if
-          Classification.is_wcet_miss
-            (Analysis.classif analysis ~node:view.node.(j) ~pos:view.pos.(j))
+          Classification.is_wcet_miss view.cls.(j)
           && n_w_j > 0
           && (not view.is_pf.(j)) (* Equation 9: never prefetch for a prefetch *)
           && not seen_use.(j)
@@ -406,7 +409,8 @@ let optimize ?deadline ?(placement = At_eviction) ?(max_insertions = 2000)
     | c :: tl -> if n = 0 then [] else c :: take (n - 1) tl
   in
   (* Candidates are applied in descending (block, position) order so
-     earlier insertions do not shift the coordinates of later ones. *)
+     earlier insertions do not shift the coordinates of later ones; the
+     batch numbers them from [uid_bound p] in that order. *)
   let materialize p prefix =
     let ordered =
       List.sort
@@ -416,14 +420,11 @@ let optimize ?deadline ?(placement = At_eviction) ?(max_insertions = 2000)
             (a.cand_insert_block, a.cand_insert_pos))
         prefix
     in
-    List.fold_left
-      (fun (p, uids) c ->
-        let p, uid =
-          Program.insert_prefetch p ~block:c.cand_insert_block ~pos:c.cand_insert_pos
-            ~target_uid:c.cand_target_uid
-        in
-        (p, (c, uid) :: uids))
-      (p, []) ordered
+    ( Program.insert_prefetches p
+        (List.map
+           (fun c -> (c.cand_insert_block, c.cand_insert_pos, c.cand_target_uid))
+           ordered),
+      List.rev (List.mapi (fun i c -> (c, Program.uid_bound p + i)) ordered) )
   in
   let rounds = ref 1 in
   (* Prefix bisection over the gain-ranked candidate list: a whole

@@ -360,7 +360,7 @@ let replay_witness ?(seed = 42) (w : Wcet.t) =
   in
   (* Abstract re-derivation of tau_w: sum the per-slot WCET charges
      along the witness from the classifications and the timing model
-     alone, without trusting slot_cycles/node_cycles. *)
+     alone, without trusting node_cycles. *)
   let* () =
     let tau' = ref 0 in
     Array.iter

@@ -11,5 +11,3 @@ let to_string = function
   | Always_hit -> "AH"
   | Always_miss -> "AM"
   | Not_classified -> "NC"
-
-let pp ppf t = Format.pp_print_string ppf (to_string t)

@@ -9,5 +9,4 @@ type t =
 val is_wcet_miss : t -> bool
 (** Does the WCET bound charge the miss penalty for this reference? *)
 
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string

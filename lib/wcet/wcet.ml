@@ -7,7 +7,6 @@ module Cacti = Ucp_energy.Cacti
 type t = {
   analysis : Analysis.t;
   model : Cacti.t;
-  slot_cycles : int array array;
   node_cycles : int array;
   n_w : int array;
   on_path : bool array;
@@ -66,19 +65,19 @@ let of_analysis analysis model =
   let vivu = Analysis.vivu analysis in
   let program = Vivu.program vivu in
   let n = Vivu.node_count vivu in
-  let slot_cycles =
+  let node_cycles =
     Array.init n (fun node_id ->
-        let nd = Vivu.node vivu node_id in
-        let n_slots = Program.slots program nd.Vivu.block in
-        Array.init n_slots (fun pos ->
-            cycles_of model (Analysis.classif analysis ~node:node_id ~pos)))
+        let cycles = ref 0 in
+        for pos = 0 to Program.slots program (Vivu.node vivu node_id).Vivu.block - 1 do
+          cycles := !cycles + cycles_of model (Analysis.classif analysis ~node:node_id ~pos)
+        done;
+        !cycles)
   in
-  let node_cycles = Array.map (Array.fold_left ( + ) 0) slot_cycles in
   let tau, path = longest_path vivu ~node_cycles in
   let on_path = Array.make n false in
   Array.iter (fun id -> on_path.(id) <- true) path;
   let n_w = Array.init n (fun id -> if on_path.(id) then Vivu.mult vivu id else 0) in
-  { analysis; model; slot_cycles; node_cycles; n_w; on_path; path; tau }
+  { analysis; model; node_cycles; n_w; on_path; path; tau }
 
 let analyze ?deadline ?with_may ?pinned ?policy program config =
   let layout = Layout.make program ~block_bytes:config.Ucp_cache.Config.block_bytes in

@@ -10,15 +10,16 @@
 type t = {
   analysis : Analysis.t;
   model : Ucp_energy.Cacti.t;
-  slot_cycles : int array array;
-      (** per expanded node and slot: [t_w(r)], the reference's memory
-          time in the WCET scenario (per single execution) *)
-  node_cycles : int array;  (** per node: sum over its slots *)
+  node_cycles : int array;  (** per node: {!cycles_of} summed over its slots *)
   n_w : int array;  (** per node: executions in the WCET scenario *)
   on_path : bool array;
   path : int array;  (** WCET path as expanded node ids, entry first *)
   tau : int;  (** τ_w: total memory contribution to the WCET, cycles *)
 }
+
+val cycles_of : Ucp_energy.Cacti.t -> Classification.t -> int
+(** [t_w(r)]: one execution's memory time in the WCET scenario of a
+    reference so classified — hit time, plus penalty if a WCET miss. *)
 
 val compute :
   ?deadline:Ucp_util.Deadline.t ->

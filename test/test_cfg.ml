@@ -83,6 +83,36 @@ let test_dominators_diamond () =
     (Dominators.dominates d 1 3);
   Alcotest.(check bool) "reflexive" true (Dominators.dominates d 2 2)
 
+(* The first block pair on which [dominates] disagrees with a walk up
+   the idom chain: [a] dominates [b] iff the chain from [b] to the
+   entry meets [a]. *)
+let dominance_mismatch p =
+  let d = Dominators.compute p in
+  let entry = Program.entry p in
+  let rec on_chain a x = x = a || (x <> entry && on_chain a (Dominators.idom d x)) in
+  let n = Program.block_count p in
+  let found = ref None in
+  for a = 0 to n - 1 do
+    for b = 0 to n - 1 do
+      if !found = None && Dominators.dominates d a b <> on_chain a b then
+        found := Some (a, b)
+    done
+  done;
+  !found
+
+let test_dominance_matches_walk_suite () =
+  List.iter
+    (fun (name, p) ->
+      match dominance_mismatch p with
+      | None -> ()
+      | Some (a, b) -> Alcotest.failf "%s: dominates %d %d disagrees with the walk" name a b)
+    Ucp_workloads.Suite.all
+
+let prop_dominance_matches_walk =
+  QCheck2.Test.make ~name:"interval dominance matches the idom walk" ~count:150
+    ~print:Ucp_testlib.print_program Ucp_testlib.gen_program (fun p ->
+      dominance_mismatch p = None)
+
 (* ------------------------------------------------------------------ *)
 (* Loops *)
 
@@ -394,6 +424,9 @@ let () =
       ( "dominators",
         [
           Alcotest.test_case "diamond" `Quick test_dominators_diamond;
+          Alcotest.test_case "suite matches the idom walk" `Quick
+            test_dominance_matches_walk_suite;
+          QCheck_alcotest.to_alcotest prop_dominance_matches_walk;
         ] );
       ( "loops",
         [

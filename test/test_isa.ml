@@ -118,6 +118,33 @@ let test_insert_rejects_bad_target () =
        false
      with Invalid_argument _ -> true)
 
+(* A batch is [insert_prefetch] folded over its list: the same listing
+   and the same uids, also for two insertions at one (block, pos) and
+   for coordinates that address slots earlier insertions created. *)
+let test_insert_batch_matches_fold () =
+  let p = diamond () in
+  let batch = [ (3, 1, 0); (1, 0, 8); (3, 1, 2); (1, 4, 3); (0, 2, 10); (3, 0, 1) ] in
+  let folded, uids =
+    List.fold_left
+      (fun (p, uids) (block, pos, target_uid) ->
+        let p, uid = Program.insert_prefetch p ~block ~pos ~target_uid in
+        (p, uid :: uids))
+      (p, []) batch
+  in
+  let batched = Program.insert_prefetches p batch in
+  let listing p = Format.asprintf "%a" Program.pp p in
+  Alcotest.(check string) "same listing" (listing folded) (listing batched);
+  Alcotest.(check (list int)) "consecutive uids"
+    (List.init (List.length batch) (fun i -> Program.uid_bound p + i))
+    (List.rev uids);
+  Alcotest.(check int) "same uid bound" (Program.uid_bound folded)
+    (Program.uid_bound batched);
+  Alcotest.(check bool) "unknown target rejected" true
+    (try
+       ignore (Program.insert_prefetches p [ (0, 0, 1); (1, 0, 77) ]);
+       false
+     with Invalid_argument _ -> true)
+
 let test_remove_rejects_terminator () =
   let p = straightline 2 in
   let term_uid = Option.get (Program.term_uid p 0) in
@@ -288,6 +315,8 @@ let () =
           Alcotest.test_case "find uid" `Quick test_find_uid;
           Alcotest.test_case "insert/remove prefetch" `Quick test_insert_and_remove_prefetch;
           Alcotest.test_case "insert bad target" `Quick test_insert_rejects_bad_target;
+          Alcotest.test_case "batch insert matches fold" `Quick
+            test_insert_batch_matches_fold;
           Alcotest.test_case "remove terminator" `Quick test_remove_rejects_terminator;
           Alcotest.test_case "prefetch-equivalent negative" `Quick
             test_prefetch_equivalent_negative;

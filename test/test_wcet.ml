@@ -212,6 +212,34 @@ let test_ipet_unsolvable_printed () =
       ("solve_cfg", true, "Ipet.solve_cfg: unbounded flow model");
     ]
 
+(* [node_cycles] and [tau] against a per-slot reference: each slot of a
+   node costs the hit time plus, when charged as a miss, the penalty;
+   tau weighs the path's node sums by their multiplicities. *)
+let prop_node_cycles_reference =
+  QCheck2.Test.make ~name:"node cycles and tau match a per-slot sum" ~count:100
+    ~print:(fun (p, c) -> Ucp_testlib.print_program p ^ " @ " ^ Ucp_testlib.print_config c)
+    QCheck2.Gen.(pair Ucp_testlib.gen_program Ucp_testlib.gen_config)
+    (fun (p, c) ->
+      let w = Wcet.compute p c model in
+      let a = w.Wcet.analysis in
+      let vivu = Analysis.vivu a in
+      let reference =
+        Array.init (Ucp_cfg.Vivu.node_count vivu) (fun node ->
+            let nd = Ucp_cfg.Vivu.node vivu node in
+            let sum = ref 0 in
+            for pos = 0 to Program.slots p nd.Ucp_cfg.Vivu.block - 1 do
+              sum := !sum + model.Cacti.hit_cycles;
+              if Classification.is_wcet_miss (Analysis.classif a ~node ~pos) then
+                sum := !sum + model.Cacti.miss_penalty
+            done;
+            !sum)
+      in
+      reference = w.Wcet.node_cycles
+      && w.Wcet.tau
+         = Array.fold_left
+             (fun acc node -> acc + (reference.(node) * Ucp_cfg.Vivu.mult vivu node))
+             0 w.Wcet.path)
+
 let prop_cfg_ipet_upper_bound =
   QCheck2.Test.make ~name:"CFG-level IPET is an upper bound of tau_w" ~count:40
     ~print:Ucp_testlib.print_program Ucp_testlib.gen_program (fun p ->
@@ -427,6 +455,7 @@ let () =
           Alcotest.test_case "fixpoint output pinned" `Quick test_fixpoint_output_pinned;
           Alcotest.test_case "residual stall reference" `Quick
             test_residual_stall_reference;
+          QCheck_alcotest.to_alcotest prop_node_cycles_reference;
         ] );
       ( "ipet",
         [
