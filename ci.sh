@@ -369,15 +369,16 @@ echo "ci: observability smoke passed"
 # too, from both runs' metrics: it re-derives each case's refinement
 # once (exactly twice the unaudited refinement steps), runs no fixpoint
 # of its own, checks 7 obligations per case and certifies every IPET
-# bound on the fast path.  One job, so that no two workers race to the
-# analysis memo and duplicate a fixpoint.  Auditing must not perturb
-# the measurements: the audited records, with the audit verdict fields
-# stripped, are byte-identical to the unaudited run's.
+# bound on the fast path.  Two jobs: the analysis memo is
+# single-flight, so the fixpoint counters do not depend on how the
+# workers interleave.  Auditing must not perturb the measurements: the
+# audited records, with the audit verdict fields stripped, are
+# byte-identical to the unaudited run's.
 speed_dir=$(mktemp -d)
 trap 'rm -f "$smoke_err"; rm -rf "$obs_dir" "$speed_dir"' EXIT
 
 dune exec --no-build bin/ucp.exe -- experiment \
-  --programs fft1,crc,st,fdct --configs k2,k5,k17 --jobs 1 --metrics \
+  --programs fft1,crc,st,fdct --configs k2,k5,k17 --jobs 2 --metrics \
   --sweep-out "$speed_dir/plain.jsonl" \
   >/dev/null 2>"$smoke_err" || {
   echo "ci: audit-speed smoke: unaudited sweep failed" >&2
@@ -385,7 +386,7 @@ dune exec --no-build bin/ucp.exe -- experiment \
   exit 1
 }
 dune exec --no-build bin/ucp.exe -- experiment \
-  --programs fft1,crc,st,fdct --configs k2,k5,k17 --jobs 1 --metrics \
+  --programs fft1,crc,st,fdct --configs k2,k5,k17 --jobs 2 --metrics \
   --audit full --sweep-out "$speed_dir/audited.jsonl" \
   >/dev/null 2>"$smoke_err" || {
   echo "ci: audit-speed smoke: audited sweep failed" >&2
@@ -440,6 +441,30 @@ if ! cmp -s "$speed_dir/audited.records" "$speed_dir/plain.records"; then
 fi
 echo "ci: audit-speed smoke passed (audited ${wall_audited}s vs unaudited ${wall_plain}s;" \
   "refinement steps $steps_audited vs $steps_plain, $obligations obligations)"
+
+# Audited grid slice: four programs over all 36 configurations, both
+# technologies and the three policies (864 cases, 347 of them with
+# prefetches), certified in full on two jobs.  It covers the 16 B lines
+# and the 256 B to 4 KiB caches where no benchmark workload replays a
+# witness.  Stdout and the record lines, with each record's audit
+# wall-clock (audit_s) stripped, must hash to the pinned digests.
+dune exec --no-build bin/ucp.exe -- experiment \
+  --programs fft1,crc,st,fdct --full --policies lru,fifo,plru --audit full --jobs 2 \
+  --sweep-out "$speed_dir/slice.jsonl" \
+  >"$speed_dir/slice.out" 2>"$smoke_err" || {
+  echo "ci: audited slice: sweep failed" >&2
+  cat "$smoke_err" >&2
+  exit 1
+}
+slice_out_md5=$(md5sum <"$speed_dir/slice.out" | cut -d' ' -f1)
+slice_records_md5=$(grep -v '"summary"' "$speed_dir/slice.jsonl" \
+  | sed 's/,"audit_s":[0-9.e-]*//' | md5sum | cut -d' ' -f1)
+if [ "$slice_out_md5" != "a6642ed5b1c2dfc1e68e82a2a1f7407e" ] \
+  || [ "$slice_records_md5" != "bc6d0e4efa81b5b7ccd7cc8c90e4360b" ]; then
+  echo "ci: audited slice: stdout $slice_out_md5 or records $slice_records_md5 differ from the pinned digests" >&2
+  exit 1
+fi
+echo "ci: audited slice passed"
 
 # Refinement smoke: the exact-refinement axis end to end.  A small
 # audited sweep under --refine nc must certify every case (the two

@@ -80,46 +80,70 @@ let model_table configs techs =
 (* The cache-aware analysis of an *original* program depends only on
    (program, configuration, policy) — never on the CACTI timing model —
    so the two technology nodes of the grid share one fixpoint.  The
-   memo is a plain mutex-guarded table: a lookup miss computes outside
-   the lock (two workers may race to the same key and duplicate one
-   fixpoint, but never serialize multi-second analyses behind a
-   lock). *)
+   memo is single-flight: the first worker to miss a key claims it and
+   computes outside the lock, and a worker that misses a claimed key
+   waits for its result.  A computation that raises releases its
+   claim, and a waiting worker then computes the key itself.  A waiter
+   only ever waits on a computation of one analysis, which is bounded
+   by its worker's deadline. *)
 module Analysis_memo = struct
+  type entry = Claimed | Done of Ucp_wcet.Analysis.t
+
   type t = {
     mutex : Mutex.t;
-    table : (string, Ucp_wcet.Analysis.t) Hashtbl.t;
+    settled : Condition.t;  (* a claim was fulfilled or released *)
+    table : (string, entry) Hashtbl.t;
   }
 
-  let create () = { mutex = Mutex.create (); table = Hashtbl.create 97 }
+  let create () =
+    { mutex = Mutex.create (); settled = Condition.create (); table = Hashtbl.create 97 }
 
   let key c =
     Printf.sprintf "%s:%s:%s" c.case_program_name c.case_config_id
       (Ucp_policy.to_string c.case_policy)
 
-  let find memo k =
+  (* Settle [k] with [entry] ([None] releases the claim) and wake the
+     waiters. *)
+  let settle memo k entry =
     Mutex.lock memo.mutex;
-    let r = Hashtbl.find_opt memo.table k in
-    Mutex.unlock memo.mutex;
-    r
-
-  let add memo k a =
-    Mutex.lock memo.mutex;
-    if not (Hashtbl.mem memo.table k) then Hashtbl.add memo.table k a;
+    (match entry with
+    | Some a -> Hashtbl.replace memo.table k (Done a)
+    | None -> Hashtbl.remove memo.table k);
+    Condition.broadcast memo.settled;
     Mutex.unlock memo.mutex
+
+  let find_or_compute memo k compute =
+    Mutex.lock memo.mutex;
+    let rec claim () =
+      match Hashtbl.find_opt memo.table k with
+      | Some (Done a) -> Some a
+      | Some Claimed ->
+        Condition.wait memo.settled memo.mutex;
+        claim ()
+      | None ->
+        Hashtbl.replace memo.table k Claimed;
+        None
+    in
+    let found = claim () in
+    Mutex.unlock memo.mutex;
+    match found with
+    | Some a -> a
+    | None -> (
+      match compute () with
+      | a ->
+        settle memo k (Some a);
+        a
+      | exception e ->
+        let bt = Printexc.get_raw_backtrace () in
+        settle memo k None;
+        Printexc.raise_with_backtrace e bt)
 end
 
 let memoized_analysis ?deadline memo c =
-  let k = Analysis_memo.key c in
-  match Analysis_memo.find memo k with
-  | Some a -> a
-  | None ->
-    let a =
+  Analysis_memo.find_or_compute memo (Analysis_memo.key c) (fun () ->
       Pipeline.stage "analysis" (fun () ->
           Ucp_wcet.Wcet.analyze ?deadline ~with_may:true ~policy:c.case_policy
-            c.case_program c.case_config)
-    in
-    Analysis_memo.add memo k a;
-    a
+            c.case_program c.case_config))
 
 let record_of c (cmp : Pipeline.comparison) =
   {

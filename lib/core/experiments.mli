@@ -81,9 +81,10 @@ val model_table :
 (** A sweep-wide memo of original-program analyses, keyed
     ["<program>:<config id>:<policy>"].  The cache-aware fixpoint never
     reads the CACTI timing model, so the technology axis of the grid
-    shares one analysis per key.  Thread-safe (mutex-guarded lookups;
-    misses compute outside the lock, racing workers may duplicate but
-    never block). *)
+    shares one analysis per key.  Thread-safe and single-flight: the
+    first worker to miss a key computes it outside the lock, later
+    workers wait for its result, and a computation that raises lets a
+    waiting worker compute the key itself. *)
 module Analysis_memo : sig
   type t
 

@@ -49,13 +49,21 @@ let cset_copy cs =
   | Order l -> Order l
   | Tree t -> Tree { ways = Array.copy t.ways; bits = t.bits }
 
+(* Position of [mb] in an LRU or FIFO queue whose youngest entry is at
+   [i]; -1 if absent.  The [int] annotations of the queue helpers make
+   every block comparison an integer compare, as in the abstract
+   helpers below. *)
+let rec order_pos i (mb : int) = function
+  | [] -> -1
+  | x :: tl -> if x = mb then i else order_pos (i + 1) mb tl
+
 (* Queue access shared by LRU and FIFO: [reorder] is whether a hit
    moves the block to the front (LRU yes, FIFO no).  A hit on the
    youngest entry leaves the queue as it is under both. *)
-let order_access ~reorder ~assoc lst mb =
+let order_access ~reorder ~assoc (lst : int list) (mb : int) =
   match lst with
   | youngest :: _ when youngest = mb -> (lst, true, None)
-  | _ when List.mem mb lst ->
+  | _ when order_pos 0 mb lst >= 0 ->
     let lst' = if reorder then mb :: List.filter (fun x -> x <> mb) lst else lst in
     (lst', true, None)
   | _ when List.length lst < assoc -> (mb :: lst, false, None)
@@ -74,11 +82,8 @@ let order_access ~reorder ~assoc lst mb =
     (mb :: kept, false, Some victim)
 
 let order_age lst mb =
-  let rec go i = function
-    | [] -> None
-    | x :: tl -> if x = mb then Some i else go (i + 1) tl
-  in
-  match lst with [] -> None | l -> go 0 l
+  let i = order_pos 0 mb lst in
+  if i < 0 then None else Some i
 
 (* ---------------------------------------------------------------- *)
 (* Shared abstract helpers                                          *)

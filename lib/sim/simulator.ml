@@ -65,20 +65,16 @@ let issue_prefetch st mb =
     st.prefetch_fills <- st.prefetch_fills + 1;
     true
 
-(* Fetch the instruction at [addr]'s block: accounts time and energy
-   events; returns whether it hit without any stall. *)
-let fetch_locked st locked mb =
-  st.fetches <- st.fetches + 1;
-  if Hashtbl.mem locked mb then begin
-    st.hits <- st.hits + 1;
-    st.cycles <- st.cycles + st.model.Cacti.hit_cycles;
-    true
+(* Account [n] demand fetches with the verdict [hit]. *)
+let charge st n hit =
+  st.fetches <- st.fetches + n;
+  if hit then begin
+    st.hits <- st.hits + n;
+    st.cycles <- st.cycles + (n * st.model.Cacti.hit_cycles)
   end
   else begin
-    (* locked caches never allocate: every unlocked access pays DRAM *)
-    st.misses <- st.misses + 1;
-    st.cycles <- st.cycles + st.model.Cacti.hit_cycles + st.model.Cacti.miss_penalty;
-    false
+    st.misses <- st.misses + n;
+    st.cycles <- st.cycles + (n * (st.model.Cacti.hit_cycles + st.model.Cacti.miss_penalty))
   end
 
 (* A demand access through the cache; returns whether it hit.  The
@@ -101,23 +97,6 @@ let access_cache st mb =
     | None -> ());
     true
   | Concrete.Miss _ -> false
-
-(* A re-access of [st.last_block] is a hit that leaves the cache as it
-   is (the re-access obligation of [Ucp_policy.POLICY.cset_access]),
-   and the access before it already took the line's in-flight entry
-   out, so it skips the cache (DESIGN.md §22). *)
-let fetch_demand st mb =
-  st.fetches <- st.fetches + 1;
-  let hit = mb = st.last_block || access_cache st mb in
-  if hit then begin
-    st.hits <- st.hits + 1;
-    st.cycles <- st.cycles + st.model.Cacti.hit_cycles
-  end
-  else begin
-    st.misses <- st.misses + 1;
-    st.cycles <- st.cycles + st.model.Cacti.hit_cycles + st.model.Cacti.miss_penalty
-  end;
-  hit
 
 let cond_decision st block model =
   let count = st.branch_counts.(block) in
@@ -164,29 +143,22 @@ let run ?(seed = 42) ?(max_steps = 3_000_000) ?(policy = Concrete.Lru) ?hw ?lock
       late_stalls = 0;
     }
   in
-  let fetch st mb =
+  (* The verdict of a demand fetch of [mb].  A locked cache never
+     allocates: a locked block hits, every other fetch pays DRAM.  A
+     pinned block (a locked way) hits with no replacement effect.  A
+     re-access of [st.last_block] is a hit that leaves the cache as it
+     is (the re-access obligation of [Ucp_policy.POLICY.cset_access]),
+     and the access before it already took the line's in-flight entry
+     out, so it skips the cache (DESIGN.md §22). *)
+  let fetch mb =
     match locked_tbl with
-    | Some tbl -> fetch_locked st tbl mb
-    | None ->
-      if is_pinned mb then begin
-        (* locked way: unconditional hit, no replacement effect *)
-        st.fetches <- st.fetches + 1;
-        st.hits <- st.hits + 1;
-        st.cycles <- st.cycles + st.model.Cacti.hit_cycles;
-        true
-      end
-      else fetch_demand st mb
+    | Some tbl -> Hashtbl.mem tbl mb
+    | None -> is_pinned mb || mb = st.last_block || access_cache st mb
   in
-  (* Demand fetch of the slot at [(block, pos)], reporting the static
-     slot coordinates and the hit/miss verdict to [?on_fetch] (the
-     soundness cross-validation probe). *)
-  let fetch_at st ~block ~pos mb =
-    let hit = fetch st mb in
-    (match on_fetch with
-    | Some probe -> probe ~block ~pos ~hit
-    | None -> ());
-    hit
-  in
+  (* A fetch that re-reads the block of the fetch just before it, with
+     no fill between, hits in a plain cache and under [~pinned] (by the
+     rule above), and repeats that fetch's verdict under [~locked]. *)
+  let reread_hits = Option.is_none locked_tbl in
   (* Show the fetch of slot [(block, pos)] to the hardware prefetcher,
      if there is one, and issue what it asks for.  [branch] is the
      taken target and the decision of a conditional. *)
@@ -216,6 +188,28 @@ let run ?(seed = 42) ?(max_steps = 3_000_000) ?(policy = Concrete.Lru) ?hw ?lock
              taken;
            })
   in
+  (* The last slot of each run of every block (DESIGN.md §27).  A run
+     is a maximal span of slots in one memory block of which only the
+     last may prefetch, so every slot after its first re-reads the
+     block of the slot before it, with no fill between.  A hardware
+     prefetcher observes every fetch and may fill after any of them:
+     under one, each slot is its own run. *)
+  let runs =
+    Array.init (Program.block_count program) (fun block ->
+        let mem_blocks = Layout.slot_mem_blocks layout block in
+        let targets = Layout.prefetch_targets layout block in
+        let n = Array.length mem_blocks in
+        let ends pos =
+          pos = n - 1
+          || Option.is_some hw
+          || mem_blocks.(pos + 1) <> mem_blocks.(pos)
+          || match targets.(pos) with Layout.Target _ -> true | Layout.No_target -> false
+        in
+        let rec collect pos acc =
+          if pos < 0 then acc else collect (pos - 1) (if ends pos then pos :: acc else acc)
+        in
+        Array.of_list (collect (n - 1) []))
+  in
   let rec exec_block block =
     if st.executed > max_steps then
       raise (Step_limit_exceeded { program = Program.name program; limit = max_steps });
@@ -223,41 +217,53 @@ let run ?(seed = 42) ?(max_steps = 3_000_000) ?(policy = Concrete.Lru) ?hw ?lock
     let targets = Layout.prefetch_targets layout block in
     let b = Program.block program block in
     let body_len = Array.length b.Program.body in
-    (* body slots *)
-    for pos = 0 to body_len - 1 do
-      let mb = mem_blocks.(pos) in
-      let hit = fetch_at st ~block ~pos mb in
-      st.executed <- st.executed + 1;
-      (match targets.(pos) with
-      | Layout.No_target -> ()
-      | Layout.Target target ->
-        st.executed_prefetches <- st.executed_prefetches + 1;
-        if locked_tbl = None && not (is_pinned target) then
-          ignore (issue_prefetch st target));
-      hw_observe ~block ~pos mb hit
+    (* One step per run: its first slot is fetched, its [k] re-reads
+       are charged at once.  [?on_fetch] still sees every slot, in
+       order.  [hit] ends as the last run's first verdict, which under
+       a hardware prefetcher is the terminator's. *)
+    let ends = runs.(block) in
+    let first = ref 0 and hit = ref false in
+    for r = 0 to Array.length ends - 1 do
+      let last = ends.(r) in
+      let mb = mem_blocks.(!first) and k = last - !first in
+      let h = fetch mb in
+      let again = h || reread_hits in
+      charge st 1 h;
+      charge st k again;
+      (match on_fetch with
+      | None -> ()
+      | Some probe ->
+        probe ~block ~pos:!first ~hit:h;
+        for pos = !first + 1 to last do
+          probe ~block ~pos ~hit:again
+        done);
+      st.executed <- st.executed + k + 1;
+      if last < body_len then begin
+        (match targets.(last) with
+        | Layout.No_target -> ()
+        | Layout.Target target ->
+          st.executed_prefetches <- st.executed_prefetches + 1;
+          if Option.is_none locked_tbl && not (is_pinned target) then
+            ignore (issue_prefetch st target));
+        hw_observe ~block ~pos:last mb h
+      end;
+      hit := h;
+      first := last + 1
     done;
-    (* terminator *)
+    (* the terminator's fetch was its block's last slot *)
     match b.Program.term with
     | Program.Fallthrough target -> exec_block target
     | Program.Jump { target; _ } ->
-      let mb = mem_blocks.(body_len) in
-      let hit = fetch_at st ~block ~pos:body_len mb in
-      st.executed <- st.executed + 1;
-      hw_observe ~block ~pos:body_len mb hit;
+      hw_observe ~block ~pos:body_len mem_blocks.(body_len) !hit;
       exec_block target
-    | Program.Return _ ->
-      let _hit = fetch_at st ~block ~pos:body_len mem_blocks.(body_len) in
-      st.executed <- st.executed + 1
+    | Program.Return _ -> ()
     | Program.Cond { taken; fallthrough; model = bm; _ } ->
-      let mb = mem_blocks.(body_len) in
-      let hit = fetch_at st ~block ~pos:body_len mb in
-      st.executed <- st.executed + 1;
       let decision =
         match branch_oracle with
         | Some oracle -> oracle block
         | None -> cond_decision st block bm
       in
-      hw_observe ~block ~pos:body_len ~branch:(taken, decision) mb hit;
+      hw_observe ~block ~pos:body_len ~branch:(taken, decision) mem_blocks.(body_len) !hit;
       exec_block (if decision then taken else fallthrough)
   in
   exec_block (Program.entry program);

@@ -12,8 +12,15 @@
     cycles.  Runs are deterministic for a given seed.
 
     The slot loop reads each slot's memory block and prefetch target
-    from the program's {!Ucp_isa.Layout} slot table, and makes one
-    cache access per demand fetch and per prefetch. *)
+    from the program's {!Ucp_isa.Layout} slot table, split once per
+    {!run} into runs: maximal spans of a block's slots in one memory
+    block, of which only the last may prefetch (under a hardware
+    prefetcher, single slots).  It fetches a run's first slot, through
+    the cache unless that re-reads the block of the last demand
+    access, and charges the run's remaining slots, re-reads of the
+    same block with no fill between, in one step: hits, or under
+    [~locked] the first slot's verdict again.  Each prefetch is one
+    cache access (DESIGN.md §22, §27). *)
 
 exception Step_limit_exceeded of { program : string; limit : int }
 (** {!run} executed more than [limit] instructions of the program

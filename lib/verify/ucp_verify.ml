@@ -377,9 +377,11 @@ let replay_witness ?(seed = 42) (w : Wcet.t) =
   in
   (* Concrete replay: force the simulator down the witness and check
      every Always-Hit (resp. Always-Miss) classification against the
-     concrete cache state, per policy. *)
-  let refs = Wcet.path_refs w in
-  let n_refs = Array.length refs in
+     concrete cache state, per policy.  The witness references are the
+     slots of the path's nodes in order ({!Wcet.path_refs}); a cursor
+     (path step, slot) walks them as the fetches arrive. *)
+  let slots_of id = Program.slots program (block_of id) in
+  let n_refs = Array.fold_left (fun acc id -> acc + slots_of id) 0 path in
   let decisions = Queue.create () in
   for i = 0 to len - 2 do
     match (Program.block program (block_of path.(i))).Program.term with
@@ -392,13 +394,18 @@ let replay_witness ?(seed = 42) (w : Wcet.t) =
     if !err = None then err := Some msg;
     raise Replay_abort
   in
-  let idx = ref 0 in
+  let idx = ref 0 and step = ref 0 and slot = ref 0 in
   let on_fetch ~block ~pos ~hit =
-    if !idx >= n_refs then
+    (* skip the steps whose block has no slot left, empty ones included *)
+    while !step < len && !slot >= slots_of path.(!step) do
+      incr step;
+      slot := 0
+    done;
+    if !step >= len then
       abort
         (Printf.sprintf "witness-refs: fetch %d of (%d,%d) beyond the %d witness refs"
            !idx block pos n_refs);
-    let node, wpos = refs.(!idx) in
+    let node = path.(!step) and wpos = !slot in
     if block_of node <> block || wpos <> pos then
       abort
         (Printf.sprintf
@@ -420,6 +427,7 @@ let replay_witness ?(seed = 42) (w : Wcet.t) =
              block pos
              (Ucp_policy.to_string policy))
     | Classification.Not_classified -> ());
+    incr slot;
     incr idx
   in
   let branch_oracle block =

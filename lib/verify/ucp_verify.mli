@@ -88,7 +88,12 @@ val replay_witness :
     the classifications, then replay the witness on the concrete
     simulator under the analysis' replacement policy and check the
     classifications, the cost bound and the prefetch-effectiveness
-    residual.  Only supports plain analyses (no [~pinned]/[~locked]
+    residual.  The replay walks the path with a cursor (path step,
+    slot) that skips blocks with no slot: each demand fetch the
+    simulator reports must be the cursor's slot, in order, and the
+    fetches must cover the path's slots exactly — the references
+    {!Ucp_wcet.Wcet.path_refs} lists, without building that list.
+    Only supports plain analyses (no [~pinned]/[~locked]
     modes); {!audit_case} returns an
     explicit {!Skipped} verdict for non-plain analyses instead of a
     silent pass. *)

@@ -239,6 +239,33 @@ let test_parallel_sweep_shares_tech_axis () =
            original_passes nm45 nm32)
         (nm45 + nm32) (both + original_passes))
 
+(* The memo is single-flight: when two workers miss one key at once,
+   one computes the original analysis and the other waits for it, so a
+   two-job sweep runs exactly the one-job sweep's fixpoints, every
+   time. *)
+let test_parallel_sweep_memo_single_flight () =
+  let programs =
+    List.map (fun name -> (name, Ucp_workloads.Suite.find name)) [ "fft1"; "crc"; "st"; "fdct" ]
+  in
+  let configs = List.map (fun id -> (id, List.assoc id Config.paper_configs)) [ "k2"; "k5" ] in
+  let fixpoint_iterations jobs =
+    Ucp_obs.Metrics.reset ();
+    ignore
+      (Parallel.sweep ~programs ~configs ~techs:[ Tech.nm45; Tech.nm32 ] ~jobs ~chunk:1
+         ());
+    match Ucp_obs.Metrics.find "fixpoint_iterations_total" with
+    | Some (Ucp_obs.Metrics.Counter n) -> n
+    | _ -> Alcotest.fail "fixpoint_iterations_total is not a registered counter"
+  in
+  Ucp_obs.Metrics.enable ();
+  Fun.protect ~finally:Ucp_obs.Metrics.disable (fun () ->
+      let one_job = fixpoint_iterations 1 in
+      for run = 1 to 5 do
+        Alcotest.(check int)
+          (Printf.sprintf "two jobs, run %d" run)
+          one_job (fixpoint_iterations 2)
+      done)
+
 (* ------------------------------------------------------------------ *)
 (* robustness: per-case isolation, deadlines, fault injection,
    checkpoint/resume *)
@@ -1213,6 +1240,8 @@ let () =
             test_parallel_sweep_stage_metrics;
           Alcotest.test_case "technology axis shares one original analysis"
             `Quick test_parallel_sweep_shares_tech_axis;
+          Alcotest.test_case "two jobs share one original analysis" `Quick
+            test_parallel_sweep_memo_single_flight;
         ] );
       ( "robustness",
         [

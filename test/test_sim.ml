@@ -371,6 +371,46 @@ let prop_counts_add_up =
       = s.Simulator.counts.Account.fetches)
 
 (* ------------------------------------------------------------------ *)
+(* the run loop against the per-slot reference: each run of re-reads is
+   charged in one step, which must give the same stats and the same
+   [on_fetch] stream as fetching every slot, in every mode *)
+
+let prop_runs_match_per_slot_reference =
+  QCheck2.Test.make ~name:"run loop matches the per-slot reference" ~count:100
+    ~print:(fun (p, c) -> Ucp_testlib.print_config c ^ "\n" ^ Ucp_testlib.print_program p)
+    QCheck2.Gen.(pair Ucp_testlib.gen_program Ucp_testlib.gen_config)
+    (fun (p, c) ->
+      let bb = Ucp_prefetch.Baselines.bb_start p c model in
+      let same program ~policy ?hw ?locked ?pinned () =
+        let observed run =
+          let stream = ref [] in
+          let on_fetch ~block ~pos ~hit = stream := (block, pos, hit) :: !stream in
+          let stats : Simulator.stats = run ~on_fetch in
+          (stats, !stream)
+        in
+        let hw () = Option.map (fun make -> make ()) hw in
+        observed (fun ~on_fetch ->
+            Simulator.run ~policy ?hw:(hw ()) ?locked ?pinned ~on_fetch program c model)
+        = observed (fun ~on_fetch ->
+            Ucp_testlib.Reference_sim.run ~policy ?hw:(hw ()) ?locked ?pinned ~on_fetch
+              program c model)
+      in
+      List.for_all
+        (fun program ->
+          let layout = Ucp_isa.Layout.make program ~block_bytes:c.Config.block_bytes in
+          let blocks_where keep = List.filter keep (Ucp_isa.Layout.mem_block_ids layout) in
+          List.for_all
+            (fun policy ->
+              same program ~policy ()
+              && same program ~policy ~locked:(blocks_where (fun mb -> mb mod 3 = 0)) ()
+              && same program ~policy ~pinned:(blocks_where (fun mb -> mb mod 4 = 1)) ()
+              && List.for_all
+                   (fun (_, make) -> same program ~policy ~hw:make ())
+                   (Hw.all_schemes ~block_bytes:c.Config.block_bytes))
+            [ Ucp_policy.Lru; Ucp_policy.Fifo; Ucp_policy.Plru ])
+        [ p; bb ])
+
+(* ------------------------------------------------------------------ *)
 (* simulator output pinned: every stats field and the [on_fetch]
    (block, pos, hit) stream, digested over the suite below 2000 slots
    at four configurations (256 B and 512 B direct-mapped, 8 KiB 2- and
@@ -551,6 +591,7 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_cycles_consistent;
           QCheck_alcotest.to_alcotest prop_counts_add_up;
+          QCheck_alcotest.to_alcotest prop_runs_match_per_slot_reference;
           Alcotest.test_case "simulator output pinned" `Quick
             test_simulator_output_pinned;
         ] );

@@ -185,6 +185,93 @@ let test_witness_counts_mutation () =
   expect_obligation "inflated multiplicity" "witness-"
     (Verify.replay_witness { w0 with Wcet.n_w })
 
+(* The replay walks the witness with a cursor and the simulator charges
+   a run of re-reads in one step; every slot must still reach the
+   probe, in order.  [reclassify w (node, pos) cls] is [w] with one
+   witness slot reclassified and tau_w re-derived to match, so the
+   replay itself must catch the lie. *)
+let reclassify (w : Wcet.t) (node, pos) cls =
+  let analysis = w.Wcet.analysis in
+  let vivu = Ucp_wcet.Analysis.vivu analysis in
+  let cost c = Wcet.cycles_of w.Wcet.model c in
+  let old = Ucp_wcet.Analysis.classif analysis ~node ~pos in
+  {
+    w with
+    Wcet.analysis = Ucp_wcet.Analysis.override_classif analysis [ (node, pos, cls) ];
+    tau = w.Wcet.tau + (Ucp_cfg.Vivu.mult vivu node * (cost cls - cost old));
+  }
+
+(* The witness slots [(node, pos)] that [keep] selects, last first;
+   [keep] also sees whether the slot starts a run (its predecessor in
+   the block is in another memory block or prefetches). *)
+let witness_slots (w : Wcet.t) keep =
+  let analysis = w.Wcet.analysis in
+  let layout = Ucp_wcet.Analysis.layout analysis in
+  let vivu = Ucp_wcet.Analysis.vivu analysis in
+  List.filter
+    (fun (node, pos) ->
+      let block = (Ucp_cfg.Vivu.node vivu node).Ucp_cfg.Vivu.block in
+      let mbs = Ucp_isa.Layout.slot_mem_blocks layout block in
+      let starts_run =
+        pos = 0
+        || mbs.(pos - 1) <> mbs.(pos)
+        || (Ucp_isa.Layout.prefetch_targets layout block).(pos - 1)
+           <> Ucp_isa.Layout.No_target
+      in
+      keep ~starts_run (Ucp_wcet.Analysis.classif analysis ~node ~pos))
+    (List.rev (Array.to_list (Wcet.path_refs w)))
+
+let slot_name (w : Wcet.t) (node, pos) =
+  let vivu = Ucp_wcet.Analysis.vivu w.Wcet.analysis in
+  Printf.sprintf "(%d,%d)" (Ucp_cfg.Vivu.node vivu node).Ucp_cfg.Vivu.block pos
+
+let test_witness_reread_reaches_probe () =
+  let w0, _, _ = setup "fft1" in
+  match
+    witness_slots w0 (fun ~starts_run cls ->
+        (not starts_run) && cls = Ucp_wcet.Classification.Always_hit)
+  with
+  | [] -> Alcotest.fail "fft1's witness has no always-hit re-read"
+  | slot :: _ ->
+    Alcotest.(check (result unit string))
+      "a re-read claimed always-miss fails the replay"
+      (Error
+         (Printf.sprintf
+            "always-miss: slot %s classified Always_miss hit concretely under lru"
+            (slot_name w0 slot)))
+      (Verify.replay_witness (reclassify w0 slot Ucp_wcet.Classification.Always_miss))
+
+let test_witness_missed_slot_named () =
+  let w0, _, _ = setup "fft1" in
+  match
+    witness_slots w0 (fun ~starts_run cls ->
+        starts_run && cls = Ucp_wcet.Classification.Always_miss)
+  with
+  | [] -> Alcotest.fail "fft1's witness has no always-miss slot"
+  | slot :: _ ->
+    Alcotest.(check string) "the last always-miss slot" "(7,4)" (slot_name w0 slot);
+    Alcotest.(check (result unit string))
+      "a miss claimed always-hit fails the replay, naming the slot"
+      (Error "always-hit: slot (7,4) classified Always_hit missed concretely under lru")
+      (Verify.replay_witness (reclassify w0 slot Ucp_wcet.Classification.Always_hit))
+
+(* fft1's k35 FIFO witness steps through block 5, which has no slot:
+   the cursor skips it and the replay certifies *)
+let test_witness_crosses_empty_block () =
+  let program = Ucp_workloads.Suite.find "fft1" in
+  let k35 = List.assoc "k35" Config.paper_configs in
+  let w =
+    Wcet.compute ~with_may:true ~policy:Ucp_policy.Fifo program k35
+      (Cacti.model k35 Tech.nm45)
+  in
+  let vivu = Ucp_wcet.Analysis.vivu w.Wcet.analysis in
+  Alcotest.(check bool) "the witness crosses empty block 5" true
+    (Ucp_isa.Program.slots program 5 = 0
+    && Array.exists
+         (fun id -> (Ucp_cfg.Vivu.node vivu id).Ucp_cfg.Vivu.block = 5)
+         w.Wcet.path);
+  Alcotest.(check (result unit string)) "replay certifies" (Ok ()) (Verify.replay_witness w)
+
 (* ------------------------------------------------------------------ *)
 (* optimizer audit-trail mutations (on a case that actually inserts) *)
 
@@ -288,6 +375,12 @@ let () =
             test_witness_path_mutation;
           Alcotest.test_case "mutated counts rejected" `Quick
             test_witness_counts_mutation;
+          Alcotest.test_case "re-read reaches the probe" `Quick
+            test_witness_reread_reaches_probe;
+          Alcotest.test_case "missed slot named" `Quick
+            test_witness_missed_slot_named;
+          Alcotest.test_case "empty block crossed" `Quick
+            test_witness_crosses_empty_block;
         ] );
       ( "trail",
         [

@@ -247,3 +247,186 @@ module Reference_aset = struct
       (fun (x, _) -> if x <> mb && not (List.mem_assoc x after) then Some x else None)
       entries
 end
+
+(* ------------------------------------------------------------------ *)
+(* Reference simulator: the per-slot loop [Ucp_sim.Simulator.run] ran
+   before it stepped one run of re-reads at a time.  Every slot makes
+   its own fetch, and a re-read of the last demand block skips the
+   cache.  The library's run loop must give the same stats and the
+   same [on_fetch] stream in every mode. *)
+module Reference_sim = struct
+  module Program = Ucp_isa.Program
+  module Layout = Ucp_isa.Layout
+  module Concrete = Ucp_cache.Concrete
+  module Account = Ucp_energy.Account
+  module Simulator = Ucp_sim.Simulator
+  module Hw = Ucp_sim.Hw_prefetch
+
+  type state = {
+    cache : Concrete.t;
+    model : Cacti.t;
+    rng : Ucp_util.Rng.t;
+    in_flight : (int, int) Hashtbl.t;
+    branch_counts : int array;
+    mutable last_block : int;
+    mutable cycles : int;
+    mutable fetches : int;
+    mutable hits : int;
+    mutable misses : int;
+    mutable prefetch_dram_reads : int;
+    mutable executed : int;
+    mutable executed_prefetches : int;
+    mutable hw_issued : int;
+    mutable late_stalls : int;
+  }
+
+  let issue_prefetch st mb =
+    st.last_block <- -1;
+    match Concrete.access st.cache mb with
+    | Concrete.Hit -> false
+    | Concrete.Miss _ ->
+      Hashtbl.replace st.in_flight mb (st.cycles + st.model.Cacti.prefetch_latency);
+      st.prefetch_dram_reads <- st.prefetch_dram_reads + 1;
+      true
+
+  let count st hit =
+    st.fetches <- st.fetches + 1;
+    if hit then begin
+      st.hits <- st.hits + 1;
+      st.cycles <- st.cycles + st.model.Cacti.hit_cycles
+    end
+    else begin
+      st.misses <- st.misses + 1;
+      st.cycles <- st.cycles + st.model.Cacti.hit_cycles + st.model.Cacti.miss_penalty
+    end;
+    hit
+
+  let access_cache st mb =
+    st.last_block <- mb;
+    let ready = Hashtbl.find_opt st.in_flight mb in
+    Hashtbl.remove st.in_flight mb;
+    match Concrete.access st.cache mb with
+    | Concrete.Hit ->
+      Option.iter
+        (fun ready ->
+          let stall = max 0 (ready - st.cycles) in
+          st.cycles <- st.cycles + stall;
+          st.late_stalls <- st.late_stalls + stall)
+        ready;
+      true
+    | Concrete.Miss _ -> false
+
+  let run ?(seed = 42) ?(policy = Concrete.Lru) ?hw ?locked ?(pinned = [])
+      ?cache_config ?(on_fetch = fun ~block:_ ~pos:_ ~hit:_ -> ()) program config model =
+    let layout = Layout.make program ~block_bytes:config.Config.block_bytes in
+    let cache_config = Option.value cache_config ~default:config in
+    let is_pinned mb = List.mem mb pinned in
+    let st =
+      {
+        cache = Concrete.create ~policy cache_config;
+        model;
+        rng = Ucp_util.Rng.create seed;
+        in_flight = Hashtbl.create 8;
+        branch_counts = Array.make (Program.block_count program) 0;
+        last_block = -1;
+        cycles = 0;
+        fetches = 0;
+        hits = 0;
+        misses = 0;
+        prefetch_dram_reads = 0;
+        executed = 0;
+        executed_prefetches = 0;
+        hw_issued = 0;
+        late_stalls = 0;
+      }
+    in
+    let fetch_at ~block ~pos =
+      let mb = (Layout.slot_mem_blocks layout block).(pos) in
+      let hit =
+        match locked with
+        | Some blocks -> count st (List.mem mb blocks)
+        | None ->
+          count st (is_pinned mb || mb = st.last_block || access_cache st mb)
+      in
+      on_fetch ~block ~pos ~hit;
+      st.executed <- st.executed + 1;
+      (mb, hit)
+    in
+    let hw_observe ~block ~pos ?branch (mb, hit) =
+      Option.iter
+        (fun hw ->
+          let target_addr, taken =
+            match branch with
+            | None -> (None, None)
+            | Some (target, decision) ->
+              ( (try Some (Layout.addr layout ~block:target ~pos:0)
+                 with Invalid_argument _ -> None),
+                Some decision )
+          in
+          List.iter
+            (fun mb ->
+              if (not (is_pinned mb)) && issue_prefetch st mb then
+                st.hw_issued <- st.hw_issued + 1)
+            (Hw.observe hw
+               {
+                 Hw.mem_block = mb;
+                 hit;
+                 is_branch = Option.is_some branch;
+                 branch_addr = Layout.addr layout ~block ~pos;
+                 target_addr;
+                 taken;
+               }))
+        hw
+    in
+    let rec exec_block block =
+      let b = Program.block program block in
+      let body_len = Array.length b.Program.body in
+      for pos = 0 to body_len - 1 do
+        let fetched = fetch_at ~block ~pos in
+        (match (Layout.prefetch_targets layout block).(pos) with
+        | Layout.No_target -> ()
+        | Layout.Target target ->
+          st.executed_prefetches <- st.executed_prefetches + 1;
+          if locked = None && not (is_pinned target) then ignore (issue_prefetch st target));
+        hw_observe ~block ~pos fetched
+      done;
+      match b.Program.term with
+      | Program.Fallthrough target -> exec_block target
+      | Program.Jump { target; _ } ->
+        hw_observe ~block ~pos:body_len (fetch_at ~block ~pos:body_len);
+        exec_block target
+      | Program.Return _ -> ignore (fetch_at ~block ~pos:body_len)
+      | Program.Cond { taken; fallthrough; model = bm; _ } ->
+        let fetched = fetch_at ~block ~pos:body_len in
+        let n = st.branch_counts.(block) in
+        st.branch_counts.(block) <- n + 1;
+        let decision =
+          match bm with
+          | Ucp_isa.Branch_model.Always_taken -> true
+          | Ucp_isa.Branch_model.Never_taken -> false
+          | Ucp_isa.Branch_model.Every k -> n mod k < k - 1
+          | Ucp_isa.Branch_model.Bernoulli p -> Ucp_util.Rng.bernoulli st.rng p
+        in
+        hw_observe ~block ~pos:body_len ~branch:(taken, decision) fetched;
+        exec_block (if decision then taken else fallthrough)
+    in
+    exec_block (Program.entry program);
+    {
+      Simulator.counts =
+        {
+          Account.fetches = st.fetches;
+          hits = st.hits;
+          misses = st.misses;
+          prefetch_dram_reads = st.prefetch_dram_reads;
+          prefetch_fills = st.prefetch_dram_reads;
+          cycles = st.cycles;
+        };
+      executed = st.executed;
+      executed_prefetches = st.executed_prefetches;
+      hw_issued = st.hw_issued;
+      late_prefetch_stall_cycles = st.late_stalls;
+      miss_rate =
+        (if st.fetches = 0 then 0.0
+         else float_of_int st.misses /. float_of_int st.fetches);
+    }
+end
