@@ -521,7 +521,9 @@ echo "ci: refinement smoke passed"
 # Explore.Unsound when an abstract always-hit/always-miss is not an
 # exploration all-hit/all-miss, so this checks the set-at-a-time
 # exploration against the abstraction on the programs no other step
-# refines under FIFO or PLRU.
+# refines under FIFO or PLRU.  The record lines are pinned too: a
+# verdict change that raises nothing still moves their refine fields.
+large_records_md5_expected=d691bfa858509fbf9ace8b6b2b435374
 status=0
 dune exec --no-build bin/ucp.exe -- experiment \
   --programs statemate,nsichneu --configs k35,k36 --techs 45nm \
@@ -534,21 +536,34 @@ if [ "$status" -ne 0 ] \
   cat "$smoke_err" >&2
   exit 1
 fi
+large_records_md5=$(grep -v '"summary"' "$refine_dir/large.jsonl" | md5sum | cut -d' ' -f1)
+if [ "$large_records_md5" != "$large_records_md5_expected" ]; then
+  echo "ci: large refine smoke: record MD5 $large_records_md5, expected $large_records_md5_expected" >&2
+  exit 1
+fi
 echo "ci: large-program refinement smoke passed"
 
 # The same two programs at the 256 B 4-way cache (4 sets), where the
 # per-set abstract states are longest -- FIFO and PLRU may sets grow
 # without eviction -- and no other step runs them below 8 KiB: full
-# refinement must find no abstract verdict the exploration contradicts.
+# refinement must find no abstract verdict the exploration contradicts,
+# and the record lines are pinned as above.
+small_records_md5_expected=77aa58315c4008262bb83b84adc4b59e
 status=0
 dune exec --no-build bin/ucp.exe -- experiment \
   --programs statemate,nsichneu --configs k3 --techs 45nm \
   --policies lru,fifo,plru --refine full --jobs 2 \
+  --sweep-out "$refine_dir/large-k3.jsonl" \
   >/dev/null 2>"$smoke_err" || status=$?
 if [ "$status" -ne 0 ] \
   || ! grep -q 'cases: 6 ok, 0 failed, 0 timed out, 0 invariant violations' "$smoke_err"; then
   echo "ci: small-cache refine smoke: expected exit 0 with 6 cases ok, got $status" >&2
   cat "$smoke_err" >&2
+  exit 1
+fi
+small_records_md5=$(grep -v '"summary"' "$refine_dir/large-k3.jsonl" | md5sum | cut -d' ' -f1)
+if [ "$small_records_md5" != "$small_records_md5_expected" ]; then
+  echo "ci: small-cache refine smoke: record MD5 $small_records_md5, expected $small_records_md5_expected" >&2
   exit 1
 fi
 echo "ci: small-cache large-program refinement smoke passed"

@@ -352,7 +352,12 @@ let log2 n =
    pairwise-distinct blocks are guaranteed resident (Reineke/Grund's
    relative-competitiveness bound, the classic aiT treatment).  The
    must domain is therefore the LRU must domain run at this reduced
-   effective associativity. *)
+   effective associativity.  Its transfer ignores the hint, its join
+   does not read [assoc] and its cold state is empty, so a PLRU must
+   fixpoint is the LRU must fixpoint at [plru_must_assoc assoc] on a
+   configuration with the same sets and lines: a PLRU analysis' miss
+   count bound is the LRU reference bound of PLRU's competitiveness
+   triple, which [Ucp_refine.Quantitative] reads from it. *)
 let plru_must_assoc assoc = log2 assoc + 1
 
 module Plru_policy : POLICY = struct

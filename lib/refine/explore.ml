@@ -3,8 +3,8 @@
    the per-set product automaton ({!Product}) and give a definitive
    verdict — the reference hits in every reachable in-state
    (Always_hit), misses in every one (Always_miss), or genuinely both
-   outcomes occur (Genuinely_unknown).  Reclassifications are fed back
-   into the analysis as tightened flow facts via
+   outcomes occur (it stays Not_classified).  Reclassifications are
+   fed back into the analysis as tightened flow facts via
    [Analysis.override_classif], and the WCET is re-derived so the IPET
    ILP drops the reclaimed miss terms.
 
@@ -18,10 +18,20 @@
    drift from either.  The converse containment gives a free
    self-test: an abstract Always_hit (resp. Always_miss) must be an
    exploration all-hit (all-miss) — [Mode.Full] checks this for every
-   reference and raises {!Unsound} on contradiction. *)
+   reference and raises {!Unsound} on contradiction.
+
+   The verdict pass walks each set's focus references, kept in
+   ascending (node, pos) order, in runs of one node.  Three flag
+   arrays indexed by slot, allocated once per call, mark the run's
+   slots and record whether every replayed in-state hit, or missed,
+   there; the run is judged once all of its node's in-states are
+   replayed.  Sets are judged in ascending order, so the first
+   contradiction in (set, node, pos) order is the one {!Unsound}
+   names.  The overrides are sorted by (node, pos) before the digest
+   reads them. *)
 
 module Vivu = Ucp_cfg.Vivu
-module Program = Ucp_isa.Program
+module Layout = Ucp_isa.Layout
 module Config = Ucp_cache.Config
 module Analysis = Ucp_wcet.Analysis
 module Classification = Ucp_wcet.Classification
@@ -29,8 +39,6 @@ module Wcet = Ucp_wcet.Wcet
 module Deadline = Ucp_util.Deadline
 
 exception Unsound of string
-
-type verdict = Always_hit | Always_miss | Genuinely_unknown
 
 type summary = {
   s_mode : Mode.t;
@@ -61,15 +69,23 @@ let digest ~mode ~policy ~overrides ~tau ~miss_bound ~quant ~states ~budget_hit
   Buffer.add_char b '\n';
   List.iter
     (fun (node, pos, cls) ->
-      Buffer.add_string b
-        (Printf.sprintf "%d:%d:%s\n" node pos (Classification.to_string cls)))
+      Buffer.add_string b (string_of_int node);
+      Buffer.add_char b ':';
+      Buffer.add_string b (string_of_int pos);
+      Buffer.add_char b ':';
+      Buffer.add_string b (Classification.to_string cls);
+      Buffer.add_char b '\n')
     overrides;
-  Buffer.add_string b
-    (Printf.sprintf "tau %d\nmiss %d\nquant %s\nstates %d\nbudget %b\ndemoted %d\n"
-       tau miss_bound
-       (match quant with None -> "-" | Some q -> string_of_int q)
-       states budget_hit budget_exhausted);
+  Printf.bprintf b "tau %d\nmiss %d\nquant %s\nstates %d\nbudget %b\ndemoted %d\n" tau
+    miss_bound
+    (match quant with None -> "-" | Some q -> string_of_int q)
+    states budget_hit budget_exhausted;
   Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* (node, pos) order; no slot is overridden twice *)
+let by_slot (n1, p1, _) (n2, p2, _) =
+  let c = Int.compare n1 n2 in
+  if c <> 0 then c else Int.compare p1 p2
 
 let run_plain ?deadline ?budget ~corrupt ~mode (w : Wcet.t) =
   let analysis = w.Wcet.analysis in
@@ -77,41 +93,110 @@ let run_plain ?deadline ?budget ~corrupt ~mode (w : Wcet.t) =
   let layout = Analysis.layout analysis in
   let config = Analysis.config analysis in
   let policy = Analysis.policy analysis in
-  let program = Vivu.program vivu in
   let (module P : Ucp_policy.POLICY) = Ucp_policy.find policy in
   let assoc = config.Config.assoc in
   let n = Vivu.node_count vivu in
-  (* Focus references ((node, pos) ascending, hence deterministic),
-     grouped by the cache set their memory block maps to. *)
-  let by_set : (int, (int * int) list ref) Hashtbl.t = Hashtbl.create 16 in
-  let focus_all = ref [] in
+  let classif node pos = Analysis.classif analysis ~node ~pos in
+  let is_focus node pos =
+    match classif node pos with
+    | Classification.Not_classified -> true
+    | Classification.Always_hit | Classification.Always_miss -> mode = Mode.Full
+  in
+  (* Focus references by the cache set their memory block maps to,
+     each set's list in ascending (node, pos) order. *)
+  let by_set = Array.make config.Config.sets [] in
+  let n_focus = ref 0 and max_slots = ref 0 in
   for node = n - 1 downto 0 do
-    let nd = Vivu.node vivu node in
-    for pos = Program.slots program nd.Vivu.block - 1 downto 0 do
-      let interesting =
-        match Analysis.classif analysis ~node ~pos with
-        | Classification.Not_classified -> true
-        | Classification.Always_hit | Classification.Always_miss ->
-          mode = Mode.Full
-      in
-      if interesting then begin
-        focus_all := (node, pos) :: !focus_all;
-        let set =
-          Config.set_of_mem_block config
-            (Analysis.slot_mem_block analysis ~node ~pos)
-        in
-        match Hashtbl.find_opt by_set set with
-        | Some l -> l := (node, pos) :: !l
-        | None -> Hashtbl.add by_set set (ref [ (node, pos) ])
+    let mem_blocks = Layout.slot_mem_blocks layout (Vivu.node vivu node).Vivu.block in
+    max_slots := max !max_slots (Array.length mem_blocks);
+    for pos = Array.length mem_blocks - 1 downto 0 do
+      if is_focus node pos then begin
+        incr n_focus;
+        let set = Config.set_of_mem_block config mem_blocks.(pos) in
+        by_set.(set) <- (node, pos) :: by_set.(set)
       end
     done
   done;
-  let sets = List.sort compare (Hashtbl.fold (fun s _ acc -> s :: acc) by_set []) in
+  let sets = ref [] in
+  for set = config.Config.sets - 1 downto 0 do
+    match by_set.(set) with [] -> () | _ :: _ -> sets := set :: !sets
+  done;
+  (* The verdict pass's flags, indexed by slot and reset per node:
+     [focus] marks the node's focus slots on the set being judged,
+     [all_hit] ([all_miss]) whether every in-state replayed so far hit
+     (missed) there. *)
+  let focus = Array.make !max_slots false in
+  let all_hit = Array.make !max_slots false in
+  let all_miss = Array.make !max_slots false in
+  let on_access ~pos ~hit =
+    if focus.(pos) then if hit then all_miss.(pos) <- false else all_hit.(pos) <- false
+  in
   let states = ref 0 in
   let steps = ref 0 in
   let budget_hit = ref false in
   let budget_exhausted = ref 0 in
   let overrides = ref [] in
+  (* Every in-state replays every focus slot's access, so at most one
+     of its flags survives. *)
+  let judge node pos =
+    match classif node pos with
+    | Classification.Not_classified ->
+      if all_hit.(pos) then overrides := (node, pos, Classification.Always_hit) :: !overrides
+      else if all_miss.(pos) then
+        overrides := (node, pos, Classification.Always_miss) :: !overrides
+    | Classification.Always_hit ->
+      if not all_hit.(pos) then
+        raise
+          (Unsound
+             (Printf.sprintf
+                "abstract Always_hit at (%d,%d) under %s is not an exploration all-hit"
+                node pos (Ucp_policy.to_string policy)))
+    | Classification.Always_miss ->
+      if not all_miss.(pos) then
+        raise
+          (Unsound
+             (Printf.sprintf
+                "abstract Always_miss at (%d,%d) under %s is not an exploration all-miss"
+                node pos (Ucp_policy.to_string policy)))
+  in
+  (* [f pos] for each reference of [node] at the head of [refs]; the
+     references after them *)
+  let rec each_of node f = function
+    | (nd, pos) :: tl when Int.equal nd node ->
+      f pos;
+      each_of node f tl
+    | rest -> rest
+  in
+  (* One set's focus references, a run of one node at a time: replay
+     the node's in-states through the reachability sweep's transfer,
+     then judge the run. *)
+  let rec verdicts r events = function
+    | [] -> ()
+    | (node, _) :: _ as refs ->
+      let rest =
+        each_of node
+          (fun pos ->
+            focus.(pos) <- true;
+            all_hit.(pos) <- true;
+            all_miss.(pos) <- true)
+          refs
+      in
+      (match Product.in_states r node with
+       | [] ->
+         (* node instance unreachable in the product — no walk
+            executes it, nothing to conclude or contradict *)
+         ()
+       | in_states ->
+         let block_events = events.((Vivu.node vivu node).Vivu.block) in
+         List.iter
+           (fun cs ->
+             steps := !steps + Array.length block_events;
+             ignore (Product.transfer (module P) ~assoc ~on_access block_events cs))
+           in_states;
+         ignore (each_of node (judge node) refs));
+      ignore (each_of node (fun pos -> focus.(pos) <- false) refs);
+      verdicts r events rest
+  in
   List.iter
     (fun (set, events) ->
       Deadline.check deadline;
@@ -120,114 +205,37 @@ let run_plain ?deadline ?budget ~corrupt ~mode (w : Wcet.t) =
       steps := !steps + Product.steps r;
       if Product.exhausted r then begin
         (* partial reachability proves nothing: every focus reference
-           of this set degrades gracefully to Genuinely_unknown; count
+           of this set degrades gracefully to "genuinely unknown"; count
            the Not_classified refs actually demoted so campaigns can
            tell "sound but imprecise" from "suspicious" geometries *)
         budget_hit := true;
         List.iter
           (fun (node, pos) ->
-            if
-              Analysis.classif analysis ~node ~pos
-              = Classification.Not_classified
-            then incr budget_exhausted)
-          !(Hashtbl.find by_set set)
+            match classif node pos with
+            | Classification.Not_classified -> incr budget_exhausted
+            | Classification.Always_hit | Classification.Always_miss -> ())
+          by_set.(set)
       end
-      else begin
-        (* regroup this set's focus refs per expanded node *)
-        let per_node : (int, int list ref) Hashtbl.t = Hashtbl.create 16 in
-        List.iter
-          (fun (node, pos) ->
-            match Hashtbl.find_opt per_node node with
-            | Some l -> l := pos :: !l
-            | None -> Hashtbl.add per_node node (ref [ pos ]))
-          !(Hashtbl.find by_set set);
-        Hashtbl.iter
-          (fun node poss ->
-            let poss = List.sort compare !poss in
-            let block_events = events.((Vivu.node vivu node).Vivu.block) in
-            match Product.in_states r node with
-            | [] ->
-              (* node instance unreachable in the product — no walk
-                 executes it, nothing to conclude or contradict *)
-              ()
-            | in_states ->
-              let all_hit = Hashtbl.create 8 and all_miss = Hashtbl.create 8 in
-              List.iter
-                (fun p ->
-                  Hashtbl.replace all_hit p true;
-                  Hashtbl.replace all_miss p true)
-                poss;
-              List.iter
-                (fun cs ->
-                  steps := !steps + Array.length block_events;
-                  ignore
-                    (Product.transfer (module P) ~assoc
-                       ~on_access:(fun ~pos ~hit ->
-                         if Hashtbl.mem all_hit pos then
-                           if hit then Hashtbl.replace all_miss pos false
-                           else Hashtbl.replace all_hit pos false)
-                       block_events cs))
-                in_states;
-              List.iter
-                (fun pos ->
-                  let v =
-                    if Hashtbl.find all_hit pos then Always_hit
-                    else if Hashtbl.find all_miss pos then Always_miss
-                    else Genuinely_unknown
-                  in
-                  match (Analysis.classif analysis ~node ~pos, v) with
-                  | Classification.Not_classified, Always_hit ->
-                    overrides :=
-                      (node, pos, Classification.Always_hit) :: !overrides
-                  | Classification.Not_classified, Always_miss ->
-                    overrides :=
-                      (node, pos, Classification.Always_miss) :: !overrides
-                  | Classification.Not_classified, Genuinely_unknown -> ()
-                  | Classification.Always_hit, Always_hit
-                  | Classification.Always_miss, Always_miss ->
-                    ()
-                  | Classification.Always_hit, _ ->
-                    raise
-                      (Unsound
-                         (Printf.sprintf
-                            "abstract Always_hit at (%d,%d) under %s is not an \
-                             exploration all-hit"
-                            node pos
-                            (Ucp_policy.to_string policy)))
-                  | Classification.Always_miss, _ ->
-                    raise
-                      (Unsound
-                         (Printf.sprintf
-                            "abstract Always_miss at (%d,%d) under %s is not \
-                             an exploration all-miss"
-                            node pos
-                            (Ucp_policy.to_string policy))))
-                poss)
-          per_node
-      end)
-    (Product.events layout config sets);
-  let overrides = List.sort compare !overrides in
+      else verdicts r events by_set.(set))
+    (Product.events layout config !sets);
+  let overrides = List.sort by_slot !overrides in
   (* corrupt-refine fault: claim Always_hit for the first focus
      reference that is NOT a proven all-hit — an unsound tightening the
      audit's digest recomputation must catch *)
   let overrides =
     if not corrupt then overrides
     else begin
-      let ov = Hashtbl.create 16 in
-      List.iter (fun (nd, p, c) -> Hashtbl.replace ov (nd, p) c) overrides;
-      let final (nd, p) =
-        match Hashtbl.find_opt ov (nd, p) with
-        | Some c -> c
-        | None -> Analysis.classif analysis ~node:nd ~pos:p
-      in
+      let proven = Analysis.override_classif analysis overrides in
       match
-        List.find_opt (fun rp -> final rp <> Classification.Always_hit) !focus_all
+        List.find_opt
+          (fun (node, pos) -> Analysis.classif proven ~node ~pos <> Classification.Always_hit)
+          (List.sort compare (List.concat (Array.to_list by_set)))
       with
       | None -> overrides
       | Some (nd, p) ->
-        Hashtbl.replace ov (nd, p) Classification.Always_hit;
-        Hashtbl.fold (fun (nd, p) c acc -> (nd, p, c) :: acc) ov []
-        |> List.sort compare
+        List.sort by_slot
+          ((nd, p, Classification.Always_hit)
+          :: List.filter (fun (nd', p', _) -> nd' <> nd || p' <> p) overrides)
     end
   in
   let refined_analysis = Analysis.override_classif analysis overrides in
@@ -241,9 +249,7 @@ let run_plain ?deadline ?budget ~corrupt ~mode (w : Wcet.t) =
     digest ~mode ~policy ~overrides ~tau ~miss_bound ~quant ~states:!states
       ~budget_hit:!budget_hit ~budget_exhausted:!budget_exhausted
   in
-  Ucp_obs.Metrics.add
-    (Ucp_obs.Metrics.counter "refine_refs_total")
-    (List.length !focus_all);
+  Ucp_obs.Metrics.add (Ucp_obs.Metrics.counter "refine_refs_total") !n_focus;
   Ucp_obs.Metrics.add
     (Ucp_obs.Metrics.counter "refine_reclassified_total")
     (List.length overrides);

@@ -11,12 +11,6 @@ exception Unsound of string
     abstract [Always_hit]/[Always_miss] — the abstract analysis itself
     is unsound for this case. *)
 
-type verdict = Always_hit | Always_miss | Genuinely_unknown
-(** Exploration verdict for one (reference, context): hits in every
-    reachable product in-state, misses in every one, or both outcomes
-    genuinely occur (also the graceful degradation when the state
-    budget or an unreachable node instance forbids a conclusion). *)
-
 type summary = {
   s_mode : Mode.t;
   s_nc_before : int;  (** Not_classified slots before refinement *)
@@ -33,7 +27,7 @@ type summary = {
       (** at least one set's exploration hit the state budget and was
           discarded *)
   s_budget_exhausted : int;
-      (** focus references demoted to {!Genuinely_unknown} because
+      (** [Not_classified] focus references left unrefined because
           their set's exploration exhausted the budget — distinguishes
           "sound but imprecise" geometries (large counts, no finding)
           from genuinely suspicious ones in fuzz and sweep records *)
@@ -53,8 +47,8 @@ val run :
     analysis (pinned ways: the product would model the wrong concrete
     semantics).  The returned [Wcet.t] is re-derived from the refined
     classifications; the caller's original is untouched.  [?budget] caps product pairs per cache set
-    ({!Product.default_budget}); exhaustion degrades the whole set to
-    [Genuinely_unknown], deterministically.  [?corrupt] injects the
+    ({!Product.default_budget}); exhaustion leaves the whole set's
+    references as the abstraction classified them, deterministically.  [?corrupt] injects the
     [corrupt-refine] fault: the first focus reference not proven
     always-hit is claimed [Always_hit] anyway — the audit's digest
     recomputation must catch the lie.

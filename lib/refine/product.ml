@@ -39,12 +39,12 @@ let default_budget = 32768
    a set-partitioned policy never lets them touch the tracked state. *)
 let events layout config sets =
   let n = Program.block_count (Layout.program layout) in
-  let per_set = Hashtbl.create 16 in
-  List.iter (fun set -> Hashtbl.replace per_set set (Array.make n [])) sets;
+  (* indexed by set number; [[||]] for a set not asked for *)
+  let per_set = Array.make config.Config.sets [||] in
+  List.iter (fun set -> per_set.(set) <- Array.make n []) sets;
   let add block mb ev =
-    match Hashtbl.find_opt per_set (Config.set_of_mem_block config mb) with
-    | Some per_block -> per_block.(block) <- ev :: per_block.(block)
-    | None -> ()
+    let per_block = per_set.(Config.set_of_mem_block config mb) in
+    if Array.length per_block > 0 then per_block.(block) <- ev :: per_block.(block)
   in
   for block = 0 to n - 1 do
     let targets = Layout.prefetch_targets layout block in
@@ -57,8 +57,7 @@ let events layout config sets =
       (Layout.slot_mem_blocks layout block)
   done;
   List.map
-    (fun set ->
-      (set, Array.map (fun evs -> Array.of_list (List.rev evs)) (Hashtbl.find per_set set)))
+    (fun set -> (set, Array.map (fun evs -> Array.of_list (List.rev evs)) per_set.(set)))
     sets
 
 (* Thread one set's concrete state through a block's events, one

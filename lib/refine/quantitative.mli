@@ -12,4 +12,7 @@ val miss_bound :
     the program's references map to — or [None] when the policy has no
     competitiveness bound (LRU), the analysis is non-plain, or the
     program contains prefetch instructions (fills break the phase
-    argument behind the inequality). *)
+    argument behind the inequality).  Under PLRU, [lru_bound(va)] is
+    [a]'s own {!Ucp_wcet.Analysis.miss_count_bound}: PLRU's must
+    domain is LRU's at [va].  Under FIFO it comes from an LRU
+    must analysis at [va], run here ([?deadline] bounds it). *)

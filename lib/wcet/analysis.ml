@@ -60,8 +60,10 @@ let transfer ~vivu ~layout ~with_may ~pinned ~classif node_id (must0, may0) =
   let mem_blocks = Layout.slot_mem_blocks layout block in
   let targets = Layout.prefetch_targets layout block in
   (* one defensive copy per node, then destructive per-slot updates —
-     the inputs stay usable as the node's recorded in-states *)
-  let must = Abstract.copy must0 and may = Abstract.copy may0 in
+     the inputs stay usable as the node's recorded in-states; without
+     the may domain [step] never touches [may], so it is not copied *)
+  let must = Abstract.copy must0 in
+  let may = if with_may then Abstract.copy may0 else may0 in
   for pos = 0 to Array.length mem_blocks - 1 do
     classif.(node_id).(pos) <- step ~with_may ~pinned must may mem_blocks.(pos);
     match targets.(pos) with

@@ -6,12 +6,14 @@
    checked against the concrete simulator under the same policy — a
    refined AH slot must never miss, a refined AM slot must never hit.
    Around it: budget-exhaustion determinism (a starved exploration
-   degrades to Genuinely_unknown, identically on every run, and stays
-   sound), the checkpoint-fingerprint refine axis (journals swept under
+   leaves its references unrefined, identically on every run, and stays
+   sound), full mode's cross-check firing on a planted contradiction,
+   the checkpoint-fingerprint refine axis (journals swept under
    different modes never mix), the lossless record round-trip of the
    refine summary, the corrupt-refine fault being caught by the audit's
    digest recomputation, the set-at-a-time product sweep against the
-   pairwise breadth-first search it replaced, and QCheck properties for
+   pairwise breadth-first search it replaced, the quantitative bound
+   against the LRU reference computation, and QCheck properties for
    the concrete competitiveness inequalities behind
    {!Ucp_refine.Quantitative}. *)
 
@@ -186,6 +188,64 @@ let test_full_mode_agrees () =
           (s.Explore.s_mode = Mode.Full)
       | exception Explore.Unsound msg ->
         Alcotest.fail ("full cross-check contradiction: " ^ msg))
+    Policy.all
+
+(* Full mode's cross-check fires.  One wrong verdict is planted at a
+   time with [Analysis.override_classif], on a loop slot (a context of
+   multiplicity > 1, past its block's first slot) rather than on a
+   cold first access: Always_hit where the exploration proves
+   Always_miss or finds both outcomes, Always_miss where it proves
+   Always_hit or finds both.  [Mode.Full] must raise {!Explore.Unsound}
+   naming that slot and the policy.  The product exploration reads no
+   classification, so planting one changes no exploration verdict, and
+   the unplanted analysis passes full mode (the test above): the
+   planted slot is the run's only contradiction. *)
+let test_full_mode_catches_planted () =
+  let program = Suite.find "crc" in
+  let config = paper_config "k2" in
+  List.iter
+    (fun policy ->
+      let pname = Policy.to_string policy in
+      let w = Wcet.compute ~with_may:true ~policy program config model in
+      let vivu = Analysis.vivu w.Wcet.analysis in
+      let verdicts =
+        match Explore.run ~mode:Mode.Nc w with
+        | Some (s, w') when not s.Explore.s_budget_hit -> w'.Wcet.analysis
+        | _ -> Alcotest.failf "%s: no complete exploration to plant against" pname
+      in
+      (* the first loop slot whose exploration verdict is [cls] *)
+      let loop_slot cls =
+        let found = ref None in
+        for node = Vivu.node_count vivu - 1 downto 0 do
+          if Vivu.mult vivu node > 1 then
+            for pos = Program.slots program (Vivu.node vivu node).Vivu.block - 1 downto 1 do
+              if Analysis.classif verdicts ~node ~pos = cls then found := Some (node, pos)
+            done
+        done;
+        !found
+      in
+      let plant cls ~on ~expected =
+        match List.find_map loop_slot on with
+        | None -> Alcotest.failf "%s: no loop slot to plant %s on" pname expected
+        | Some (node, pos) -> (
+          let a = Analysis.override_classif w.Wcet.analysis [ (node, pos, cls) ] in
+          let msg =
+            Printf.sprintf "abstract %s at (%d,%d) under %s is not an exploration %s"
+              (match cls with
+               | Classification.Always_hit -> "Always_hit"
+               | _ -> "Always_miss")
+              node pos pname expected
+          in
+          match Explore.run ~mode:Mode.Full (Wcet.of_analysis a w.Wcet.model) with
+          | exception Explore.Unsound got -> Alcotest.(check string) msg msg got
+          | _ -> Alcotest.failf "%s: planted contradiction not caught" msg)
+      in
+      plant Classification.Always_hit
+        ~on:[ Classification.Always_miss; Classification.Not_classified ]
+        ~expected:"all-hit";
+      plant Classification.Always_miss
+        ~on:[ Classification.Always_hit; Classification.Not_classified ]
+        ~expected:"all-miss")
     Policy.all
 
 (* ------------------------------------------------------------------ *)
@@ -519,6 +579,61 @@ let test_reachable_matches_pairwise () =
 (* ------------------------------------------------------------------ *)
 (* quantitative bounds *)
 
+(* The reference computation PLRU's bound used to run, kept as the
+   reference: the LRU analysis at the reference associativity [va] on
+   a configuration with the same sets and lines, without the may
+   domain, charged [ratio] per miss plus [add] per touched set. *)
+let reference_quant (a : Analysis.t) =
+  let config = Analysis.config a in
+  let layout = Analysis.layout a in
+  match Policy.competitiveness (Analysis.policy a) ~assoc:config.Config.assoc with
+  | None -> None
+  | Some _ when Program.prefetch_count (Vivu.program (Analysis.vivu a)) > 0 -> None
+  | Some (va, ratio, add) ->
+    let ref_config =
+      Config.make ~assoc:va ~block_bytes:config.Config.block_bytes
+        ~capacity:(va * config.Config.block_bytes * config.Config.sets)
+    in
+    let lru =
+      Analysis.run ~with_may:false ~policy:Policy.Lru (Analysis.vivu a) layout ref_config
+    in
+    let sets =
+      List.sort_uniq compare
+        (List.map (Config.set_of_mem_block config) (Layout.mem_block_ids layout))
+    in
+    Some ((ratio * Analysis.miss_count_bound lru) + (add * List.length sets))
+
+(* PLRU's must domain is LRU's at [va], so [Quantitative.miss_bound]
+   reads PLRU's reference bound from the analysis being refined; FIFO
+   still runs the reference analysis.  Both must equal the reference
+   computation for every suite program and 18 generated ones, at every
+   paper configuration. *)
+let test_quant_matches_reference () =
+  let programs =
+    List.map snd Suite.all
+    @ List.concat_map
+        (fun (cls, _) ->
+          List.init 6 (fun seed -> Ucp_workloads.Generate.program ~seed:(seed + 1) ~cls))
+        Ucp_workloads.Generate.classes
+  in
+  List.iter
+    (fun program ->
+      let vivu = Vivu.expand program in
+      List.iter
+        (fun (k, config) ->
+          let layout = Layout.make program ~block_bytes:config.Config.block_bytes in
+          List.iter
+            (fun policy ->
+              let a = Analysis.run ~policy vivu layout config in
+              let show = function None -> "-" | Some b -> string_of_int b in
+              Alcotest.(check string)
+                (Printf.sprintf "%s %s %s" (Program.name program) k (Policy.to_string policy))
+                (show (reference_quant a))
+                (show (Quantitative.miss_bound a)))
+            [ Policy.Fifo; Policy.Plru ])
+        Config.paper_configs)
+    programs
+
 (* The analysis-level bound holds on the simulated run. *)
 let test_quant_bounds_run () =
   List.iter
@@ -610,6 +725,8 @@ let () =
               test_strict_reduction;
             Alcotest.test_case "full mode agrees with the abstraction" `Slow
               test_full_mode_agrees;
+            Alcotest.test_case "full mode catches a planted contradiction" `Slow
+              test_full_mode_catches_planted;
           ] );
       ( "budget",
         [
@@ -642,6 +759,8 @@ let () =
         [
           Alcotest.test_case "analysis bound holds on the simulated run" `Slow
             test_quant_bounds_run;
+          Alcotest.test_case "PLRU's bound is its own must bound" `Slow
+            test_quant_matches_reference;
           QCheck_alcotest.to_alcotest prop_fifo_competitive;
           QCheck_alcotest.to_alcotest prop_plru_competitive;
         ] );
