@@ -523,11 +523,28 @@ echo "ci: refinement smoke passed"
 # exploration against the abstraction on the programs no other step
 # refines under FIFO or PLRU.  The record lines are pinned too: a
 # verdict change that raises nothing still moves their refine fields.
+# So is the exploration's work, which the records cannot see: the
+# explored states, the transfer steps and the cases whose budget ran
+# out, from the summary line's metrics.
 large_records_md5_expected=d691bfa858509fbf9ace8b6b2b435374
+# value of counter [$2] in the summary line of sweep file [$1]; 0 when
+# the counter never moved
+refine_counter() {
+  grep '"summary"' "$1" | sed -n "s/.*\"$2\":\([0-9][0-9]*\).*/\1/p" | grep . || echo 0
+}
+# [$1] names the smoke; [$2] is its sweep file, then the expected
+# states, transfer steps and budget-exhausted counts
+check_refine_work() {
+  got="$(refine_counter "$2" refine_states_total) $(refine_counter "$2" refine_transfer_steps_total) $(refine_counter "$2" refine_budget_exhausted_total)"
+  if [ "$got" != "$3 $4 $5" ]; then
+    echo "ci: $1: refine states/steps/budget-exhausted $got, expected $3 $4 $5" >&2
+    exit 1
+  fi
+}
 status=0
 dune exec --no-build bin/ucp.exe -- experiment \
   --programs statemate,nsichneu --configs k35,k36 --techs 45nm \
-  --policies lru,fifo,plru --refine full --jobs 2 \
+  --policies lru,fifo,plru --refine full --jobs 2 --metrics \
   --sweep-out "$refine_dir/large.jsonl" \
   >/dev/null 2>"$smoke_err" || status=$?
 if [ "$status" -ne 0 ] \
@@ -541,18 +558,19 @@ if [ "$large_records_md5" != "$large_records_md5_expected" ]; then
   echo "ci: large refine smoke: record MD5 $large_records_md5, expected $large_records_md5_expected" >&2
   exit 1
 fi
+check_refine_work "large refine smoke" "$refine_dir/large.jsonl" 10067133 1855403 8
 echo "ci: large-program refinement smoke passed"
 
 # The same two programs at the 256 B 4-way cache (4 sets), where the
 # per-set abstract states are longest -- FIFO and PLRU may sets grow
 # without eviction -- and no other step runs them below 8 KiB: full
 # refinement must find no abstract verdict the exploration contradicts,
-# and the record lines are pinned as above.
+# and the record lines and the exploration's work are pinned as above.
 small_records_md5_expected=77aa58315c4008262bb83b84adc4b59e
 status=0
 dune exec --no-build bin/ucp.exe -- experiment \
   --programs statemate,nsichneu --configs k3 --techs 45nm \
-  --policies lru,fifo,plru --refine full --jobs 2 \
+  --policies lru,fifo,plru --refine full --jobs 2 --metrics \
   --sweep-out "$refine_dir/large-k3.jsonl" \
   >/dev/null 2>"$smoke_err" || status=$?
 if [ "$status" -ne 0 ] \
@@ -566,6 +584,7 @@ if [ "$small_records_md5" != "$small_records_md5_expected" ]; then
   echo "ci: small-cache refine smoke: record MD5 $small_records_md5, expected $small_records_md5_expected" >&2
   exit 1
 fi
+check_refine_work "small-cache refine smoke" "$refine_dir/large-k3.jsonl" 379599 1347616 0
 echo "ci: small-cache large-program refinement smoke passed"
 
 # Baselines smoke: `ucp baselines` is the one end-to-end path through

@@ -20,6 +20,13 @@
    exploration all-hit (all-miss) — [Mode.Full] checks this for every
    reference and raises {!Unsound} on contradiction.
 
+   One {!Product.reachable} call explores every set that holds a focus
+   reference, in one topological sweep (DESIGN.md §29); each set's
+   visited pairs, budget verdict, transfer steps and in-states are read
+   from that one result.  The refined classification counts follow
+   from the original ones and the overrides: each overridden slot
+   moves from its original class to its new one.
+
    The verdict pass walks each set's focus references, kept in
    ascending (node, pos) order, in runs of one node.  Three flag
    arrays indexed by slot, allocated once per call, mark the run's
@@ -36,7 +43,6 @@ module Config = Ucp_cache.Config
 module Analysis = Ucp_wcet.Analysis
 module Classification = Ucp_wcet.Classification
 module Wcet = Ucp_wcet.Wcet
-module Deadline = Ucp_util.Deadline
 
 exception Unsound of string
 
@@ -121,6 +127,7 @@ let run_plain ?deadline ?budget ~corrupt ~mode (w : Wcet.t) =
   for set = config.Config.sets - 1 downto 0 do
     match by_set.(set) with [] -> () | _ :: _ -> sets := set :: !sets
   done;
+  let sets = Array.of_list !sets in
   (* The verdict pass's flags, indexed by slot and reset per node:
      [focus] marks the node's focus slots on the set being judged,
      [all_hit] ([all_miss]) whether every in-state replayed so far hit
@@ -167,10 +174,12 @@ let run_plain ?deadline ?budget ~corrupt ~mode (w : Wcet.t) =
       each_of node f tl
     | rest -> rest
   in
-  (* One set's focus references, a run of one node at a time: replay
-     the node's in-states through the reachability sweep's transfer,
-     then judge the run. *)
-  let rec verdicts r events = function
+  let events = Product.events layout config sets in
+  let r = Product.reachable ?deadline ?budget ~policy ~assoc ~events vivu in
+  (* The [i]th set's focus references, a run of one node at a time:
+     replay the node's in-states through the reachability sweep's
+     transfer, then judge the run. *)
+  let rec verdicts i = function
     | [] -> ()
     | (node, _) :: _ as refs ->
       let rest =
@@ -181,13 +190,15 @@ let run_plain ?deadline ?budget ~corrupt ~mode (w : Wcet.t) =
             all_miss.(pos) <- true)
           refs
       in
-      (match Product.in_states r node with
+      (match Product.in_states r i node with
        | [] ->
          (* node instance unreachable in the product — no walk
             executes it, nothing to conclude or contradict *)
          ()
        | in_states ->
-         let block_events = events.((Vivu.node vivu node).Vivu.block) in
+         let block_events =
+           Product.block_events events i (Vivu.node vivu node).Vivu.block
+         in
          List.iter
            (fun cs ->
              steps := !steps + Array.length block_events;
@@ -195,15 +206,13 @@ let run_plain ?deadline ?budget ~corrupt ~mode (w : Wcet.t) =
            in_states;
          ignore (each_of node (judge node) refs));
       ignore (each_of node (fun pos -> focus.(pos) <- false) refs);
-      verdicts r events rest
+      verdicts i rest
   in
-  List.iter
-    (fun (set, events) ->
-      Deadline.check deadline;
-      let r = Product.reachable ?deadline ?budget ~policy ~assoc ~events vivu in
-      states := !states + Product.visited r;
-      steps := !steps + Product.steps r;
-      if Product.exhausted r then begin
+  Array.iteri
+    (fun i set ->
+      states := !states + Product.visited r i;
+      steps := !steps + Product.steps r i;
+      if Product.exhausted r i then begin
         (* partial reachability proves nothing: every focus reference
            of this set degrades gracefully to "genuinely unknown"; count
            the Not_classified refs actually demoted so campaigns can
@@ -216,8 +225,8 @@ let run_plain ?deadline ?budget ~corrupt ~mode (w : Wcet.t) =
             | Classification.Always_hit | Classification.Always_miss -> ())
           by_set.(set)
       end
-      else verdicts r events by_set.(set))
-    (Product.events layout config !sets);
+      else verdicts i by_set.(set))
+    sets;
   let overrides = List.sort by_slot !overrides in
   (* corrupt-refine fault: claim Always_hit for the first focus
      reference that is NOT a proven all-hit — an unsound tightening the
@@ -241,7 +250,18 @@ let run_plain ?deadline ?budget ~corrupt ~mode (w : Wcet.t) =
   let refined_analysis = Analysis.override_classif analysis overrides in
   let refined_w = Wcet.of_analysis refined_analysis w.Wcet.model in
   let ah0, am0, nc0 = Analysis.classification_counts analysis in
-  let ah1, am1, nc1 = Analysis.classification_counts refined_analysis in
+  (* each overridden slot moves from its original class to its new one *)
+  let ah1 = ref ah0 and am1 = ref am0 and nc1 = ref nc0 in
+  let move by = function
+    | Classification.Always_hit -> ah1 := !ah1 + by
+    | Classification.Always_miss -> am1 := !am1 + by
+    | Classification.Not_classified -> nc1 := !nc1 + by
+  in
+  List.iter
+    (fun (node, pos, cls) ->
+      move (-1) (classif node pos);
+      move 1 cls)
+    overrides;
   let quant = Quantitative.miss_bound ?deadline analysis in
   let tau = Wcet.tau_with_residual refined_w in
   let miss_bound = Analysis.miss_count_bound refined_analysis in
@@ -263,9 +283,9 @@ let run_plain ?deadline ?budget ~corrupt ~mode (w : Wcet.t) =
     {
       s_mode = mode;
       s_nc_before = nc0;
-      s_nc_after = nc1;
-      s_ah_gained = ah1 - ah0;
-      s_am_gained = am1 - am0;
+      s_nc_after = !nc1;
+      s_ah_gained = !ah1 - ah0;
+      s_am_gained = !am1 - am0;
       s_tau = tau;
       s_miss_bound = miss_bound;
       s_quant = quant;

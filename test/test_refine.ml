@@ -487,11 +487,12 @@ let test_exploration_output_pinned () =
   Alcotest.(check (list (pair string string))) "digests" expected runs
 
 (* ------------------------------------------------------------------ *)
-(* set-at-a-time exploration vs the pairwise breadth-first search *)
+(* one sweep over every focus set vs the references it replaced *)
 
-(* The search [Product.reachable] replaced, kept as its reference: one
-   hashed (node, state) pair at a time, each pair's block transfer run
-   afresh, in FIFO order.  Returns each node's in-states, the pairs
+(* The search the set-at-a-time sweep replaced, kept as its reference:
+   one hashed (node, state) pair at a time, each pair's block transfer
+   run afresh, in FIFO order.  [events.(block)] are the block's events
+   on the explored set.  Returns each node's in-states, the pairs
    visited (budget + 1 where the budget ran out) and whether it did. *)
 let pairwise_reachable ~budget ~policy ~assoc ~events vivu =
   let (module P : Policy.POLICY) = Policy.find policy in
@@ -518,12 +519,140 @@ let pairwise_reachable ~budget ~policy ~assoc ~events vivu =
   done;
   (per_node, !visited, !exhausted)
 
+(* The per-set walk run alone from the cold entry, as [Product.reachable]
+   explored each set before the sets shared one sweep, kept as the
+   reference for what a set's exploration must do whichever tier runs
+   it: the same memo misses ([steps]), state numbering (the order of a
+   node's in-states) and budget cut.  Returns the visited count, whether
+   the budget ran out, the steps, each node's in-states in interning
+   order, and how many states were interned. *)
+let per_set_walk ~budget ~policy ~assoc ~events vivu =
+  let (module P : Policy.POLICY) = Policy.find policy in
+  let word = Sys.int_size in
+  let n = Vivu.node_count vivu in
+  let ids = Hashtbl.create 64 in
+  let states = ref [||] in
+  let delta = ref [| 0 |] in
+  let intern cs =
+    match Hashtbl.find_opt ids cs with
+    | Some id -> id
+    | None ->
+      let id = Hashtbl.length ids in
+      states := Array.append !states [| cs |];
+      Hashtbl.add ids cs id;
+      if id / word = Array.length !delta then
+        delta := Array.append !delta (Array.make (Array.length !delta) 0);
+      id
+  in
+  let memo = Array.make (Array.length events) [||] in
+  let steps = ref 0 in
+  let out block id =
+    if id >= Array.length memo.(block) then
+      memo.(block) <- Array.append memo.(block) (Array.make (id + 1) (-1));
+    if memo.(block).(id) < 0 then begin
+      steps := !steps + Array.length events.(block);
+      memo.(block).(id) <- intern (Product.transfer (module P) ~assoc events.(block) !states.(id))
+    end;
+    memo.(block).(id)
+  in
+  let width = ref 1 in
+  let reached = ref (Array.make n 0) and pending = ref (Array.make n 0) in
+  let widen () =
+    let w = !width and w' = 2 * !width in
+    let grow a =
+      let b = Array.make (n * w') 0 in
+      for v = 0 to n - 1 do
+        Array.blit a (v * w) b (v * w') w
+      done;
+      b
+    in
+    reached := grow !reached;
+    pending := grow !pending;
+    width := w'
+  in
+  let dirty = Array.make n false and dirty_count = ref 0 in
+  let visited = ref 0 and exhausted = ref false in
+  let merge v =
+    let r = !reached and p = !pending and d = !delta and base = v * !width in
+    for w = 0 to !width - 1 do
+      let fresh = d.(w) land lnot r.(base + w) in
+      if fresh <> 0 then begin
+        r.(base + w) <- r.(base + w) lor fresh;
+        p.(base + w) <- p.(base + w) lor fresh;
+        for b = 0 to word - 1 do
+          if fresh land (1 lsl b) <> 0 then incr visited
+        done;
+        if not dirty.(v) then begin
+          dirty.(v) <- true;
+          incr dirty_count
+        end
+      end
+    done;
+    if !visited > budget then begin
+      visited := budget + 1;
+      exhausted := true
+    end
+  in
+  ignore (intern (P.cset_empty ~assoc));
+  !delta.(0) <- 1;
+  merge (Vivu.entry vivu);
+  !delta.(0) <- 0;
+  let expand v =
+    dirty.(v) <- false;
+    decr dirty_count;
+    let block = (Vivu.node vivu v).Vivu.block in
+    let p = !pending and base = v * !width in
+    for w = 0 to !width - 1 do
+      let x = ref p.(base + w) and id = ref (w * word) in
+      p.(base + w) <- 0;
+      while !x <> 0 do
+        if !x land 1 <> 0 then begin
+          let o = if Array.length events.(block) = 0 then !id else out block !id in
+          !delta.(o / word) <- !delta.(o / word) lor (1 lsl (o mod word))
+        end;
+        x := !x lsr 1;
+        incr id
+      done
+    done;
+    while Hashtbl.length ids > !width * word do
+      widen ()
+    done;
+    List.iter merge (Vivu.dag_succ vivu v);
+    List.iter merge (Vivu.iter_succ vivu v);
+    Array.fill !delta 0 !width 0
+  in
+  while !dirty_count > 0 && not !exhausted do
+    Array.iter (fun v -> if dirty.(v) && not !exhausted then expand v) (Vivu.topo vivu)
+  done;
+  let in_states v =
+    let acc = ref [] in
+    for i = (!width * word) - 1 downto 0 do
+      if !reached.((v * !width) + (i / word)) land (1 lsl (i mod word)) <> 0 then
+        acc := !states.(i) :: !acc
+    done;
+    !acc
+  in
+  (!visited, !exhausted, !steps, in_states, Hashtbl.length ids)
+
+(* Every cache set a layout touches, ascending, and the events of the
+   [i]th of them by block, as the references take them. *)
+let all_sets layout config =
+  Array.of_list
+    (List.sort_uniq compare
+       (List.map (Config.set_of_mem_block config) (Layout.mem_block_ids layout)))
+
+let set_events program events i =
+  Array.init (Program.block_count program) (Product.block_events events i)
+
+let reference_budgets = [ 1; 2; 40; Product.default_budget ]
+
 (* Every cache set of the two large programs at 256 B 4-way (where one
    statemate set reaches hundreds of distinct states, so bitsets span
-   several words and widen) and 8 KiB 2-way, under every policy, at
-   budgets that cut the search at once, early, and not at all: the same
-   visited count and verdict, and, when the budget holds, the same
-   in-states at every node. *)
+   several words and widen) and 8 KiB 2-way, explored by one call per
+   (program, configuration, policy, budget) at budgets that cut the
+   search at once, early, and not at all: each set's visited count and
+   verdict equal the pairwise search's, and, when the budget holds, so
+   do its in-states at every node. *)
 let test_reachable_matches_pairwise () =
   let widest = ref 0 in
   List.iter
@@ -535,46 +664,133 @@ let test_reachable_matches_pairwise () =
           let config = paper_config k in
           let assoc = config.Config.assoc in
           let layout = Layout.make program ~block_bytes:config.Config.block_bytes in
-          let sets =
-            List.sort_uniq compare
-              (List.map (Config.set_of_mem_block config) (Layout.mem_block_ids layout))
-          in
+          let sets = all_sets layout config in
+          let events = Product.events layout config sets in
           List.iter
-            (fun (set, events) ->
+            (fun policy ->
               List.iter
-                (fun policy ->
-                  List.iter
-                    (fun budget ->
+                (fun budget ->
+                  let r = Product.reachable ~budget ~policy ~assoc ~events vivu in
+                  Array.iteri
+                    (fun i set ->
                       let case =
                         Printf.sprintf "%s %s set %d %s budget %d" name k set
                           (Policy.to_string policy) budget
                       in
-                      let r = Product.reachable ~budget ~policy ~assoc ~events vivu in
                       let per_node, visited, exhausted =
-                        pairwise_reachable ~budget ~policy ~assoc ~events vivu
+                        pairwise_reachable ~budget ~policy ~assoc
+                          ~events:(set_events program events i) vivu
                       in
-                      Alcotest.(check int) (case ^ ": visited") visited (Product.visited r);
+                      Alcotest.(check int) (case ^ ": visited") visited (Product.visited r i);
                       Alcotest.(check bool)
-                        (case ^ ": exhausted") exhausted (Product.exhausted r);
+                        (case ^ ": exhausted") exhausted (Product.exhausted r i);
                       if not exhausted then begin
                         let distinct = Hashtbl.create 64 in
                         Array.iteri
                           (fun node expected ->
-                            let got = Product.in_states r node in
+                            let got = Product.in_states r i node in
                             List.iter (fun cs -> Hashtbl.replace distinct cs ()) got;
                             if List.sort compare got <> List.sort compare expected then
                               Alcotest.failf "%s: in-states of node %d differ" case node)
                           per_node;
                         widest := max !widest (Hashtbl.length distinct)
                       end)
-                    [ 1; 2; 40; Product.default_budget ])
-                Policy.all)
-            (Product.events layout config sets))
+                    sets)
+                reference_budgets)
+            Policy.all)
         [ "k3"; "k35" ])
     [ "nsichneu"; "statemate" ];
   Alcotest.(check bool)
     (Printf.sprintf "some explored set spans several bitset words (%d states)" !widest)
     true (!widest > Sys.int_size)
+
+(* Every cache set of the two large programs at 256 B 4-way (every set
+   meets more states than a word holds, so all leave the slab), 4 KiB
+   4-way (some leave, some stay) and 8 KiB 2-way (most stay), and of
+   lms at 1 KiB 4-way and janne_complex at 256 B 4-way, where under
+   PLRU a set leaves the slab while an iteration successor earlier in
+   the sweep has pending states, so where its walk resumes shows;
+   under every policy and the four budgets: one call per (program,
+   configuration, policy, budget) gives each set the visited count,
+   verdict and steps of the per-set walk run alone, and, when the
+   budget holds, the same in-states at every node in the same order.
+   Some call must mix departing and staying sets, and some call must
+   mix a set that exhausts its budget with one that completes. *)
+let test_sweep_matches_per_set_walk () =
+  let mixed_tiers = ref false and mixed_budget = ref false in
+  List.iter
+    (fun (name, configs) ->
+      let program = Suite.find name in
+      let vivu = Vivu.expand program in
+      List.iter
+        (fun k ->
+          let config = paper_config k in
+          let assoc = config.Config.assoc in
+          let layout = Layout.make program ~block_bytes:config.Config.block_bytes in
+          let sets = all_sets layout config in
+          let events = Product.events layout config sets in
+          let per_set = Array.mapi (fun i _ -> set_events program events i) sets in
+          List.iter
+            (fun policy ->
+              List.iter
+                (fun budget ->
+                  let r = Product.reachable ~budget ~policy ~assoc ~events vivu in
+                  let departs = ref false and stays = ref false in
+                  let exhausts = ref false and completes = ref false in
+                  Array.iteri
+                    (fun i set ->
+                      let case =
+                        Printf.sprintf "%s %s set %d %s budget %d" name k set
+                          (Policy.to_string policy) budget
+                      in
+                      let visited, exhausted, steps, in_states, n_states =
+                        per_set_walk ~budget ~policy ~assoc ~events:per_set.(i) vivu
+                      in
+                      Alcotest.(check int) (case ^ ": visited") visited (Product.visited r i);
+                      Alcotest.(check bool)
+                        (case ^ ": exhausted") exhausted (Product.exhausted r i);
+                      Alcotest.(check int) (case ^ ": steps") steps (Product.steps r i);
+                      if n_states > Sys.int_size then departs := true
+                      else if not exhausted then stays := true;
+                      if exhausted then exhausts := true
+                      else begin
+                        completes := true;
+                        for node = 0 to Vivu.node_count vivu - 1 do
+                          if Product.in_states r i node <> in_states node then
+                            Alcotest.failf "%s: in-states of node %d differ" case node
+                        done
+                      end)
+                    sets;
+                  if !departs && !stays then mixed_tiers := true;
+                  if !exhausts && !completes then mixed_budget := true)
+                reference_budgets)
+            Policy.all)
+        configs)
+    [
+      ("nsichneu", [ "k3"; "k27"; "k35" ]);
+      ("statemate", [ "k3"; "k27"; "k35" ]);
+      ("lms", [ "k15" ]);
+      ("janne_complex", [ "k3" ]);
+    ];
+  Alcotest.(check bool) "some call has departing and staying sets" true !mixed_tiers;
+  Alcotest.(check bool) "some call has exhausting and completing sets" true !mixed_budget
+
+(* An already-passed deadline stops the exploration in either tier:
+   statemate at 8 KiB 2-way, whose sets stay in the slab, and at 256 B
+   4-way, whose sets leave it. *)
+let test_deadline_both_tiers () =
+  let program = Suite.find "statemate" in
+  List.iter
+    (fun k ->
+      let config = paper_config k in
+      let w = Wcet.compute ~with_may:true ~policy:Policy.Lru program config (pin_model config) in
+      let d = Ucp_util.Deadline.after 1e-6 in
+      while not (Ucp_util.Deadline.expired d) do
+        ()
+      done;
+      Alcotest.check_raises ("statemate " ^ k) Ucp_util.Deadline.Deadline_exceeded (fun () ->
+          ignore (Explore.run ~deadline:d ~mode:Mode.Nc w)))
+    [ "k35"; "k3" ]
 
 (* ------------------------------------------------------------------ *)
 (* quantitative bounds *)
@@ -742,6 +958,10 @@ let () =
         [
           Alcotest.test_case "set-at-a-time sweep matches the pairwise search"
             `Quick test_reachable_matches_pairwise;
+          Alcotest.test_case "one sweep equals the per-set walk" `Quick
+            test_sweep_matches_per_set_walk;
+          Alcotest.test_case "the deadline holds in both tiers" `Quick
+            test_deadline_both_tiers;
         ] );
       ( "persistence",
         [
